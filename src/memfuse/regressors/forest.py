@@ -86,6 +86,8 @@ def _best_split(
     flat = int(np.argmax(score))
     pos, col = np.unravel_index(flat, score.shape)
     threshold = 0.5 * (xs[pos, col] + xs[pos + 1, col])
+    if threshold == xs[pos + 1, col]:  # the midpoint of adjacent floats rounds up
+        threshold = xs[pos, col]
     ordered_ids = ids[order[:, col]]
     return int(feats[col]), float(threshold), ordered_ids[: pos + 1], ordered_ids[pos + 1 :]
 

@@ -121,3 +121,13 @@ def test_serialization_via_json_text_roundtrip(rng):
     doc = json.loads(json.dumps(model_to_json(model)))
     loaded = model_from_json(doc)
     assert np.array_equal(predict_forest(model, X), predict_forest(loaded, X))
+
+
+def test_split_between_adjacent_floats_separates_them():
+    # 0.5 * (nextafter(1, 0) + 1) rounds to 1.0; a threshold of 1.0 would
+    # send the x = 1.0 rows left with the others and lose the split.
+    x = np.array([np.nextafter(1.0, 0.0)] * 2 + [1.0] * 2)[:, None]
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    model = fit_forest(x, y, ForestParams(n_trees=1, min_leaf=1, max_features=1.0, seed=0))
+    assert model.trees[0].threshold[0] == x[0, 0]
+    np.testing.assert_array_equal(predict_forest(model, x), y)
