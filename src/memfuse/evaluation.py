@@ -1,10 +1,15 @@
 """Nested leave-persons-out evaluation of the fusion pipelines.
 
-The outer loop partitions participants into k folds; the inner loop re-tunes
-hyperparameters per outer fold with an exhaustive, participant-grouped grid
-search. Reported numbers are per-fold test R-squared values and their mean
-("AvgR2"). The AV-dagger baseline predicts each video's training-fold mean
-rating, the ceiling of a context-free model on the same data.
+One straight loop runs over dimension, condition, strategy and outer fold.
+The outer folds partition participants; inside each, an exhaustive grid
+search re-tunes the hyperparameters on participant-grouped inner folds, and
+late fusion stacks on grouped folds of its own. All three levels come from
+`folds.group_splits`, which raises if a participant leaks across a split.
+Every fit draws its seed from `child_seed(seed, dim, condition, strategy,
+fold)`, so the loop order cannot change a result. Reported numbers are
+per-fold test R-squared values and their mean ("AvgR2"). The AV-dagger
+baseline predicts each video's training-fold mean rating, the ceiling of a
+context-free model on the same data.
 """
 
 from __future__ import annotations
@@ -12,14 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._seeds import child_seed
-from .folds import assign_group_folds, grouped_test_indices
+from .folds import assign_group_folds, group_splits
 from .fusion import (
     LateFusionParams,
     ModalityBundle,
@@ -53,8 +57,6 @@ __all__ = [
     "av_dagger_baseline",
     "validate_grid",
     "grid_search",
-    "PipelineSpec",
-    "pipeline_for",
     "CellResult",
     "ExperimentReport",
     "run_experiment1",
@@ -168,25 +170,14 @@ def _svr_params(hyper: Mapping[str, float]) -> SvrParams:
     )
 
 
-def _forest_params(hyper: Mapping[str, float], seed: int) -> ForestParams:
+def _forest_params(hyper: Mapping[str, float]) -> ForestParams:
     max_depth = hyper.get("forest.max_depth")
     return ForestParams(
         n_trees=int(hyper.get("forest.n_trees", 100)),
         max_features=float(hyper.get("forest.max_features", 1.0 / 3.0)),
         min_leaf=int(hyper.get("forest.min_leaf", 2)),
         max_depth=None if max_depth is None else int(max_depth),
-        seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """A named model pipeline exposing fit/predict plus its tunable keys."""
-
-    name: str
-    grid_keys: tuple[str, ...]
-    fit: Callable
-    predict: Callable
 
 
 _EARLY_KEYS = ("svr.c", "svr.epsilon", "svr.gamma", "svr.gamma_scale", "svr.tol")
@@ -198,40 +189,36 @@ _LATE_KEYS = _EARLY_KEYS + (
     "ridge.alpha",
     "stack.k_inner",
 )
+_GRID_KEYS = {"early": _EARLY_KEYS, "late": _LATE_KEYS}
 
 
-def pipeline_for(strategy: str) -> PipelineSpec:
+def _fit(strategy: str, bundles, y, groups, hyper, seed):
+    svr = _svr_params(hyper)
     if strategy == "early":
+        return early_fusion_fit(bundles, y, svr)
+    return late_fusion_fit(
+        bundles,
+        y,
+        LateFusionParams(audio=svr, visual=svr, memory=_forest_params(hyper)),
+        meta_alpha=float(hyper.get("ridge.alpha", 1.0)),
+        k_inner=int(hyper.get("stack.k_inner", 4)),
+        groups=groups,
+        seed=seed,
+    )
 
-        def fit_early(bundles, y, groups, hyper, seed):
-            return early_fusion_fit(bundles, y, _svr_params(hyper))
 
-        return PipelineSpec(
-            name="early", grid_keys=_EARLY_KEYS, fit=fit_early, predict=fusion_predict
-        )
-    if strategy == "late":
-
-        def fit_late(bundles, y, groups, hyper, seed):
-            svr = _svr_params(hyper)
-            params = LateFusionParams(
-                audio=svr,
-                visual=svr,
-                memory=_forest_params(hyper, child_seed(seed, "forest")),
-            )
-            return late_fusion_fit(
-                bundles,
-                y,
-                params,
-                meta_alpha=float(hyper.get("ridge.alpha", 1.0)),
-                k_inner=int(hyper.get("stack.k_inner", 4)),
-                groups=groups,
-                seed=seed,
-            )
-
-        return PipelineSpec(
-            name="late", grid_keys=_LATE_KEYS, fit=fit_late, predict=fusion_predict
-        )
-    raise ValueError(f"unknown fusion strategy {strategy!r}")
+def _fold_r2(strategy: str, bundles, y, groups, train_rows, test_rows, hyper, seed) -> float:
+    """Fit on the training rows and return the R2 on the test rows."""
+    model = _fit(
+        strategy,
+        [bundles[r] for r in train_rows],
+        y[train_rows],
+        [groups[r] for r in train_rows],
+        hyper,
+        seed,
+    )
+    pred = fusion_predict(model, [bundles[r] for r in test_rows])
+    return r2_score(y[test_rows], pred)
 
 
 def _sort_key(values: tuple) -> tuple:
@@ -243,7 +230,7 @@ def grid_search(
     y: np.ndarray,
     groups: Sequence[str],
     grid: Mapping[str, Sequence],
-    pipeline: PipelineSpec,
+    strategy: str,
     k_inner: int = 4,
     seed: int = 0,
 ) -> tuple[dict, list[dict]]:
@@ -254,12 +241,12 @@ def grid_search(
     without fitting anything.
     """
     validate_grid(grid)
+    if strategy not in _GRID_KEYS:
+        raise ValueError(f"unknown fusion strategy {strategy!r}")
     y = np.asarray(y, dtype=float)
-    keys = tuple(k for k in pipeline.grid_keys if k in grid)
+    keys = tuple(k for k in _GRID_KEYS[strategy] if k in grid)
     if not keys:
-        raise ValueError(
-            f"grid has no entries applicable to pipeline {pipeline.name!r}"
-        )
+        raise ValueError(f"grid has no entries applicable to strategy {strategy!r}")
     combos = [
         dict(zip(keys, values))
         for values in itertools.product(*(grid[k] for k in keys))
@@ -267,27 +254,16 @@ def grid_search(
     if len(combos) == 1:
         return combos[0], [{"hyper": combos[0], "mean_r2": None, "fold_r2": []}]
 
-    folds = grouped_test_indices(groups, k_inner, child_seed(seed, "inner-folds"))
-    n = len(bundles)
+    splits = group_splits(groups, k_inner, child_seed(seed, "inner-folds"))
     results = []
     for combo in combos:
-        fold_scores = []
-        for fold_idx, test_rows in enumerate(folds):
-            mask = np.ones(n, dtype=bool)
-            mask[test_rows] = False
-            train_rows = np.flatnonzero(mask)
-            train_groups = {groups[r] for r in train_rows}
-            test_groups = {groups[r] for r in test_rows}
-            assert not train_groups & test_groups, "inner fold leaks participants"
-            model = pipeline.fit(
-                [bundles[r] for r in train_rows],
-                y[train_rows],
-                [groups[r] for r in train_rows],
-                combo,
-                child_seed(seed, "inner-fit", fold_idx),
+        fold_scores = [
+            _fold_r2(
+                strategy, bundles, y, groups, train_rows, test_rows, combo,
+                child_seed(seed, "inner-fit", fold),
             )
-            pred = pipeline.predict(model, [bundles[r] for r in test_rows])
-            fold_scores.append(r2_score(y[test_rows], pred))
+            for fold, (train_rows, test_rows) in enumerate(splits)
+        ]
         results.append(
             {
                 "hyper": combo,
@@ -454,86 +430,57 @@ def _run_cells(
     seed: int,
     k_outer: int,
     k_inner: int,
-    workers: int,
     dims: Sequence[str],
 ) -> dict[tuple[str, str, str], CellResult]:
     participants = [r.participant_id for r in rows]
-    plan = make_lpo_folds(set(participants), k_outer, child_seed(seed, "outer-folds"))
-    fold_labels = np.array([plan.fold_of(pid) for pid in participants])
-    targets = {
-        dim: np.array([getattr(r.induced, dim) for r in rows]) for dim in dims
-    }
     videos = [r.video_id for r in rows]
-
-    tasks = []
-    for dim in dims:
-        for cond in conditions:
-            for strat in strategies if cond != "AVdagger" else ("oracle",):
-                for fold in range(k_outer):
-                    tasks.append((dim, cond, strat, fold))
-
-    def run_task(task):
-        dim, cond, strat, fold = task
-        test_rows = np.flatnonzero(fold_labels == fold)
-        train_rows = np.flatnonzero(fold_labels != fold)
-        train_p = {participants[r] for r in train_rows}
-        test_p = {participants[r] for r in test_rows}
-        assert not train_p & test_p, "outer fold leaks participants"
-        y = targets[dim]
-        if cond == "AVdagger":
-            pred = av_dagger_baseline(
-                [videos[r] for r in train_rows],
-                y[train_rows],
-                [videos[r] for r in test_rows],
-            )
-            return task, r2_score(y[test_rows], pred), None
-        bundles = bundles_by_condition[cond]
-        pipeline = pipeline_for(strat)
-        task_seed = child_seed(seed, dim, cond, strat, fold)
-        best, _ = grid_search(
-            [bundles[r] for r in train_rows],
-            y[train_rows],
-            [participants[r] for r in train_rows],
-            grid,
-            pipeline,
-            k_inner=k_inner,
-            seed=task_seed,
-        )
-        model = pipeline.fit(
-            [bundles[r] for r in train_rows],
-            y[train_rows],
-            [participants[r] for r in train_rows],
-            best,
-            child_seed(task_seed, "final"),
-        )
-        pred = pipeline.predict(model, [bundles[r] for r in test_rows])
-        return task, r2_score(y[test_rows], pred), best
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_task, tasks))
-    else:
-        outcomes = [run_task(t) for t in tasks]
-
+    splits = group_splits(participants, k_outer, child_seed(seed, "outer-folds"))
     cells: dict[tuple[str, str, str], CellResult] = {}
-    by_cell: dict[tuple[str, str, str], list] = {}
-    for (dim, cond, strat, fold), score, best in outcomes:
-        by_cell.setdefault((dim, cond, strat), []).append((fold, score, best))
-    for key, entries in by_cell.items():
-        entries.sort(key=lambda e: e[0])
-        scores = tuple(score for _, score, _ in entries)
-        params = tuple(best for _, _, best in entries if best is not None) or None
-        dim, cond, strat = key
-        if cond == "AVdagger":
-            # report the oracle under each requested strategy column
-            for strategy in strategies:
-                cells[(dim, cond, strategy)] = CellResult(
-                    mean_r2=float(np.mean(scores)), fold_r2=scores, params=None
+    for dim in dims:
+        y = np.array([getattr(r.induced, dim) for r in rows])
+        for cond in conditions:
+            if cond == "AVdagger":
+                scores = tuple(
+                    r2_score(
+                        y[test_rows],
+                        av_dagger_baseline(
+                            [videos[r] for r in train_rows],
+                            y[train_rows],
+                            [videos[r] for r in test_rows],
+                        ),
+                    )
+                    for train_rows, test_rows in splits
                 )
-        else:
-            cells[key] = CellResult(
-                mean_r2=float(np.mean(scores)), fold_r2=scores, params=params
-            )
+                # report the oracle under each requested strategy column
+                for strat in strategies:
+                    cells[(dim, cond, strat)] = CellResult(
+                        mean_r2=float(np.mean(scores)), fold_r2=scores, params=None
+                    )
+                continue
+            bundles = bundles_by_condition[cond]
+            for strat in strategies:
+                scores, params = [], []
+                for fold, (train_rows, test_rows) in enumerate(splits):
+                    fold_seed = child_seed(seed, dim, cond, strat, fold)
+                    best, _ = grid_search(
+                        [bundles[r] for r in train_rows],
+                        y[train_rows],
+                        [participants[r] for r in train_rows],
+                        grid,
+                        strat,
+                        k_inner=k_inner,
+                        seed=fold_seed,
+                    )
+                    scores.append(
+                        _fold_r2(
+                            strat, bundles, y, participants, train_rows, test_rows, best,
+                            child_seed(fold_seed, "final"),
+                        )
+                    )
+                    params.append(best)
+                cells[(dim, cond, strat)] = CellResult(
+                    mean_r2=float(np.mean(scores)), fold_r2=tuple(scores), params=tuple(params)
+                )
     return cells
 
 
@@ -544,7 +491,6 @@ def run_experiment1(
     extractor: TextFeatureExtractor | None = None,
     k_outer: int = 5,
     k_inner: int = 4,
-    workers: int = 1,
     dims: Sequence[str] = DIMS,
 ) -> ExperimentReport:
     """Predict induced emotion from memory descriptions alone."""
@@ -552,7 +498,7 @@ def run_experiment1(
     rows, text_feats = _subset_with_features(ds, extractor, need_text=True)
     bundles = {"M": _make_bundles(rows, "M", text_feats, None)}
     cells = _run_cells(
-        rows, bundles, ("M",), STRATEGIES, grid, seed, k_outer, k_inner, workers, dims
+        rows, bundles, ("M",), STRATEGIES, grid, seed, k_outer, k_inner, dims
     )
     return ExperimentReport(
         experiment="experiment1",
@@ -574,7 +520,6 @@ def run_experiment2(
     strategies: Sequence[str] = STRATEGIES,
     k_outer: int = 5,
     k_inner: int = 4,
-    workers: int = 1,
     dims: Sequence[str] = DIMS,
 ) -> ExperimentReport:
     """Ablate audiovisual-only against audiovisual-plus-memory conditions."""
@@ -598,7 +543,6 @@ def run_experiment2(
         seed,
         k_outer,
         k_inner,
-        workers,
         dims,
     )
     deltas = {}

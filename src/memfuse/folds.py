@@ -1,9 +1,10 @@
-"""Group-aware fold assignment primitives.
+"""Group-aware folds: the one fold primitive of the nested CV.
 
 Folds partition *groups* (participants), never rows, so one person's
 responses always travel together. Assignment is a seeded shuffle of the
 sorted group ids followed by round-robin dealing, which keeps fold sizes
-within one group of each other.
+within one group of each other. The outer, inner and stacking folds all come
+from `group_splits`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-__all__ = ["assign_group_folds", "grouped_test_indices"]
+__all__ = ["assign_group_folds", "group_splits"]
 
 
 def assign_group_folds(
@@ -29,10 +30,23 @@ def assign_group_folds(
     return {distinct[int(idx)]: pos % k for pos, idx in enumerate(order)}
 
 
-def grouped_test_indices(
+def group_splits(
     groups: Sequence[Hashable], k: int, seed: int
-) -> list[np.ndarray]:
-    """Row indices of each fold's test block, grouped by `groups`."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train_rows, test_rows) of each of k folds over the rows' `groups`.
+
+    Every row is tested in exactly one fold. A group on both sides of a split
+    would leak a participant into its own test block, so it raises, also
+    under `python -O`.
+    """
     assignment = assign_group_folds(groups, k, seed)
     labels = np.array([assignment[g] for g in groups])
-    return [np.flatnonzero(labels == fold) for fold in range(k)]
+    splits = []
+    for fold in range(k):
+        in_test = labels == fold
+        train_rows, test_rows = np.flatnonzero(~in_test), np.flatnonzero(in_test)
+        leaked = {groups[r] for r in train_rows} & {groups[r] for r in test_rows}
+        if leaked:
+            raise RuntimeError(f"fold {fold} leaks groups {sorted(leaked, key=str)}")
+        splits.append((train_rows, test_rows))
+    return splits

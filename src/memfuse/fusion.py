@@ -4,9 +4,9 @@ Early fusion concatenates the active modality vectors in a fixed order and
 fits a single RBF-kernel SVR. Late fusion stacks: an SVR per audiovisual
 modality and a random forest on the memory-description features (lexical ++
 embedding), combined by a ridge meta-regressor. The meta-regressor trains on
-out-of-fold base predictions (participant-grouped folds inside the training
-set), so no base model ever scores a sample it was trained on; a "naive"
-switch reproduces in-sample stacking for comparison.
+out-of-fold base predictions over participant-grouped folds of the training
+set (`folds.group_splits`), so no base model ever scores a sample it was
+trained on.
 
 A full experiment fits one model per affective dimension (P, A, D); these
 fits are independent and this module is agnostic about which dimension it is
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._seeds import child_seed
-from .folds import grouped_test_indices
+from .folds import group_splits
 from .regressors import (
     ForestModel,
     ForestParams,
@@ -164,7 +164,6 @@ def late_fusion_fit(
     k_inner: int = 4,
     groups: list | None = None,
     seed: int = 0,
-    naive: bool = False,
 ) -> LateFusionModel:
     y = np.asarray(y, dtype=float)
     active = _check_bundles(bundles)
@@ -181,34 +180,26 @@ def late_fusion_fit(
 
     fold_log: list[dict] = []
     oof = np.empty((n, len(base_order)))
-    if naive:
+    splits = group_splits(groups, k_inner, child_seed(seed, "stack-folds"))
+    for fold_idx, (train_rows, test_rows) in enumerate(splits):
         for col, name in enumerate(base_order):
-            model = _fit_base(name, inputs[name], y, base_params, child_seed(seed, "naive", name))
-            oof[:, col] = _predict_base(model, inputs[name])
-    else:
-        folds = grouped_test_indices(groups, k_inner, child_seed(seed, "stack-folds"))
-        for fold_idx, test_rows in enumerate(folds):
-            train_mask = np.ones(n, dtype=bool)
-            train_mask[test_rows] = False
-            train_rows = np.flatnonzero(train_mask)
-            for col, name in enumerate(base_order):
-                model = _fit_base(
-                    name,
-                    inputs[name][train_rows],
-                    y[train_rows],
-                    base_params,
-                    child_seed(seed, "oof", fold_idx, name),
-                )
-                oof[test_rows, col] = _predict_base(model, inputs[name][test_rows])
-            fold_log.append(
-                {
-                    "fold": fold_idx,
-                    "train_rows": train_rows.tolist(),
-                    "train_groups": sorted({str(groups[r]) for r in train_rows}),
-                    "predicted_rows": test_rows.tolist(),
-                    "predicted_groups": sorted({str(groups[r]) for r in test_rows}),
-                }
+            model = _fit_base(
+                name,
+                inputs[name][train_rows],
+                y[train_rows],
+                base_params,
+                child_seed(seed, "oof", fold_idx, name),
             )
+            oof[test_rows, col] = _predict_base(model, inputs[name][test_rows])
+        fold_log.append(
+            {
+                "fold": fold_idx,
+                "train_rows": train_rows.tolist(),
+                "train_groups": sorted({str(groups[r]) for r in train_rows}),
+                "predicted_rows": test_rows.tolist(),
+                "predicted_groups": sorted({str(groups[r]) for r in test_rows}),
+            }
+        )
 
     meta = fit_ridge(oof, y, meta_alpha)
     base_models = {

@@ -164,7 +164,6 @@ def _require(cond: bool, where: str, msg: str) -> None:
 
 def _parse_pad(obj: object, where: str) -> PadTriple:
     _require(isinstance(obj, dict), where, f"expected PAD object, got {type(obj).__name__}")
-    assert isinstance(obj, dict)
     for key in ("p", "a", "d"):
         _require(key in obj, where, f"missing PAD component {key!r}")
         _require(

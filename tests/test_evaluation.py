@@ -19,10 +19,11 @@ from memfuse.evaluation import (
     annotator_agreement,
     av_dagger_baseline,
     grid_search,
-    pipeline_for,
+    make_lpo_folds,
     run_experiment1,
     run_experiment2,
 )
+from memfuse.folds import group_splits
 from memfuse.fusion import ModalityBundle
 from memfuse.model import Dataset
 from memfuse.text import TextFeatureExtractor, load_resources
@@ -126,6 +127,24 @@ def test_golden_report_covers_every_cell():
             assert all(("ridge.alpha" in chosen) == key.endswith("late") for chosen in cell["params"])
 
 
+def test_group_splits_test_every_row_once_and_keep_groups_apart():
+    groups = [f"p{i % 7}" for i in range(30)]
+    splits = group_splits(groups, 3, seed=4)
+    assert len(splits) == 3
+    tested = np.concatenate([test_rows for _, test_rows in splits])
+    assert sorted(tested.tolist()) == list(range(30))
+    for train_rows, test_rows in splits:
+        assert sorted(np.concatenate([train_rows, test_rows]).tolist()) == list(range(30))
+        assert not {groups[r] for r in train_rows} & {groups[r] for r in test_rows}
+
+
+def test_group_splits_follow_the_outer_fold_plan():
+    groups = [f"p{i % 7}" for i in range(30)]
+    plan = make_lpo_folds(set(groups), 3, seed=4)
+    for fold, (_, test_rows) in enumerate(group_splits(groups, 3, seed=4)):
+        assert {groups[r] for r in test_rows} == {p for p, f in plan.assignments.items() if f == fold}
+
+
 def _memory_bundles(extractor, ds):
     feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
     return [ModalityBundle(mem_lexical=f.lexical, mem_embedding=f.embedding) for f in feats]
@@ -140,7 +159,7 @@ def test_grid_tie_breaks_to_smallest_value_with_none_last(extractor, depths):
     grid = {"forest.max_depth": depths, "forest.n_trees": [2], "stack.k_inner": [2]}
     best, results = grid_search(
         _memory_bundles(extractor, ds), y, [r.participant_id for r in ds.responses],
-        grid, pipeline_for("late"), k_inner=2, seed=SEED,
+        grid, "late", k_inner=2, seed=SEED,
     )
     assert len(results) == 2
     assert results[0]["mean_r2"] == results[1]["mean_r2"]
@@ -152,7 +171,7 @@ def test_grid_prefers_higher_score_over_tie_break(extractor):
     y = np.array([r.induced.p for r in ds.responses])
     best, results = grid_search(
         _memory_bundles(extractor, ds), y, [r.participant_id for r in ds.responses],
-        {"svr.c": [0.001, 1.0]}, pipeline_for("early"), k_inner=2, seed=SEED,
+        {"svr.c": [0.001, 1.0]}, "early", k_inner=2, seed=SEED,
     )
     by_c = {r["hyper"]["svr.c"]: r["mean_r2"] for r in results}
     assert by_c[1.0] > by_c[0.001]
@@ -160,7 +179,7 @@ def test_grid_prefers_higher_score_over_tie_break(extractor):
 
 
 def test_single_point_grid_fits_nothing():
-    best, results = grid_search([], np.array([]), [], {"svr.c": [3.0]}, pipeline_for("early"))
+    best, results = grid_search([], np.array([]), [], {"svr.c": [3.0]}, "early")
     assert best == {"svr.c": 3.0}
     assert results == [{"hyper": {"svr.c": 3.0}, "mean_r2": None, "fold_r2": []}]
 

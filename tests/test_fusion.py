@@ -168,17 +168,6 @@ def test_late_fusion_out_of_fold_property(rng):
     assert sorted(predicted) == list(range(n))
 
 
-def test_late_fusion_naive_switch(rng):
-    n = 40
-    audio = rng.normal(size=(n, 3))
-    y = audio[:, 0]
-    bundles = _bundles(rng, n, audio=audio)
-    naive = late_fusion_fit(bundles, y, _late_params(), meta_alpha=1e-3, naive=True, seed=2)
-    assert naive.fold_log == []
-    honest = late_fusion_fit(bundles, y, _late_params(), meta_alpha=1e-3, naive=False, seed=2)
-    assert len(honest.fold_log) == 4
-
-
 def test_fusion_roundtrip_serialization(tmp_path, rng):
     n = 40
     audio = rng.normal(size=(n, 3))
