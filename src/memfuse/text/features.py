@@ -6,6 +6,8 @@ resource matching no token at all contributes a zero block, and per-resource
 blocks are concatenated in load order. The rule scorer's four document scores
 are appended after the lexicon blocks, so with the bundled suite the lexical
 vector is 130-dimensional and the embedding vector 500-dimensional.
+`TextFeatureExtractor.extract` tokenizes a text once and hands the tokens to
+both families and to the rule scorer.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .lexicon import EmbeddingTable, Lexicon, TextResources
-from .preprocess import lemmatize, preprocess, tokenize
+from .preprocess import Token, lemmatize, preprocess, tokenize
 from .sentiment import RuleScorer
 
 __all__ = ["TextFeatures", "lexical_features", "embed_features", "TextFeatureExtractor"]
@@ -30,10 +32,51 @@ class TextFeatures:
     embedding_coverage: float
 
 
-def _word_tokens(text: str) -> list[tuple[str, str]]:
-    """(token, lemma) pairs for word-like tokens of the preprocessed text."""
-    tokens = tokenize(preprocess(text))
+def _word_pairs(tokens: list[Token]) -> list[tuple[str, str]]:
+    """(token, lemma) pairs for the word-like tokens."""
     return [(str(t), lemmatize(str(t))) for t in tokens if t.is_word()]
+
+
+def _token_means(
+    pairs: list[tuple[str, str]], resources: Sequence, widths: Sequence[int], what: str
+) -> tuple[np.ndarray, float]:
+    """Concatenated per-resource token means, and the coverage of the tokens.
+
+    Lookup tries the raw token first, then its lemma; a resource matching no
+    token contributes a zero block of its width. Coverage is the fraction of
+    word tokens found in at least one resource.
+    """
+    if not resources:
+        raise ValueError(f"no {what} loaded")
+    blocks = []
+    matched = [False] * len(pairs)
+    for resource, width in zip(resources, widths):
+        hits = []
+        for i, (token, lemma) in enumerate(pairs):
+            vec = resource.lookup(token, lemma)
+            if vec is not None:
+                hits.append(vec)
+                matched[i] = True
+        blocks.append(np.mean(hits, axis=0) if hits else np.zeros(width))
+    coverage = (sum(matched) / len(pairs)) if pairs else 0.0
+    return np.concatenate(blocks), coverage
+
+
+def _lexical(
+    tokens: list[Token],
+    pairs: list[tuple[str, str]],
+    lexicons: Sequence[Lexicon],
+    scorer: RuleScorer,
+) -> tuple[np.ndarray, float]:
+    means, coverage = _token_means(pairs, lexicons, [lex.width for lex in lexicons], "lexicons")
+    scores = np.asarray(scorer.score_tokens(tokens).as_tuple(), dtype=float)
+    return np.concatenate([means, scores]), coverage
+
+
+def _embedding(
+    pairs: list[tuple[str, str]], tables: Sequence[EmbeddingTable]
+) -> tuple[np.ndarray, float]:
+    return _token_means(pairs, tables, [table.dim for table in tables], "embedding tables")
 
 
 def lexical_features(
@@ -44,49 +87,15 @@ def lexical_features(
     Lookup tries the raw token first, then its lemma. Coverage is the
     fraction of word tokens found in at least one lexicon.
     """
-    if not lexicons:
-        raise ValueError("no lexicons loaded")
-    pairs = _word_tokens(text)
-    blocks = []
-    matched = [False] * len(pairs)
-    for lex in lexicons:
-        hits = []
-        for i, (token, lemma) in enumerate(pairs):
-            vec = lex.lookup(token, lemma)
-            if vec is not None:
-                hits.append(vec)
-                matched[i] = True
-        if hits:
-            blocks.append(np.mean(hits, axis=0))
-        else:
-            blocks.append(np.zeros(lex.width))
-    blocks.append(np.asarray(scorer.score_vector(text), dtype=float))
-    coverage = (sum(matched) / len(pairs)) if pairs else 0.0
-    return np.concatenate(blocks), coverage
+    tokens = tokenize(preprocess(text))
+    return _lexical(tokens, _word_pairs(tokens), lexicons, scorer)
 
 
 def embed_features(
     text: str, tables: Sequence[EmbeddingTable]
 ) -> tuple[np.ndarray, float]:
     """Concatenated per-table token means; zero block for unmatched tables."""
-    if not tables:
-        raise ValueError("no embedding tables loaded")
-    pairs = _word_tokens(text)
-    blocks = []
-    matched = [False] * len(pairs)
-    for table in tables:
-        hits = []
-        for i, (token, lemma) in enumerate(pairs):
-            vec = table.lookup(token, lemma)
-            if vec is not None:
-                hits.append(vec)
-                matched[i] = True
-        if hits:
-            blocks.append(np.mean(hits, axis=0))
-        else:
-            blocks.append(np.zeros(table.dim))
-    coverage = (sum(matched) / len(pairs)) if pairs else 0.0
-    return np.concatenate(blocks), coverage
+    return _embedding(_word_pairs(tokenize(preprocess(text))), tables)
 
 
 class TextFeatureExtractor:
@@ -104,10 +113,12 @@ class TextFeatureExtractor:
         return self.resources.embedding_dim
 
     def extract(self, text: str) -> TextFeatures:
-        lexical, lex_cov = lexical_features(
-            text, self.resources.lexicons, self.resources.scorer
+        tokens = tokenize(preprocess(text))
+        pairs = _word_pairs(tokens)
+        lexical, lex_cov = _lexical(
+            tokens, pairs, self.resources.lexicons, self.resources.scorer
         )
-        embedding, emb_cov = embed_features(text, self.resources.embeddings)
+        embedding, emb_cov = _embedding(pairs, self.resources.embeddings)
         return TextFeatures(
             lexical=lexical,
             embedding=embedding,

@@ -105,7 +105,10 @@ class RuleScorer:
 
     def score(self, text: str) -> SentimentScores:
         """Score a raw document. Empty or word-free text is fully neutral."""
-        tokens = tokenize(preprocess(text))
+        return self.score_tokens(tokenize(preprocess(text)))
+
+    def score_tokens(self, tokens: list[Token]) -> SentimentScores:
+        """Score the token stream of a preprocessed document."""
         # Word positions in the raw stream, so '!' runs can be attributed.
         word_positions = [i for i, t in enumerate(tokens) if t.is_word()]
         words = [tokens[i] for i in word_positions]
@@ -156,10 +159,6 @@ class RuleScorer:
             positive=pos_mass / total,
             compound=compound,
         )
-
-    def score_vector(self, text: str) -> list[float]:
-        s = self.score(text)
-        return [s.negative, s.neutral, s.positive, s.compound]
 
 
 def _sign(v: float) -> float:

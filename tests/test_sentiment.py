@@ -3,6 +3,7 @@ import math
 import pytest
 
 from memfuse.text import RuleScorer
+from memfuse.text.preprocess import preprocess, tokenize
 
 
 @pytest.fixture
@@ -77,3 +78,8 @@ def test_contraction_feeds_negation(scorer):
 def test_compound_bounded(scorer):
     s = scorer.score("happy happy happy good good good" + "!" * 3)
     assert -1.0 <= s.compound <= 1.0
+
+
+def test_score_tokens_matches_score(scorer):
+    text = "NOT so good, but really happy!!!"
+    assert scorer.score_tokens(tokenize(preprocess(text))) == scorer.score(text)

@@ -141,6 +141,25 @@ def test_bundled_suite_dimensions():
     assert feats.embedding_coverage > 0
 
 
+def test_extract_tokenizes_once_and_matches_the_feature_functions(monkeypatch):
+    from memfuse.text import features, sentiment
+
+    resources = load_resources()
+    text = "I was NOT happy at all!! The morning felt so awful."
+    lexical, lex_cov = lexical_features(text, resources.lexicons, resources.scorer)
+    embedding, emb_cov = embed_features(text, resources.embeddings)
+
+    calls = []
+    for module in (features, sentiment):
+        original = module.tokenize
+        monkeypatch.setattr(module, "tokenize", lambda t, f=original: calls.append(t) or f(t))
+    feats = TextFeatureExtractor(resources).extract(text)
+    assert len(calls) == 1
+    assert feats.lexical.tobytes() == lexical.tobytes()
+    assert feats.embedding.tobytes() == embedding.tobytes()
+    assert (feats.lexical_coverage, feats.embedding_coverage) == (lex_cov, emb_cov)
+
+
 def test_lexicon_tsv_roundtrip(tmp_path):
     path = tmp_path / "toy.tsv"
     path.write_text("word\tv1\tv2\ngood\t0.5\t-0.25\n", encoding="utf-8")
