@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DatasetFormatError(ValueError):
@@ -283,7 +283,3 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def dataset_from_rows(rows: Iterable[ViewerResponse]) -> Dataset:
-    return Dataset(responses=tuple(rows))

@@ -1,5 +1,5 @@
 from .scaler import Scaler
-from .svr import SvrModel, SvrParams, fit_svr, predict_svr, rbf_kernel, rbf_kernel_matrix
+from .svr import SvrModel, SvrParams, fit_svr, predict_svr, rbf_kernel_matrix
 from .ridge import RidgeModel, fit_ridge, predict_ridge
 from .forest import ForestModel, ForestParams, fit_forest, predict_forest
 from .io import load_model, model_from_json, model_to_json, save_model
@@ -10,7 +10,6 @@ __all__ = [
     "SvrParams",
     "fit_svr",
     "predict_svr",
-    "rbf_kernel",
     "rbf_kernel_matrix",
     "RidgeModel",
     "fit_ridge",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .scaler import Scaler
 
-__all__ = ["SvrParams", "SvrModel", "rbf_kernel", "rbf_kernel_matrix", "fit_svr", "predict_svr"]
+__all__ = ["SvrParams", "SvrModel", "rbf_kernel_matrix", "fit_svr", "predict_svr"]
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,6 @@ class SvrModel:
     n_iter: int
     kkt_gap: float
     support_indices: np.ndarray = None  # positions of the SVs in the training set
-
-
-def rbf_kernel(x: np.ndarray, z: np.ndarray, gamma: float) -> float:
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    diff = x - z
-    return float(np.exp(-gamma * diff.dot(diff)))
 
 
 def rbf_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Independent reference solvers used to check production code.
 
 These deliberately take different algorithmic routes than the package:
-a dense projected-gradient QP solver for the SVR dual, explicit normal
-equations for ridge, and dense-matrix likelihood evaluation for the
-mixed model.
+a dense projected-gradient QP solver for the SVR dual and explicit normal
+equations for ridge.
 """
 
 from __future__ import annotations
@@ -110,53 +109,3 @@ def ridge_normal_equations(
     weights = w / stds
     intercept = float(y.mean() - weights @ means)
     return weights, intercept
-
-
-def lmm_dense_restricted_loglik(
-    y: np.ndarray,
-    X: np.ndarray,
-    groups: np.ndarray,
-    sigma2_u: float,
-    sigma2_e: float,
-) -> float:
-    """REML log-likelihood evaluated with explicit dense matrices."""
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n, p = X.shape
-    codes = np.unique(groups, return_inverse=True)[1]
-    Z = np.zeros((n, codes.max() + 1))
-    Z[np.arange(n), codes] = 1.0
-    V = sigma2_e * np.eye(n) + sigma2_u * (Z @ Z.T)
-    Vinv = np.linalg.inv(V)
-    XtVinv = X.T @ Vinv
-    A = XtVinv @ X
-    beta = np.linalg.solve(A, XtVinv @ y)
-    r = y - X @ beta
-    _, logdet_v = np.linalg.slogdet(V)
-    _, logdet_a = np.linalg.slogdet(A)
-    quad = float(r @ Vinv @ r)
-    return -0.5 * ((n - p) * np.log(2.0 * np.pi) + logdet_v + logdet_a + quad)
-
-
-def lmm_dense_ml_loglik(
-    y: np.ndarray,
-    X: np.ndarray,
-    groups: np.ndarray,
-    sigma2_u: float,
-    sigma2_e: float,
-) -> float:
-    """ML log-likelihood evaluated with explicit dense matrices."""
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    codes = np.unique(groups, return_inverse=True)[1]
-    Z = np.zeros((n, codes.max() + 1))
-    Z[np.arange(n), codes] = 1.0
-    V = sigma2_e * np.eye(n) + sigma2_u * (Z @ Z.T)
-    Vinv = np.linalg.inv(V)
-    XtVinv = X.T @ Vinv
-    beta = np.linalg.solve(XtVinv @ X, XtVinv @ y)
-    r = y - X @ beta
-    _, logdet_v = np.linalg.slogdet(V)
-    quad = float(r @ Vinv @ r)
-    return -0.5 * (n * np.log(2.0 * np.pi) + logdet_v + quad)

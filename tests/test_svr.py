@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memfuse.regressors import SvrParams, fit_svr, predict_svr, rbf_kernel, rbf_kernel_matrix
+from memfuse.regressors import SvrParams, fit_svr, predict_svr, rbf_kernel_matrix
 
 from .oracles import qp_oracle_svr_dual, svr_bias_from_beta, svr_dual_objective
 
@@ -15,26 +15,26 @@ def _full_beta(model, n):
 
 
 def test_rbf_self_is_one(rng):
-    x = rng.normal(size=4)
-    assert rbf_kernel(x, x, 0.7) == pytest.approx(1.0)
+    X = rng.normal(size=(5, 4))
+    assert np.diag(rbf_kernel_matrix(X, X, 0.7)) == pytest.approx(np.ones(5))
 
 
 def test_rbf_hand_value():
-    assert rbf_kernel(np.array([0.0, 0.0]), np.array([0.0, 1.0]), 1.0) == pytest.approx(
-        math.exp(-1.0)
-    )
+    K = rbf_kernel_matrix(np.array([[0.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0)
+    assert K.shape == (1, 2)
+    assert K[0] == pytest.approx([math.exp(-1.0), math.exp(-2.0)])
 
 
 def test_rbf_range_property(rng):
     for _ in range(20):
-        x, z = rng.normal(size=3), rng.normal(size=3)
-        v = rbf_kernel(x, z, float(rng.uniform(0.1, 3.0)))
-        assert 0.0 < v <= 1.0
+        A, B = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+        K = rbf_kernel_matrix(A, B, float(rng.uniform(0.1, 3.0)))
+        assert np.all((K > 0.0) & (K <= 1.0))
 
 
 def test_rbf_dim_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        rbf_kernel(np.zeros(2), np.zeros(3), 1.0)
+        rbf_kernel_matrix(np.zeros((1, 2)), np.zeros((1, 3)), 1.0)
 
 
 def test_constant_target_predicts_constant(rng):
