@@ -14,7 +14,6 @@ line, UTF-8.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,14 +62,14 @@ def _parse_rows(path: Path) -> list[np.ndarray]:
                 continue
             parts = line.rstrip("\n").split(",")
             try:
-                values = np.array([float(v) for v in parts], dtype=float)
+                values = np.array(parts, dtype=float)
             except ValueError as exc:
                 raise FeatureFormatError(f"{path}:{lineno}: {exc}") from exc
-            for col, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise FeatureFormatError(
-                        f"{path}: non-finite value at row {lineno}, column {col + 1}"
-                    )
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise FeatureFormatError(
+                    f"{path}: non-finite value at row {lineno}, column {bad[0] + 1}"
+                )
             rows.append(values)
     return rows
 
@@ -148,9 +147,8 @@ def load_manifest(path: str | Path) -> AvManifest:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key in ("videos",):
-        if key not in doc:
-            raise FeatureFormatError(f"{path}: manifest missing {key!r}")
+    if "videos" not in doc:
+        raise FeatureFormatError(f"{path}: manifest missing 'videos'")
     return AvManifest(
         root=path.parent,
         audio_dim=int(doc.get("audio_dim", AUDIO_DIM)),

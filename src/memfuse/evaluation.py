@@ -10,6 +10,12 @@ fold)`, so the loop order cannot change a result. Reported numbers are
 per-fold test R-squared values and their mean ("AvgR2"). The AV-dagger
 baseline predicts each video's training-fold mean rating, the ceiling of a
 context-free model on the same data.
+
+A grid maps hyperparameter keys ("svr.c", "forest.n_trees", "ridge.alpha",
+...) to candidate values. Each cell searches only the keys its learners read:
+early fusion reads the SVR keys; late fusion reads the SVR keys when it has
+an audio or visual base model, the forest keys when it has a memory base
+model, and the stacking keys always. Unknown keys raise.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .fusion import (
     ModalityBundle,
     early_fusion_fit,
     fusion_predict,
+    late_fusion_bases,
     late_fusion_fit,
 )
 from .model import Dataset, memory_subset
@@ -44,6 +51,7 @@ _CONDITION_MODALITIES = {
     "M": ("mem_lexical", "mem_embedding"),
     "AV": ("audio", "visual"),
     "AVM": ("audio", "visual", "mem_lexical", "mem_embedding"),
+    "AVdagger": (),  # reads only the video ids
 }
 
 __all__ = [
@@ -93,9 +101,11 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {y_true.shape} vs {y_pred.shape}")
     if y_true.shape[0] < 2:
         raise ValueError("need at least two observations")
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
+    # Tested on the values, not on ss_tot: the mean of a constant array can be
+    # inexact, which leaves ss_tot a tiny positive number.
+    if np.ptp(y_true) == 0:
         raise ValueError("zero variance in y_true")
+    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     ss_res = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -152,56 +162,58 @@ def av_dagger_baseline(
 # Grid search
 
 
+# Grid keys per learner. A learner's parameters are its dataclass fields under
+# a "<learner>." prefix; the stacking keys go to `late_fusion_fit`.
+_LEARNER_KEYS = {
+    "svr": ("svr.c", "svr.epsilon", "svr.gamma", "svr.gamma_scale", "svr.tol"),
+    "forest": ("forest.n_trees", "forest.max_features", "forest.min_leaf", "forest.max_depth"),
+    "stack": ("ridge.alpha", "stack.k_inner"),
+}
+_BASE_LEARNER = {"audio": "svr", "visual": "svr", "memory": "forest"}
+
+
 def validate_grid(grid: Mapping[str, Sequence]) -> None:
     if not grid:
         raise ValueError("empty grid")
+    known = {key for keys in _LEARNER_KEYS.values() for key in keys}
+    unknown = sorted(set(grid) - known)
+    if unknown:
+        raise ValueError(f"unknown grid keys {unknown}; known keys are {sorted(known)}")
     for name, values in grid.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ValueError(f"grid entry {name!r} must be a non-empty list")
 
 
-def _svr_params(hyper: Mapping[str, float]) -> SvrParams:
-    return SvrParams(
-        c=float(hyper.get("svr.c", 1.0)),
-        epsilon=float(hyper.get("svr.epsilon", 0.1)),
-        gamma=hyper.get("svr.gamma"),
-        gamma_scale=float(hyper.get("svr.gamma_scale", 1.0)),
-        tol=float(hyper.get("svr.tol", 1e-3)),
+def _searched_keys(strategy: str, bundles: list[ModalityBundle]) -> tuple[str, ...]:
+    """The grid keys read by the learners that `strategy` fits on `bundles`."""
+    if strategy == "early":
+        learners = {"svr"}
+    elif strategy == "late":
+        active = bundles[0].active() if bundles else ()
+        learners = {_BASE_LEARNER[base] for base in late_fusion_bases(active)} | {"stack"}
+    else:
+        raise ValueError(f"unknown fusion strategy {strategy!r}")
+    return tuple(
+        key for learner, keys in _LEARNER_KEYS.items() if learner in learners for key in keys
     )
 
 
-def _forest_params(hyper: Mapping[str, float]) -> ForestParams:
-    max_depth = hyper.get("forest.max_depth")
-    return ForestParams(
-        n_trees=int(hyper.get("forest.n_trees", 100)),
-        max_features=float(hyper.get("forest.max_features", 1.0 / 3.0)),
-        min_leaf=int(hyper.get("forest.min_leaf", 2)),
-        max_depth=None if max_depth is None else int(max_depth),
-    )
-
-
-_EARLY_KEYS = ("svr.c", "svr.epsilon", "svr.gamma", "svr.gamma_scale", "svr.tol")
-_LATE_KEYS = _EARLY_KEYS + (
-    "forest.n_trees",
-    "forest.max_features",
-    "forest.min_leaf",
-    "forest.max_depth",
-    "ridge.alpha",
-    "stack.k_inner",
-)
-_GRID_KEYS = {"early": _EARLY_KEYS, "late": _LATE_KEYS}
+def _learner_params(cls, prefix: str, hyper: Mapping):
+    return cls(**{k[len(prefix):]: v for k, v in hyper.items() if k.startswith(prefix)})
 
 
 def _fit(strategy: str, bundles, y, groups, hyper, seed):
-    svr = _svr_params(hyper)
+    svr = _learner_params(SvrParams, "svr.", hyper)
     if strategy == "early":
         return early_fusion_fit(bundles, y, svr)
     return late_fusion_fit(
         bundles,
         y,
-        LateFusionParams(audio=svr, visual=svr, memory=_forest_params(hyper)),
-        meta_alpha=float(hyper.get("ridge.alpha", 1.0)),
-        k_inner=int(hyper.get("stack.k_inner", 4)),
+        LateFusionParams(
+            audio=svr, visual=svr, memory=_learner_params(ForestParams, "forest.", hyper)
+        ),
+        meta_alpha=hyper.get("ridge.alpha", 1.0),
+        k_inner=hyper.get("stack.k_inner", 4),
         groups=groups,
         seed=seed,
     )
@@ -236,17 +248,17 @@ def grid_search(
 ) -> tuple[dict, list[dict]]:
     """Exhaustive hyperparameter search scored by mean inner-fold test R2.
 
-    Inner folds are participant-grouped. Ties break to the lexicographically
-    smallest hyperparameter value tuple. A single-point grid short-circuits
-    without fitting anything.
+    Only the keys read by the learners that `strategy` fits on these bundles
+    are searched (see the module docstring); the other keys are ignored, and
+    a key that no learner has raises `ValueError`. Inner folds are
+    participant-grouped. Ties break to the lexicographically smallest
+    hyperparameter value tuple. A single-point grid, or one whose keys no
+    learner here reads, short-circuits without fitting anything; its one
+    point leaves the unset parameters at their defaults.
     """
     validate_grid(grid)
-    if strategy not in _GRID_KEYS:
-        raise ValueError(f"unknown fusion strategy {strategy!r}")
     y = np.asarray(y, dtype=float)
-    keys = tuple(k for k in _GRID_KEYS[strategy] if k in grid)
-    if not keys:
-        raise ValueError(f"grid has no entries applicable to strategy {strategy!r}")
+    keys = tuple(k for k in _searched_keys(strategy, bundles) if k in grid)
     combos = [
         dict(zip(keys, values))
         for values in itertools.product(*(grid[k] for k in keys))
@@ -321,29 +333,6 @@ class ExperimentReport:
             },
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ExperimentReport":
-        cells = {}
-        for key, val in doc["cells"].items():
-            dim, cond, strat = key.split("|")
-            cells[(dim, cond, strat)] = CellResult(
-                mean_r2=float(val["mean_r2"]),
-                fold_r2=tuple(float(v) for v in val["fold_r2"]),
-                params=tuple(val["params"]) if val["params"] is not None else None,
-            )
-        deltas = {}
-        for key, val in doc.get("deltas", {}).items():
-            dim, strat = key.split("|")
-            deltas[(dim, strat)] = float(val)
-        return cls(
-            experiment=doc["experiment"],
-            seed=int(doc["seed"]),
-            conditions=tuple(doc["conditions"]),
-            strategies=tuple(doc["strategies"]),
-            cells=cells,
-            deltas=deltas,
-        )
-
     def render_table(self) -> str:
         lines = [f"{self.experiment} (seed {self.seed})  AvgR² per dimension"]
         header = f"{'dim':4s} {'condition':10s}" + "".join(
@@ -382,30 +371,12 @@ class ExperimentReport:
 # Experiment runners
 
 
-def _subset_with_features(
-    ds: Dataset,
-    extractor: TextFeatureExtractor | None,
-    need_text: bool,
-):
-    sub = memory_subset(ds)
-    if len(sub) == 0:
-        raise ValueError("dataset has no responses with memories")
-    rows = list(sub.responses)
-    text_feats = None
-    if need_text:
-        if extractor is None:
-            extractor = TextFeatureExtractor(load_resources())
-        text_feats = [extractor.extract(r.memories[0].text) for r in rows]
-    return rows, text_feats
-
-
 def _make_bundles(
     rows,
-    condition: str,
+    modalities: tuple[str, ...],
     text_feats,
     av_features: Mapping[str, Mapping[str, np.ndarray]] | None,
 ) -> list[ModalityBundle]:
-    modalities = _CONDITION_MODALITIES[condition]
     bundles = []
     for i, row in enumerate(rows):
         kwargs = {}
@@ -421,17 +392,41 @@ def _make_bundles(
     return bundles
 
 
-def _run_cells(
-    rows,
-    bundles_by_condition: dict[str, list[ModalityBundle]],
-    conditions: Sequence[str],
-    strategies: Sequence[str],
+def _run(
+    experiment: str,
+    ds: Dataset,
+    av_features: Mapping[str, Mapping[str, np.ndarray]] | None,
     grid: Mapping[str, Sequence],
     seed: int,
+    extractor: TextFeatureExtractor | None,
+    conditions: tuple[str, ...],
+    strategies: tuple[str, ...],
     k_outer: int,
     k_inner: int,
     dims: Sequence[str],
-) -> dict[tuple[str, str, str], CellResult]:
+) -> ExperimentReport:
+    validate_grid(grid)
+    sub = memory_subset(ds)
+    if len(sub) == 0:
+        raise ValueError("dataset has no responses with memories")
+    rows = list(sub.responses)
+    modalities = {c: _CONDITION_MODALITIES[c] for c in conditions}
+    read = {m for mods in modalities.values() for m in mods}
+    text_feats = None
+    if read & {"mem_lexical", "mem_embedding"}:
+        if extractor is None:
+            extractor = TextFeatureExtractor(load_resources())
+        text_feats = [extractor.extract(r.memories[0].text) for r in rows]
+    if read & {"audio", "visual"}:
+        missing = {r.video_id for r in rows} - set(av_features)
+        if missing:
+            raise ValueError(f"AV features missing for videos: {sorted(missing)}")
+    bundles_by_condition = {
+        cond: _make_bundles(rows, mods, text_feats, av_features)
+        for cond, mods in modalities.items()
+        if mods
+    }
+
     participants = [r.participant_id for r in rows]
     videos = [r.video_id for r in rows]
     splits = group_splits(participants, k_outer, child_seed(seed, "outer-folds"))
@@ -481,7 +476,22 @@ def _run_cells(
                 cells[(dim, cond, strat)] = CellResult(
                     mean_r2=float(np.mean(scores)), fold_r2=tuple(scores), params=tuple(params)
                 )
-    return cells
+
+    deltas = {}
+    if "AV" in conditions and "AVM" in conditions:
+        for dim in dims:
+            for strat in strategies:
+                deltas[(dim, strat)] = (
+                    cells[(dim, "AVM", strat)].mean_r2 - cells[(dim, "AV", strat)].mean_r2
+                )
+    return ExperimentReport(
+        experiment=experiment,
+        seed=seed,
+        conditions=conditions,
+        strategies=strategies,
+        cells=cells,
+        deltas=deltas,
+    )
 
 
 def run_experiment1(
@@ -494,19 +504,8 @@ def run_experiment1(
     dims: Sequence[str] = DIMS,
 ) -> ExperimentReport:
     """Predict induced emotion from memory descriptions alone."""
-    validate_grid(grid)
-    rows, text_feats = _subset_with_features(ds, extractor, need_text=True)
-    bundles = {"M": _make_bundles(rows, "M", text_feats, None)}
-    cells = _run_cells(
-        rows, bundles, ("M",), STRATEGIES, grid, seed, k_outer, k_inner, dims
-    )
-    return ExperimentReport(
-        experiment="experiment1",
-        seed=seed,
-        conditions=("M",),
-        strategies=STRATEGIES,
-        cells=cells,
-        deltas={},
+    return _run(
+        "experiment1", ds, None, grid, seed, extractor, ("M",), STRATEGIES, k_outer, k_inner, dims
     )
 
 
@@ -523,42 +522,9 @@ def run_experiment2(
     dims: Sequence[str] = DIMS,
 ) -> ExperimentReport:
     """Ablate audiovisual-only against audiovisual-plus-memory conditions."""
-    validate_grid(grid)
-    need_text = any(c in ("AVM", "M") for c in conditions)
-    rows, text_feats = _subset_with_features(ds, extractor, need_text=need_text)
-    missing = {r.video_id for r in rows} - set(av_features)
-    if missing:
-        raise ValueError(f"AV features missing for videos: {sorted(missing)}")
-    bundles_by_condition = {
-        cond: _make_bundles(rows, cond, text_feats, av_features)
-        for cond in conditions
-        if cond != "AVdagger"
-    }
-    cells = _run_cells(
-        rows,
-        bundles_by_condition,
-        tuple(conditions),
-        tuple(strategies),
-        grid,
-        seed,
-        k_outer,
-        k_inner,
-        dims,
-    )
-    deltas = {}
-    if "AV" in conditions and "AVM" in conditions:
-        for dim in dims:
-            for strat in strategies:
-                deltas[(dim, strat)] = (
-                    cells[(dim, "AVM", strat)].mean_r2 - cells[(dim, "AV", strat)].mean_r2
-                )
-    return ExperimentReport(
-        experiment="experiment2",
-        seed=seed,
-        conditions=tuple(conditions),
-        strategies=tuple(strategies),
-        cells=cells,
-        deltas=deltas,
+    return _run(
+        "experiment2", ds, av_features, grid, seed, extractor,
+        tuple(conditions), tuple(strategies), k_outer, k_inner, dims,
     )
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "EarlyFusionModel",
     "LateFusionModel",
     "LateFusionParams",
+    "late_fusion_bases",
     "early_fusion_fit",
     "late_fusion_fit",
     "fusion_predict",
@@ -90,7 +91,8 @@ def _stack_modality(bundles: list[ModalityBundle], name: str) -> np.ndarray:
 
 
 def _concat_features(bundles: list[ModalityBundle], modalities: tuple[str, ...]) -> np.ndarray:
-    return np.hstack([_stack_modality(bundles, name) for name in modalities])
+    blocks = [_stack_modality(bundles, name) for name in modalities]
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
 @dataclass
@@ -128,18 +130,29 @@ def early_fusion_fit(
     )
 
 
+_BASE_MODALITIES = {
+    "audio": ("audio",),
+    "visual": ("visual",),
+    "memory": ("mem_lexical", "mem_embedding"),
+}
+
+
+def late_fusion_bases(modalities: tuple[str, ...]) -> tuple[str, ...]:
+    """The late-fusion base models, in `BASE_ORDER`, that the given modalities feed."""
+    return tuple(
+        name for name in BASE_ORDER if any(m in modalities for m in _BASE_MODALITIES[name])
+    )
+
+
 def _base_inputs(
     bundles: list[ModalityBundle], active: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    inputs = {}
-    if "audio" in active:
-        inputs["audio"] = _stack_modality(bundles, "audio")
-    if "visual" in active:
-        inputs["visual"] = _stack_modality(bundles, "visual")
-    mem_parts = [m for m in ("mem_lexical", "mem_embedding") if m in active]
-    if mem_parts:
-        inputs["memory"] = _concat_features(bundles, tuple(mem_parts))
-    return inputs
+    return {
+        name: _concat_features(
+            bundles, tuple(m for m in _BASE_MODALITIES[name] if m in active)
+        )
+        for name in late_fusion_bases(active)
+    }
 
 
 def _fit_base(name: str, X: np.ndarray, y: np.ndarray, params: LateFusionParams, seed: int):
@@ -171,9 +184,7 @@ def late_fusion_fit(
     if n < 2 * k_inner:
         raise ValueError(f"need at least {2 * k_inner} samples for {k_inner} stacking folds")
     inputs = _base_inputs(bundles, active)
-    if not inputs:
-        raise ValueError("no base modalities present")
-    base_order = tuple(name for name in BASE_ORDER if name in inputs)
+    base_order = late_fusion_bases(active)
 
     if groups is None:
         groups = list(range(n))
@@ -228,11 +239,10 @@ def fusion_predict(
                 )
         return predict_svr(model.svr, _concat_features(bundles, model.modalities))
 
+    base_order = late_fusion_bases(active)
+    if base_order != model.base_order:
+        raise ValueError(f"base models {base_order} do not match fit-time {model.base_order}")
     inputs = _base_inputs(bundles, active)
-    if tuple(name for name in BASE_ORDER if name in inputs) != model.base_order:
-        raise ValueError(
-            f"base modalities {sorted(inputs)} do not match fit-time {model.base_order}"
-        )
     columns = [
         _predict_base(model.base_models[name], inputs[name]) for name in model.base_order
     ]

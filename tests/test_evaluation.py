@@ -20,6 +20,7 @@ from memfuse.evaluation import (
     av_dagger_baseline,
     grid_search,
     make_lpo_folds,
+    r2_score,
     run_experiment1,
     run_experiment2,
 )
@@ -120,11 +121,18 @@ def test_golden_report_covers_every_cell():
     assert sorted(doc["experiment2"]["deltas"]) == [f"{d}|{s}" for d in "adp" for s in ("early", "late")]
     for key, cell in {**exp1, **exp2}.items():
         assert len(cell["fold_r2"]) == 3
-        if "AVdagger" in key:
+        _, cond, strat = key.split("|")
+        if cond == "AVdagger":
             assert cell["params"] is None
-        else:
-            assert all(chosen["svr.c"] in GRID["svr.c"] for chosen in cell["params"])
-            assert all(("ridge.alpha" in chosen) == key.endswith("late") for chosen in cell["params"])
+            continue
+        expected = {"svr.c"} if strat == "early" else {"ridge.alpha", "stack.k_inner"}
+        if strat == "late" and cond in ("AV", "AVM"):
+            expected |= {"svr.c"}
+        if strat == "late" and cond in ("M", "AVM"):
+            expected |= {"forest.n_trees", "forest.max_features"}
+        for chosen in cell["params"]:
+            assert set(chosen) == expected
+            assert all(value in GRID[name] for name, value in chosen.items())
 
 
 def test_group_splits_test_every_row_once_and_keep_groups_apart():
@@ -148,6 +156,10 @@ def test_group_splits_follow_the_outer_fold_plan():
 def _memory_bundles(extractor, ds):
     feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
     return [ModalityBundle(mem_lexical=f.lexical, mem_embedding=f.embedding) for f in feats]
+
+
+def _av_bundles(ds, av_features):
+    return [ModalityBundle(**av_features[r.video_id]) for r in ds.responses]
 
 
 @pytest.mark.parametrize("depths", [[None, 50], [50, None]])
@@ -176,6 +188,53 @@ def test_grid_prefers_higher_score_over_tie_break(extractor):
     by_c = {r["hyper"]["svr.c"]: r["mean_r2"] for r in results}
     assert by_c[1.0] > by_c[0.001]
     assert best == {"svr.c": 1.0}
+
+
+@pytest.mark.parametrize(
+    "condition, grid, searched",
+    [
+        (
+            "M",
+            {"svr.c": [0.5, 2.0], "ridge.alpha": [0.1, 10.0], "forest.n_trees": [2],
+             "stack.k_inner": [2]},
+            {"ridge.alpha", "forest.n_trees", "stack.k_inner"},
+        ),
+        (
+            "AV",
+            {"forest.n_trees": [2, 3], "forest.min_leaf": [1], "ridge.alpha": [0.1, 10.0],
+             "stack.k_inner": [2]},
+            {"ridge.alpha", "stack.k_inner"},
+        ),
+    ],
+)
+def test_late_search_skips_keys_of_learners_it_does_not_fit(extractor, condition, grid, searched):
+    ds, av_features = _dataset(people=9)
+    bundles = _memory_bundles(extractor, ds) if condition == "M" else _av_bundles(ds, av_features)
+    best, results = grid_search(
+        bundles, np.array([r.induced.p for r in ds.responses]),
+        [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
+    )
+    assert len(results) == 2
+    assert all(set(r["hyper"]) == searched and r["mean_r2"] is not None for r in results)
+    assert set(best) == searched
+
+
+def test_unknown_grid_key_raises():
+    with pytest.raises(ValueError, match=r"unknown grid keys \['svr\.C'\]"):
+        grid_search([], np.array([]), [], {"svr.C": [1.0], "svr.c": [1.0]}, "early")
+
+
+def test_grid_without_a_read_key_runs_one_default_point():
+    best, results = grid_search([], np.array([]), [], {"ridge.alpha": [0.1, 1.0]}, "early")
+    assert best == {}
+    assert results == [{"hyper": {}, "mean_r2": None, "fold_r2": []}]
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1])
+def test_r2_of_constant_targets_raises(value):
+    # The mean of [0.1] * 3 is inexact, so its squared deviations are not 0.
+    with pytest.raises(ValueError, match="zero variance"):
+        r2_score(np.array([value] * 3), np.array([0.0, 0.1, 0.2]))
 
 
 def test_single_point_grid_fits_nothing():
