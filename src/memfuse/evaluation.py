@@ -6,7 +6,12 @@ search re-tunes the hyperparameters on participant-grouped inner folds, and
 late fusion stacks on grouped folds of its own. All three levels come from
 `folds.group_splits`, which raises if a participant leaks across a split.
 Every fit draws its seed from `child_seed(seed, dim, condition, strategy,
-fold)`, so the loop order cannot change a result. Reported numbers are
+fold)`, so the loop order cannot change a result. The grid search runs its
+inner folds outermost; in each, late fusion fits all grid points in one
+`fusion.late_fusion_fit_grid` call, so a base model is fitted once per
+setting of its own keys and `stack.k_inner`, not once per grid point. The
+outer fold's refit at the selected point is a plain `late_fusion_fit` or
+`early_fusion_fit`. Reported numbers are
 per-fold test R-squared values and their mean ("AvgR2"). The AV-dagger
 baseline predicts each video's training-fold mean rating, the ceiling of a
 context-free model on the same data.
@@ -37,6 +42,7 @@ from .fusion import (
     fusion_predict,
     late_fusion_bases,
     late_fusion_fit,
+    late_fusion_fit_grid,
 )
 from .model import Dataset, memory_subset
 from .regressors import ForestParams, SvrParams
@@ -163,7 +169,7 @@ def av_dagger_baseline(
 
 
 # Grid keys per learner. A learner's parameters are its dataclass fields under
-# a "<learner>." prefix; the stacking keys go to `late_fusion_fit`.
+# a "<learner>." prefix; the stacking keys go to the late-fusion fit.
 _LEARNER_KEYS = {
     "svr": ("svr.c", "svr.epsilon", "svr.gamma", "svr.gamma_scale", "svr.tol"),
     "forest": ("forest.n_trees", "forest.max_features", "forest.min_leaf", "forest.max_depth"),
@@ -202,20 +208,21 @@ def _learner_params(cls, prefix: str, hyper: Mapping):
     return cls(**{k[len(prefix):]: v for k, v in hyper.items() if k.startswith(prefix)})
 
 
-def _fit(strategy: str, bundles, y, groups, hyper, seed):
+def _late_point(hyper: Mapping) -> tuple[LateFusionParams, float, int]:
+    """The (base_params, meta_alpha, k_inner) point of `late_fusion_fit_grid`."""
     svr = _learner_params(SvrParams, "svr.", hyper)
+    base_params = LateFusionParams(
+        audio=svr, visual=svr, memory=_learner_params(ForestParams, "forest.", hyper)
+    )
+    return base_params, hyper.get("ridge.alpha", 1.0), hyper.get("stack.k_inner", 4)
+
+
+def _fit(strategy: str, bundles, y, groups, hyper, seed):
     if strategy == "early":
-        return early_fusion_fit(bundles, y, svr)
+        return early_fusion_fit(bundles, y, _learner_params(SvrParams, "svr.", hyper))
+    base_params, meta_alpha, k_inner = _late_point(hyper)
     return late_fusion_fit(
-        bundles,
-        y,
-        LateFusionParams(
-            audio=svr, visual=svr, memory=_learner_params(ForestParams, "forest.", hyper)
-        ),
-        meta_alpha=hyper.get("ridge.alpha", 1.0),
-        k_inner=hyper.get("stack.k_inner", 4),
-        groups=groups,
-        seed=seed,
+        bundles, y, base_params, meta_alpha=meta_alpha, k_inner=k_inner, groups=groups, seed=seed
     )
 
 
@@ -255,6 +262,14 @@ def grid_search(
     hyperparameter value tuple. A single-point grid, or one whose keys no
     learner here reads, short-circuits without fitting anything; its one
     point leaves the unset parameters at their defaults.
+
+    Each inner fold is fitted once for all grid points. For late fusion that
+    is one `late_fusion_fit_grid` call: per fold, a base model's out-of-fold
+    column is fitted once per distinct setting of its own keys ("svr.*" for
+    audio and visual, "forest.*" for memory) and "stack.k_inner", its final
+    fit once per setting of its own keys, and "ridge.alpha" only refits the
+    ridge meta-learner. The scores equal those of fitting each point alone
+    with `late_fusion_fit`. Early fusion fits one SVR per point.
     """
     validate_grid(grid)
     y = np.asarray(y, dtype=float)
@@ -267,22 +282,31 @@ def grid_search(
         return combos[0], [{"hyper": combos[0], "mean_r2": None, "fold_r2": []}]
 
     splits = group_splits(groups, k_inner, child_seed(seed, "inner-folds"))
-    results = []
-    for combo in combos:
-        fold_scores = [
-            _fold_r2(
-                strategy, bundles, y, groups, train_rows, test_rows, combo,
-                child_seed(seed, "inner-fit", fold),
+    fold_scores: list[list[float]] = [[] for _ in combos]
+    for fold, (train_rows, test_rows) in enumerate(splits):
+        train_bundles = [bundles[r] for r in train_rows]
+        train_groups = [groups[r] for r in train_rows]
+        fit_seed = child_seed(seed, "inner-fit", fold)
+        if strategy == "late":
+            models = late_fusion_fit_grid(
+                train_bundles,
+                y[train_rows],
+                [_late_point(combo) for combo in combos],
+                groups=train_groups,
+                seed=fit_seed,
             )
-            for fold, (train_rows, test_rows) in enumerate(splits)
-        ]
-        results.append(
-            {
-                "hyper": combo,
-                "mean_r2": float(np.mean(fold_scores)),
-                "fold_r2": fold_scores,
-            }
-        )
+        else:  # a generator: one early-fusion model is fitted and held at a time
+            models = (
+                _fit(strategy, train_bundles, y[train_rows], train_groups, combo, fit_seed)
+                for combo in combos
+            )
+        test_bundles = [bundles[r] for r in test_rows]
+        for scores, model in zip(fold_scores, models):
+            scores.append(r2_score(y[test_rows], fusion_predict(model, test_bundles)))
+    results = [
+        {"hyper": combo, "mean_r2": float(np.mean(scores)), "fold_r2": scores}
+        for combo, scores in zip(combos, fold_scores)
+    ]
 
     best = max(
         results,

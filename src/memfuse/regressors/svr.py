@@ -58,7 +58,7 @@ class SvrModel:
     converged: bool
     n_iter: int
     kkt_gap: float
-    support_indices: np.ndarray = None  # positions of the SVs in the training set
+    support_indices: np.ndarray  # positions of the SVs in the training set
 
 
 def rbf_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

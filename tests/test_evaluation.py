@@ -9,12 +9,15 @@ When a change of behaviour is intended, regenerate the file from
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memfuse import fusion
+from memfuse._seeds import child_seed
 from memfuse.evaluation import (
     annotator_agreement,
     av_dagger_baseline,
@@ -25,8 +28,14 @@ from memfuse.evaluation import (
     run_experiment2,
 )
 from memfuse.folds import group_splits
-from memfuse.fusion import ModalityBundle
+from memfuse.fusion import (
+    LateFusionParams,
+    ModalityBundle,
+    fusion_predict,
+    late_fusion_fit,
+)
 from memfuse.model import Dataset
+from memfuse.regressors import ForestParams, SvrParams
 from memfuse.text import TextFeatureExtractor, load_resources
 
 from .conftest import make_response, memory
@@ -162,6 +171,15 @@ def _av_bundles(ds, av_features):
     return [ModalityBundle(**av_features[r.video_id]) for r in ds.responses]
 
 
+def _avm_bundles(extractor, ds, av_features):
+    return [
+        ModalityBundle(
+            **av_features[r.video_id], mem_lexical=m.mem_lexical, mem_embedding=m.mem_embedding
+        )
+        for r, m in zip(ds.responses, _memory_bundles(extractor, ds))
+    ]
+
+
 @pytest.mark.parametrize("depths", [[None, 50], [50, None]])
 def test_grid_tie_breaks_to_smallest_value_with_none_last(extractor, depths):
     # No tree of 36 rows reaches depth 50, so both grid points fit identical
@@ -217,6 +235,79 @@ def test_late_search_skips_keys_of_learners_it_does_not_fit(extractor, condition
     assert len(results) == 2
     assert all(set(r["hyper"]) == searched and r["mean_r2"] is not None for r in results)
     assert set(best) == searched
+
+
+def test_late_grid_search_equals_a_brute_force_loop_of_late_fusion_fit(extractor):
+    ds, av_features = _dataset(people=9)
+    bundles = _avm_bundles(extractor, ds, av_features)
+    y = np.array([r.induced.p for r in ds.responses])
+    groups = [r.participant_id for r in ds.responses]
+    grid = {
+        "svr.c": [0.5, 2.0],
+        "forest.n_trees": [2, 3],
+        "ridge.alpha": [0.1, 10.0],
+        "stack.k_inner": [2, 3],
+    }
+    best, results = grid_search(bundles, y, groups, grid, "late", k_inner=2, seed=SEED)
+
+    splits = group_splits(groups, 2, child_seed(SEED, "inner-folds"))
+    expected = []
+    for c, n_trees, alpha, k_stack in itertools.product(*grid.values()):
+        svr = SvrParams(c=c)
+        base_params = LateFusionParams(audio=svr, visual=svr, memory=ForestParams(n_trees=n_trees))
+        fold_r2 = []
+        for fold, (train_rows, test_rows) in enumerate(splits):
+            model = late_fusion_fit(
+                [bundles[r] for r in train_rows], y[train_rows], base_params, alpha,
+                k_inner=k_stack, groups=[groups[r] for r in train_rows],
+                seed=child_seed(SEED, "inner-fit", fold),
+            )
+            pred = fusion_predict(model, [bundles[r] for r in test_rows])
+            fold_r2.append(r2_score(y[test_rows], pred))
+        expected.append(
+            {
+                "hyper": dict(zip(grid, (c, n_trees, alpha, k_stack))),
+                "mean_r2": float(np.mean(fold_r2)),
+                "fold_r2": fold_r2,
+            }
+        )
+    assert results == expected
+    top = max(r["mean_r2"] for r in expected)
+    assert best == min(
+        (r["hyper"] for r in expected if r["mean_r2"] == top),
+        key=lambda h: tuple(h.values()),
+    )
+
+
+def test_late_grid_search_fits_each_base_model_once_per_inner_fold(extractor, monkeypatch):
+    calls = {"fit_svr": 0, "fit_forest": 0, "fit_ridge": 0}
+
+    def counting(name):
+        original = getattr(fusion, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(fusion, name, counting(name))
+    ds, av_features = _dataset()
+    grid = {
+        "svr.c": [0.5, 2.0],
+        "forest.n_trees": [3, 5],
+        "ridge.alpha": [0.1, 10.0],
+        "stack.k_inner": [2],
+    }
+    _, results = grid_search(
+        _avm_bundles(extractor, ds, av_features), np.array([r.induced.p for r in ds.responses]),
+        [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
+    )
+    assert len(results) == 8
+    # Per inner fold: 2 SVR settings x (audio, visual) x (2 stacking folds + 1
+    # final fit), 2 forest settings x 3, and one ridge per grid point.
+    assert calls == {"fit_svr": 24, "fit_forest": 12, "fit_ridge": 16}
 
 
 def test_unknown_grid_key_raises():

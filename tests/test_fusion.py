@@ -7,10 +7,11 @@ from memfuse.fusion import (
     early_fusion_fit,
     fusion_predict,
     late_fusion_fit,
+    late_fusion_fit_grid,
     load_fusion_model,
     save_fusion_model,
 )
-from memfuse.regressors import ForestParams, SvrParams, fit_svr, predict_svr
+from memfuse.regressors import ForestParams, SvrParams, fit_svr, model_to_json, predict_svr
 
 
 def _bundles(rng, n, audio=None, visual=None, lexical=None, embedding=None):
@@ -186,3 +187,36 @@ def test_fusion_roundtrip_serialization(tmp_path, rng):
     assert np.array_equal(
         fusion_predict(late, bundles), fusion_predict(loaded_late, bundles)
     )
+
+
+def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
+    n = 40
+    groups = [f"g{i % 10}" for i in range(n)]
+    audio = rng.normal(size=(n, 3))
+    lexical = rng.normal(size=(n, 4))
+    y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
+    bundles = _bundles(rng, n, audio=audio, lexical=lexical)
+    points = [
+        (
+            LateFusionParams(
+                audio=SvrParams(c=c), memory=ForestParams(n_trees=n_trees, min_leaf=2)
+            ),
+            alpha,
+            k_inner,
+        )
+        for c in (0.5, 2.0)
+        for n_trees in (2, 3)
+        for alpha in (0.1, 10.0)
+        for k_inner in (2, 3)
+    ]
+    models = late_fusion_fit_grid(bundles, y, points, groups=groups, seed=6)
+    assert len(models) == len(points)
+    for (base_params, alpha, k_inner), model in zip(points, models):
+        alone = late_fusion_fit(
+            bundles, y, base_params, alpha, k_inner=k_inner, groups=groups, seed=6
+        )
+        assert model.base_order == alone.base_order == ("audio", "memory")
+        for name in alone.base_order:
+            assert model_to_json(model.base_models[name]) == model_to_json(alone.base_models[name])
+        assert model_to_json(model.meta) == model_to_json(alone.meta)
+        assert model.fold_log == alone.fold_log
