@@ -7,11 +7,14 @@ late fusion stacks on grouped folds of its own. All three levels come from
 `folds.group_splits`, which raises if a participant leaks across a split.
 Every fit draws its seed from `child_seed(seed, dim, condition, strategy,
 fold)`, so the loop order cannot change a result. The grid search runs its
-inner folds outermost; in each, late fusion fits all grid points in one
-`fusion.late_fusion_fit_grid` call, so a base model is fitted once per
-setting of its own keys and `stack.k_inner`, not once per grid point. The
-outer fold's refit at the selected point is a plain `late_fusion_fit` or
-`early_fusion_fit`. Reported numbers are
+inner folds outermost and fits all grid points of a fold in one call. In
+late fusion, `fusion.late_fusion_fit_grid` fits a base model once per
+setting of its own keys and `stack.k_inner`, not once per grid point, and
+`fusion.late_fusion_predict_grid` runs each on the test rows once. In early
+fusion, `fusion.early_fusion_fit_grid` builds one RBF Gram per setting of
+the kernel-width keys (`svr.gamma`, `svr.gamma_scale`) and solves each grid
+point of that setting on it. The outer fold's refit at the selected point
+is a plain `late_fusion_fit` or `early_fusion_fit`. Reported numbers are
 per-fold test R-squared values and their mean ("AvgR2"). The AV-dagger
 baseline predicts each video's training-fold mean rating, the ceiling of a
 context-free model on the same data.
@@ -39,10 +42,12 @@ from .fusion import (
     LateFusionParams,
     ModalityBundle,
     early_fusion_fit,
+    early_fusion_fit_grid,
     fusion_predict,
     late_fusion_bases,
     late_fusion_fit,
     late_fusion_fit_grid,
+    late_fusion_predict_grid,
 )
 from .model import Dataset, memory_subset
 from .regressors import ForestParams, SvrParams
@@ -268,8 +273,14 @@ def grid_search(
     column is fitted once per distinct setting of its own keys ("svr.*" for
     audio and visual, "forest.*" for memory) and "stack.k_inner", its final
     fit once per setting of its own keys, and "ridge.alpha" only refits the
-    ridge meta-learner. The scores equal those of fitting each point alone
-    with `late_fusion_fit`. Early fusion fits one SVR per point.
+    ridge meta-learner. `late_fusion_predict_grid` then runs each distinct
+    final base model on the fold's test rows once. For early fusion it is
+    one `early_fusion_fit_grid` call: per fold, the features are
+    standardized once and the RBF Gram is built once per setting of
+    "svr.gamma" and "svr.gamma_scale"; each point still gets its own SMO
+    solve, and its model is scored and dropped before the next is fitted.
+    The scores equal those of fitting and predicting each point alone with
+    `late_fusion_fit` or `early_fusion_fit` and `fusion_predict`.
     """
     validate_grid(grid)
     y = np.asarray(y, dtype=float)
@@ -281,28 +292,29 @@ def grid_search(
     if len(combos) == 1:
         return combos[0], [{"hyper": combos[0], "mean_r2": None, "fold_r2": []}]
 
+    if strategy == "late":
+        points = [_late_point(combo) for combo in combos]
+    else:
+        points = [_learner_params(SvrParams, "svr.", combo) for combo in combos]
     splits = group_splits(groups, k_inner, child_seed(seed, "inner-folds"))
     fold_scores: list[list[float]] = [[] for _ in combos]
     for fold, (train_rows, test_rows) in enumerate(splits):
         train_bundles = [bundles[r] for r in train_rows]
-        train_groups = [groups[r] for r in train_rows]
-        fit_seed = child_seed(seed, "inner-fit", fold)
+        test_bundles = [bundles[r] for r in test_rows]
         if strategy == "late":
             models = late_fusion_fit_grid(
                 train_bundles,
                 y[train_rows],
-                [_late_point(combo) for combo in combos],
-                groups=train_groups,
-                seed=fit_seed,
+                points,
+                groups=[groups[r] for r in train_rows],
+                seed=child_seed(seed, "inner-fit", fold),
             )
-        else:  # a generator: one early-fusion model is fitted and held at a time
-            models = (
-                _fit(strategy, train_bundles, y[train_rows], train_groups, combo, fit_seed)
-                for combo in combos
-            )
-        test_bundles = [bundles[r] for r in test_rows]
-        for scores, model in zip(fold_scores, models):
-            scores.append(r2_score(y[test_rows], fusion_predict(model, test_bundles)))
+            preds = late_fusion_predict_grid(models, points, test_bundles)
+        else:  # generators: one early-fusion model is fitted and held at a time
+            models = early_fusion_fit_grid(train_bundles, y[train_rows], points)
+            preds = (fusion_predict(model, test_bundles) for model in models)
+        for scores, pred in zip(fold_scores, preds):
+            scores.append(r2_score(y[test_rows], pred))
     results = [
         {"hyper": combo, "mean_r2": float(np.mean(scores)), "fold_r2": scores}
         for combo, scores in zip(combos, fold_scores)

@@ -14,7 +14,15 @@ only on (base, its own params, `k_inner`) and its final fit only on (base,
 its own params), since the fit seeds are the same at every point; each is
 computed once per distinct key and shared, so the base fits grow as the sum
 of the distinct base settings, not their product with the other axes.
-`late_fusion_fit` is its one-point case.
+`late_fusion_fit` is its one-point case, and `late_fusion_predict_grid`
+predicts with every model of such a grid, running each shared base model on
+the given rows once.
+
+`early_fusion_fit_grid` does the same for early fusion. The concatenated
+features, their standardization and the RBF Gram read neither the targets
+nor C nor epsilon, so the SVR of every point is solved on one `SvrDesign`,
+whose Gram is built once per distinct gamma setting. `early_fusion_fit` is
+its one-point case.
 
 A full experiment fits one model per affective dimension (P, A, D); these
 fits are independent and this module is agnostic about which dimension it is
@@ -27,7 +35,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .regressors import (
     ForestModel,
     ForestParams,
     RidgeModel,
+    SvrDesign,
     SvrModel,
     SvrParams,
     fit_forest,
@@ -59,8 +68,10 @@ __all__ = [
     "LateFusionParams",
     "late_fusion_bases",
     "early_fusion_fit",
+    "early_fusion_fit_grid",
     "late_fusion_fit",
     "late_fusion_fit_grid",
+    "late_fusion_predict_grid",
     "fusion_predict",
     "save_fusion_model",
     "load_fusion_model",
@@ -127,17 +138,35 @@ class LateFusionModel:
     fold_log: list[dict]  # per OOF fold: train row/group sets vs predicted rows
 
 
-def early_fusion_fit(
-    bundles: list[ModalityBundle], y: np.ndarray, svr_params: SvrParams
-) -> EarlyFusionModel:
+def early_fusion_fit_grid(
+    bundles: list[ModalityBundle], y: np.ndarray, svr_params_list: Sequence[SvrParams]
+) -> Iterator[EarlyFusionModel]:
+    """Yield one early-fusion model per entry of `svr_params_list`, in order.
+
+    Each model equals `early_fusion_fit` at its params. The features are
+    concatenated once and every SVR is fitted on one `SvrDesign` of them, so
+    the standardization is computed once and the RBF Gram once per distinct
+    (gamma, gamma_scale). Models are fitted as they are consumed, so a caller
+    that drops each model before asking for the next holds one at a time.
+    """
     modalities = _check_bundles(bundles)
     X = _concat_features(bundles, modalities)
+    y = np.asarray(y, dtype=float)
     dims = {
         name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in modalities
     }
-    return EarlyFusionModel(
-        modalities=modalities, dims=dims, svr=fit_svr(X, np.asarray(y, float), svr_params)
-    )
+    design = SvrDesign(X)
+    for svr_params in svr_params_list:
+        yield EarlyFusionModel(
+            modalities=modalities, dims=dims, svr=fit_svr(X, y, svr_params, design=design)
+        )
+
+
+def early_fusion_fit(
+    bundles: list[ModalityBundle], y: np.ndarray, svr_params: SvrParams
+) -> EarlyFusionModel:
+    """Early fusion at one point: `early_fusion_fit_grid` of one point."""
+    return next(early_fusion_fit_grid(bundles, y, [svr_params]))
 
 
 _BASE_MODALITIES = {
@@ -321,14 +350,43 @@ def fusion_predict(
                 )
         return predict_svr(model.svr, _concat_features(bundles, model.modalities))
 
-    base_order = late_fusion_bases(active)
-    if base_order != model.base_order:
-        raise ValueError(f"base models {base_order} do not match fit-time {model.base_order}")
+    _check_late_bases(model, active)
     inputs = _base_inputs(bundles, active)
     columns = [
         _predict_base(model.base_models[name], inputs[name]) for name in model.base_order
     ]
     return predict_ridge(model.meta, np.column_stack(columns))
+
+
+def _check_late_bases(model: LateFusionModel, active: tuple[str, ...]) -> None:
+    base_order = late_fusion_bases(active)
+    if base_order != model.base_order:
+        raise ValueError(f"base models {base_order} do not match fit-time {model.base_order}")
+
+
+def late_fusion_predict_grid(
+    models: Sequence[LateFusionModel],
+    points: Sequence[tuple[LateFusionParams, float, int]],
+    bundles: list[ModalityBundle],
+) -> list[np.ndarray]:
+    """`fusion_predict` on `bundles` of each model `late_fusion_fit_grid(..., points)` returned.
+
+    A base model of such a grid depends only on the base and its own params,
+    so its column on `bundles` is computed once per distinct (base, own
+    params), compared by value, and only the ridge is applied per point.
+    """
+    active = _check_bundles(bundles)
+    inputs = _base_inputs(bundles, active)
+    columns: dict[tuple, np.ndarray] = {}  # (base, its params) -> predictions
+    preds = []
+    for model, (base_params, _, _) in zip(models, points, strict=True):
+        _check_late_bases(model, active)
+        keys = [(name, getattr(base_params, name)) for name in model.base_order]
+        for name, own in keys:
+            if (name, own) not in columns:
+                columns[name, own] = _predict_base(model.base_models[name], inputs[name])
+        preds.append(predict_ridge(model.meta, np.column_stack([columns[k] for k in keys])))
+    return preds
 
 
 def save_fusion_model(model: EarlyFusionModel | LateFusionModel, directory: str | Path) -> None:

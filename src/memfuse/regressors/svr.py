@@ -10,18 +10,27 @@ KKT violator with the second-order best partner and solves the pair
 subproblem exactly (the one-dimensional objective is piecewise quadratic).
 The bias is recovered from KKT-interior points. Features are standardized
 internally; the scaler is fit on training data only.
+
+A fit has two parts. The *design* (`SvrDesign`) holds what reads neither y,
+C nor epsilon: the scaler, the standardized rows, and per (gamma,
+gamma_scale) setting the resolved gamma and the RBF Gram of the rows. The
+SMO solve then runs on a design's Gram. `fit_svr` builds the design itself
+unless one is passed, so fits on the same rows at many C and epsilon values
+can share one design and build each Gram once, as LIBSVM's kernel cache
+shares kernel rows across solves. A fitted model keeps its support vectors'
+squared norms, so `predict_svr` does not recompute them on every call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .scaler import Scaler
 
-__all__ = ["SvrParams", "SvrModel", "rbf_kernel_matrix", "fit_svr", "predict_svr"]
+__all__ = ["SvrParams", "SvrModel", "SvrDesign", "rbf_kernel_matrix", "fit_svr", "predict_svr"]
 
 
 @dataclass(frozen=True)
@@ -59,18 +68,36 @@ class SvrModel:
     n_iter: int
     kkt_gap: float
     support_indices: np.ndarray  # positions of the SVs in the training set
+    # _sq_norms(support_vectors), kept so that predict_svr does not recompute
+    # it per call; computed here when not given, and never serialized.
+    sv_sq_norms: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.sv_sq_norms is None:
+            self.sv_sq_norms = _sq_norms(self.support_vectors)
 
 
-def rbf_kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    # Each row's sum depends on that row alone, so the norms of a row subset
+    # equal the same subset of the norms, bit for bit.
+    return (A * A).sum(axis=1)
+
+
+def rbf_kernel_matrix(
+    A: np.ndarray, B: np.ndarray, gamma: float, A_sq_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-gamma * ||a - b||^2) for every row a of A and b of B.
+
+    `A_sq_norms`, when given, must be `(A * A).sum(axis=1)`; passing it only
+    saves recomputing it.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    sq = (
-        (A * A).sum(axis=1)[:, None]
-        + (B * B).sum(axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
+    if A_sq_norms is None:
+        A_sq_norms = _sq_norms(A)
+    sq = A_sq_norms[:, None] + _sq_norms(B)[None, :] - 2.0 * A @ B.T
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
 
@@ -82,6 +109,37 @@ def _resolve_gamma(params: SvrParams, Xs: np.ndarray) -> float:
     if variance <= 0.0:
         variance = 1.0
     return params.gamma_scale / (Xs.shape[1] * variance)
+
+
+class SvrDesign:
+    """The part of an SVR fit on X that reads neither y, C nor epsilon.
+
+    It holds the scaler fitted on X, the standardized rows and their squared
+    norms, which the Gram build and the fitted models' support vectors share.
+    `gram(params)` resolves gamma and builds the RBF Gram of the rows once per
+    distinct (gamma, gamma_scale), compared by value, and returns the same
+    pair on every later call, so fits at many C and epsilon values on one
+    design share one Gram per gamma setting.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not np.all(np.isfinite(X)):
+            raise ValueError("non-finite values in training data")
+        self.scaler = Scaler.fit(X)
+        self.rows = self.scaler.transform(X)
+        self.row_sq_norms = _sq_norms(self.rows)
+        self._grams: dict[tuple, tuple[float, np.ndarray]] = {}
+
+    def gram(self, params: SvrParams) -> tuple[float, np.ndarray]:
+        """(resolved gamma, RBF Gram of the standardized rows) for `params`."""
+        key = (params.gamma, params.gamma_scale)
+        if key not in self._grams:
+            gamma = _resolve_gamma(params, self.rows)
+            self._grams[key] = gamma, rbf_kernel_matrix(
+                self.rows, self.rows, gamma, self.row_sq_norms
+            )
+        return self._grams[key]
 
 
 def _pair_step(
@@ -127,24 +185,50 @@ def _pair_step(
     return best_t, best_gain
 
 
-def fit_svr(X: np.ndarray, y: np.ndarray, params: SvrParams) -> SvrModel:
+def fit_svr(
+    X: np.ndarray, y: np.ndarray, params: SvrParams, design: SvrDesign | None = None
+) -> SvrModel:
+    """Fit an SVR on (X, y).
+
+    `design`, when given, must be `SvrDesign(X)` for this X; the fit then
+    reuses its standardization and its Gram for the gamma setting of `params`.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if X.shape[0] < 2:
         raise ValueError("need at least two training rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not np.all(np.isfinite(y)):
         raise ValueError("non-finite values in training data")
+    if design is None:
+        design = SvrDesign(X)
+    elif design.rows.shape != X.shape:
+        raise ValueError(f"design has rows of shape {design.rows.shape}, X has {X.shape}")
 
-    scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
-    gamma = _resolve_gamma(params, Xs)
-    resolved = dataclasses.replace(params, gamma=gamma)
+    gamma, K = design.gram(params)
+    beta, bias, converged, n_iter, gap = _solve(K, y, params)
+    support = np.abs(beta) > 1e-10 * params.c
+    return SvrModel(
+        support_vectors=design.rows[support],
+        dual_coefs=beta[support],
+        bias=bias,
+        params=dataclasses.replace(params, gamma=gamma),
+        scaler=design.scaler,
+        converged=converged,
+        n_iter=n_iter,
+        kkt_gap=gap,
+        support_indices=np.flatnonzero(support),
+        sv_sq_norms=design.row_sq_norms[support],
+    )
+
+
+def _solve(
+    K: np.ndarray, y: np.ndarray, params: SvrParams
+) -> tuple[np.ndarray, float, bool, int, float]:
+    """SMO on the Gram K: (beta, bias, converged, iterations, final KKT gap)."""
     c, eps, tol = params.c, params.epsilon, params.tol
-
-    n = Xs.shape[0]
-    K = rbf_kernel_matrix(Xs, Xs, gamma)
+    n = K.shape[0]
     diag = np.diagonal(K).copy()
 
     beta = np.zeros(n)
@@ -201,24 +285,15 @@ def fit_svr(X: np.ndarray, y: np.ndarray, params: SvrParams) -> SvrModel:
         d_dn = np.where(dn_ok, grad - sig_dn, np.inf)
         bias = float(0.5 * (d_up.max() + d_dn.min()))
 
-    support = np.abs(beta) > 1e-10 * c
-    return SvrModel(
-        support_vectors=Xs[support],
-        dual_coefs=beta[support],
-        bias=bias,
-        params=resolved,
-        scaler=scaler,
-        converged=converged,
-        n_iter=n_iter,
-        kkt_gap=float(gap),
-        support_indices=np.flatnonzero(support),
-    )
+    return beta, bias, converged, n_iter, float(gap)
 
 
 def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite values in prediction input")
     Xs = model.scaler.transform(X)
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
-    K = rbf_kernel_matrix(model.support_vectors, Xs, model.params.gamma)
+    K = rbf_kernel_matrix(model.support_vectors, Xs, model.params.gamma, model.sv_sq_norms)
     return model.dual_coefs @ K + model.bias

@@ -31,11 +31,13 @@ from memfuse.folds import group_splits
 from memfuse.fusion import (
     LateFusionParams,
     ModalityBundle,
+    early_fusion_fit,
     fusion_predict,
     late_fusion_fit,
 )
 from memfuse.model import Dataset
 from memfuse.regressors import ForestParams, SvrParams
+from memfuse.regressors import svr as svr_module
 from memfuse.text import TextFeatureExtractor, load_resources
 
 from .conftest import make_response, memory
@@ -280,7 +282,9 @@ def test_late_grid_search_equals_a_brute_force_loop_of_late_fusion_fit(extractor
 
 
 def test_late_grid_search_fits_each_base_model_once_per_inner_fold(extractor, monkeypatch):
-    calls = {"fit_svr": 0, "fit_forest": 0, "fit_ridge": 0}
+    calls = {
+        "fit_svr": 0, "fit_forest": 0, "fit_ridge": 0, "predict_svr": 0, "predict_forest": 0,
+    }
 
     def counting(name):
         original = getattr(fusion, name)
@@ -306,8 +310,71 @@ def test_late_grid_search_fits_each_base_model_once_per_inner_fold(extractor, mo
     )
     assert len(results) == 8
     # Per inner fold: 2 SVR settings x (audio, visual) x (2 stacking folds + 1
-    # final fit), 2 forest settings x 3, and one ridge per grid point.
-    assert calls == {"fit_svr": 24, "fit_forest": 12, "fit_ridge": 16}
+    # final fit), 2 forest settings x 3, and one ridge per grid point. Each
+    # stacking-fold model predicts its held-out rows once, and each final
+    # base model predicts the inner fold's test rows once.
+    assert calls == {
+        "fit_svr": 24, "fit_forest": 12, "fit_ridge": 16, "predict_svr": 24, "predict_forest": 12,
+    }
+
+
+EARLY_GRID = {
+    "svr.c": [0.5, 2.0],
+    "svr.epsilon": [0.05, 0.2],
+    "svr.gamma_scale": [0.5, 1.0],
+}
+
+
+def test_early_grid_search_equals_a_brute_force_loop_of_early_fusion_fit(extractor):
+    ds, av_features = _dataset(people=9)
+    bundles = _avm_bundles(extractor, ds, av_features)
+    y = np.array([r.induced.p for r in ds.responses])
+    groups = [r.participant_id for r in ds.responses]
+    best, results = grid_search(bundles, y, groups, EARLY_GRID, "early", k_inner=2, seed=SEED)
+
+    splits = group_splits(groups, 2, child_seed(SEED, "inner-folds"))
+    expected = []
+    for values in itertools.product(*EARLY_GRID.values()):
+        hyper = dict(zip(EARLY_GRID, values))
+        params = SvrParams(c=values[0], epsilon=values[1], gamma_scale=values[2])
+        fold_r2 = []
+        for train_rows, test_rows in splits:
+            model = early_fusion_fit([bundles[r] for r in train_rows], y[train_rows], params)
+            pred = fusion_predict(model, [bundles[r] for r in test_rows])
+            fold_r2.append(r2_score(y[test_rows], pred))
+        expected.append({"hyper": hyper, "mean_r2": float(np.mean(fold_r2)), "fold_r2": fold_r2})
+    assert results == expected
+    top = max(r["mean_r2"] for r in expected)
+    assert best == min(
+        (r["hyper"] for r in expected if r["mean_r2"] == top),
+        key=lambda h: tuple(h.values()),
+    )
+
+
+def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
+    extractor, monkeypatch
+):
+    calls = {"fit_svr": 0, "training_gram": 0}
+    fit_svr, kernel = fusion.fit_svr, svr_module.rbf_kernel_matrix
+
+    def counted_fit(*args, **kwargs):
+        calls["fit_svr"] += 1
+        return fit_svr(*args, **kwargs)
+
+    def counted_kernel(A, B, *args, **kwargs):
+        calls["training_gram"] += A is B  # prediction kernels pair SVs with test rows
+        return kernel(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "fit_svr", counted_fit)
+    monkeypatch.setattr(svr_module, "rbf_kernel_matrix", counted_kernel)
+    ds, av_features = _dataset(people=9)
+    _, results = grid_search(
+        _avm_bundles(extractor, ds, av_features), np.array([r.induced.p for r in ds.responses]),
+        [r.participant_id for r in ds.responses], EARLY_GRID, "early", k_inner=2, seed=SEED,
+    )
+    assert len(results) == 8
+    # 2 inner folds x 2 gamma_scale values; every point still solves its own SVR.
+    assert calls == {"fit_svr": 16, "training_gram": 4}
 
 
 def test_unknown_grid_key_raises():

@@ -5,6 +5,7 @@ from memfuse.fusion import (
     LateFusionParams,
     ModalityBundle,
     early_fusion_fit,
+    early_fusion_fit_grid,
     fusion_predict,
     late_fusion_fit,
     late_fusion_fit_grid,
@@ -220,3 +221,24 @@ def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
             assert model_to_json(model.base_models[name]) == model_to_json(alone.base_models[name])
         assert model_to_json(model.meta) == model_to_json(alone.meta)
         assert model.fold_log == alone.fold_log
+
+
+def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng):
+    n = 30
+    audio = rng.normal(size=(n, 3))
+    lexical = rng.normal(size=(n, 4))
+    y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
+    bundles = _bundles(rng, n, audio=audio, lexical=lexical)
+    points = [
+        SvrParams(c=c, epsilon=eps, gamma=gamma, gamma_scale=scale)
+        for gamma, scale in ((None, 1.0), (None, 0.5), (0.2, 1.0))
+        for c in (0.5, 2.0)
+        for eps in (0.0, 0.1)
+    ]
+    models = list(early_fusion_fit_grid(bundles, y, points))
+    assert len(models) == len(points)
+    for params, model in zip(points, models):
+        alone = early_fusion_fit(bundles, y, params)
+        assert model.modalities == alone.modalities == ("audio", "mem_lexical")
+        assert model.dims == alone.dims
+        assert model_to_json(model.svr) == model_to_json(alone.svr)

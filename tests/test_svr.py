@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from memfuse.regressors import SvrParams, fit_svr, predict_svr, rbf_kernel_matrix
+from memfuse.regressors import (
+    SvrDesign,
+    SvrParams,
+    fit_svr,
+    model_from_json,
+    model_to_json,
+    predict_svr,
+    rbf_kernel_matrix,
+)
+from memfuse.regressors import svr as svr_module
 
 from .oracles import qp_oracle_svr_dual, svr_bias_from_beta, svr_dual_objective
 
@@ -61,6 +70,58 @@ def test_non_finite_input_rejected(rng):
     X[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         fit_svr(X, y, SvrParams())
+
+
+def test_predict_rejects_non_finite_input(rng):
+    X = rng.normal(size=(10, 3))
+    model = fit_svr(X, rng.normal(size=10), SvrParams())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_svr(model, np.array([[bad, 0.0, 0.0]]))
+
+
+def test_predict_with_stored_norms_is_bit_equal_to_a_fresh_kernel(rng):
+    X = rng.normal(size=(30, 4))
+    y = X[:, 0] + 0.1 * rng.normal(size=30)
+    fitted = fit_svr(X, y, SvrParams(c=3.0, epsilon=0.05))
+    doc = model_to_json(fitted)
+    assert "sv_sq_norms" not in doc
+    queries = rng.normal(size=(7, 4))
+    for model in (fitted, model_from_json(doc)):
+        sv = model.support_vectors
+        assert np.array_equal(model.sv_sq_norms, (sv * sv).sum(axis=1))
+        K = rbf_kernel_matrix(sv, model.scaler.transform(queries), model.params.gamma)
+        assert np.array_equal(predict_svr(model, queries), model.dual_coefs @ K + model.bias)
+
+
+def test_fits_on_a_shared_design_equal_fresh_fits_and_share_its_grams(rng, monkeypatch):
+    grams = []
+    kernel = svr_module.rbf_kernel_matrix
+
+    def counting(A, B, gamma, A_sq_norms=None):
+        grams.append(gamma)
+        return kernel(A, B, gamma, A_sq_norms)
+
+    X = rng.normal(size=(25, 3))
+    y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=25)
+    points = [
+        SvrParams(c=c, epsilon=eps, gamma_scale=scale)
+        for scale in (1.0, 2.0)
+        for c in (0.5, 4.0)
+        for eps in (0.0, 0.1)
+    ]
+    fresh = [model_to_json(fit_svr(X, y, params)) for params in points]
+    monkeypatch.setattr(svr_module, "rbf_kernel_matrix", counting)
+    design = SvrDesign(X)
+    shared = [model_to_json(fit_svr(X, y, params, design=design)) for params in points]
+    assert shared == fresh
+    assert len(grams) == 2  # one Gram per gamma_scale
+
+
+def test_design_of_other_rows_rejected(rng):
+    X = rng.normal(size=(10, 3))
+    with pytest.raises(ValueError, match="design has rows"):
+        fit_svr(X, rng.normal(size=10), SvrParams(), design=SvrDesign(X[:8]))
 
 
 def test_max_passes_flag(rng):
