@@ -11,9 +11,10 @@ inner folds outermost and fits all grid points of a fold in one call. In
 late fusion, `fusion.late_fusion_fit_grid` fits a base model once per
 setting of its own keys and `stack.k_inner`, not once per grid point, and
 `fusion.late_fusion_predict_grid` runs each on the test rows once. In early
-fusion, `fusion.early_fusion_fit_grid` builds one RBF Gram per setting of
-the kernel-width keys (`svr.gamma`, `svr.gamma_scale`) and solves each grid
-point of that setting on it. The outer fold's refit at the selected point
+fusion, `fusion.early_fusion_predict_grid` builds one RBF Gram per setting
+of the kernel-width keys (`svr.gamma`, `svr.gamma_scale`), solves each grid
+point of that setting on it, and scores every point from one standardized
+block of the fold's test rows. The outer fold's refit at the selected point
 is a plain `late_fusion_fit` or `early_fusion_fit`. Reported numbers are
 per-fold test R-squared values and their mean ("AvgR2"). The AV-dagger
 baseline predicts each video's training-fold mean rating, the ceiling of a
@@ -42,7 +43,7 @@ from .fusion import (
     LateFusionParams,
     ModalityBundle,
     early_fusion_fit,
-    early_fusion_fit_grid,
+    early_fusion_predict_grid,
     fusion_predict,
     late_fusion_bases,
     late_fusion_fit,
@@ -275,10 +276,12 @@ def grid_search(
     fit once per setting of its own keys, and "ridge.alpha" only refits the
     ridge meta-learner. `late_fusion_predict_grid` then runs each distinct
     final base model on the fold's test rows once. For early fusion it is
-    one `early_fusion_fit_grid` call: per fold, the features are
-    standardized once and the RBF Gram is built once per setting of
-    "svr.gamma" and "svr.gamma_scale"; each point still gets its own SMO
-    solve, and its model is scored and dropped before the next is fitted.
+    one `early_fusion_predict_grid` call: per fold, the training features
+    are standardized once and the RBF Gram is built once per setting of
+    "svr.gamma" and "svr.gamma_scale", and the test features are
+    concatenated, checked and standardized once for all points. Each point
+    still gets its own SMO solve and its own prediction kernel on its
+    support vectors, and its model is dropped before the next is fitted.
     The scores equal those of fitting and predicting each point alone with
     `late_fusion_fit` or `early_fusion_fit` and `fusion_predict`.
     """
@@ -310,10 +313,11 @@ def grid_search(
                 seed=child_seed(seed, "inner-fit", fold),
             )
             preds = late_fusion_predict_grid(models, points, test_bundles)
-        else:  # generators: one early-fusion model is fitted and held at a time
-            models = early_fusion_fit_grid(train_bundles, y[train_rows], points)
-            preds = (fusion_predict(model, test_bundles) for model in models)
-        for scores, pred in zip(fold_scores, preds):
+        else:  # a generator: one early-fusion model is fitted and held at a time
+            preds = early_fusion_predict_grid(train_bundles, y[train_rows], points, test_bundles)
+        # strict: a generator is run to its end, so it releases the fold's
+        # arrays before the next fold builds its own.
+        for scores, pred in zip(fold_scores, preds, strict=True):
             scores.append(r2_score(y[test_rows], pred))
     results = [
         {"hyper": combo, "mean_r2": float(np.mean(scores)), "fold_r2": scores}

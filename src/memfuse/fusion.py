@@ -22,7 +22,11 @@ the given rows once.
 features, their standardization and the RBF Gram read neither the targets
 nor C nor epsilon, so the SVR of every point is solved on one `SvrDesign`,
 whose Gram is built once per distinct gamma setting. `early_fusion_fit` is
-its one-point case.
+its one-point case. `early_fusion_predict_grid` fits the same models and
+predicts given test rows with each: the test rows are concatenated, checked
+and standardized once for all points (`SvrDesign.predictions`), and each
+point's kernel is built on its own support vectors, as `fusion_predict`
+builds it.
 
 A full experiment fits one model per affective dimension (P, A, D); these
 fits are independent and this module is agnostic about which dimension it is
@@ -69,6 +73,7 @@ __all__ = [
     "late_fusion_bases",
     "early_fusion_fit",
     "early_fusion_fit_grid",
+    "early_fusion_predict_grid",
     "late_fusion_fit",
     "late_fusion_fit_grid",
     "late_fusion_predict_grid",
@@ -138,6 +143,18 @@ class LateFusionModel:
     fold_log: list[dict]  # per OOF fold: train row/group sets vs predicted rows
 
 
+def _early_design(
+    bundles: list[ModalityBundle],
+) -> tuple[tuple[str, ...], dict[str, int], np.ndarray, SvrDesign]:
+    """(modalities, their widths, concatenated features, their `SvrDesign`)."""
+    modalities = _check_bundles(bundles)
+    X = _concat_features(bundles, modalities)
+    dims = {
+        name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in modalities
+    }
+    return modalities, dims, X, SvrDesign(X)
+
+
 def early_fusion_fit_grid(
     bundles: list[ModalityBundle], y: np.ndarray, svr_params_list: Sequence[SvrParams]
 ) -> Iterator[EarlyFusionModel]:
@@ -149,17 +166,33 @@ def early_fusion_fit_grid(
     (gamma, gamma_scale). Models are fitted as they are consumed, so a caller
     that drops each model before asking for the next holds one at a time.
     """
-    modalities = _check_bundles(bundles)
-    X = _concat_features(bundles, modalities)
+    modalities, dims, X, design = _early_design(bundles)
     y = np.asarray(y, dtype=float)
-    dims = {
-        name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in modalities
-    }
-    design = SvrDesign(X)
     for svr_params in svr_params_list:
         yield EarlyFusionModel(
             modalities=modalities, dims=dims, svr=fit_svr(X, y, svr_params, design=design)
         )
+
+
+def early_fusion_predict_grid(
+    train_bundles: list[ModalityBundle],
+    y: np.ndarray,
+    svr_params_list: Sequence[SvrParams],
+    test_bundles: list[ModalityBundle],
+) -> Iterator[np.ndarray]:
+    """Predict `test_bundles` with every model `early_fusion_fit_grid` yields.
+
+    Yields `fusion_predict(model, test_bundles)`, bit for bit, for each model
+    of `early_fusion_fit_grid(train_bundles, y, svr_params_list)`, in order.
+    The models are fitted as there, and the test features are concatenated,
+    checked and standardized once for all of them (`SvrDesign.predictions`).
+    One model is fitted and held at a time.
+    """
+    modalities, dims, X, design = _early_design(train_bundles)
+    _check_early_inputs(modalities, dims, test_bundles)
+    y = np.asarray(y, dtype=float)
+    svrs = (fit_svr(X, y, svr_params, design=design) for svr_params in svr_params_list)
+    return design.predictions(svrs, _concat_features(test_bundles, modalities))
 
 
 def early_fusion_fit(
@@ -333,23 +366,26 @@ def late_fusion_fit(
     )[0]
 
 
+def _check_early_inputs(
+    modalities: tuple[str, ...], dims: dict[str, int], bundles: list[ModalityBundle]
+) -> None:
+    active = _check_bundles(bundles)
+    if active != modalities:
+        raise ValueError(f"modalities {active} do not match fit-time {modalities}")
+    for name in modalities:
+        width = np.asarray(getattr(bundles[0], name)).shape[-1]
+        if width != dims[name]:
+            raise ValueError(f"{name} dimension {width} does not match fit-time {dims[name]}")
+
+
 def fusion_predict(
     model: EarlyFusionModel | LateFusionModel, bundles: list[ModalityBundle]
 ) -> np.ndarray:
-    active = _check_bundles(bundles)
     if isinstance(model, EarlyFusionModel):
-        if active != model.modalities:
-            raise ValueError(
-                f"modalities {active} do not match fit-time {model.modalities}"
-            )
-        for name in model.modalities:
-            width = np.asarray(getattr(bundles[0], name)).shape[-1]
-            if width != model.dims[name]:
-                raise ValueError(
-                    f"{name} dimension {width} does not match fit-time {model.dims[name]}"
-                )
+        _check_early_inputs(model.modalities, model.dims, bundles)
         return predict_svr(model.svr, _concat_features(bundles, model.modalities))
 
+    active = _check_bundles(bundles)
     _check_late_bases(model, active)
     inputs = _base_inputs(bundles, active)
     columns = [

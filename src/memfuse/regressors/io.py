@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -73,21 +74,7 @@ def model_from_json(doc: dict):
         raise ValueError(f"unsupported model format version {version!r}")
     kind = doc.get("kind")
     if kind == "svr":
-        return SvrModel(
-            support_vectors=np.asarray(doc["support_vectors"], dtype=float).reshape(
-                len(doc["dual_coefs"]), -1
-            )
-            if doc["dual_coefs"]
-            else np.zeros((0, len(doc["scaler"]["means"]))),
-            dual_coefs=np.asarray(doc["dual_coefs"], dtype=float),
-            bias=float(doc["bias"]),
-            params=SvrParams(**doc["params"]),
-            scaler=Scaler.from_json(doc["scaler"]),
-            converged=bool(doc["converged"]),
-            n_iter=int(doc["n_iter"]),
-            kkt_gap=float(doc["kkt_gap"]),
-            support_indices=np.asarray(doc["support_indices"], dtype=int),
-        )
+        return _svr_from_json(doc)
     if kind == "ridge":
         return RidgeModel(
             alpha=float(doc["alpha"]),
@@ -113,6 +100,47 @@ def model_from_json(doc: dict):
             n_features=int(doc["n_features"]),
         )
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def _svr_from_json(doc: dict) -> SvrModel:
+    """An `SvrModel` from its document, which must be consistent with itself."""
+    scaler = Scaler.from_json(doc["scaler"])
+    width = scaler.means.shape[0]
+    support_vectors = np.asarray(doc["support_vectors"], dtype=float)
+    if support_vectors.shape == (0,):
+        support_vectors = support_vectors.reshape(0, width)
+    dual_coefs = np.asarray(doc["dual_coefs"], dtype=float)
+    support_indices = np.asarray(doc["support_indices"], dtype=int)
+    if support_vectors.ndim != 2 or support_vectors.shape[1] != width:
+        raise ValueError(
+            f"support vectors of shape {support_vectors.shape} do not match "
+            f"the scaler's {width} features"
+        )
+    if not support_vectors.shape[0] == len(dual_coefs) == len(support_indices):
+        raise ValueError(
+            f"{support_vectors.shape[0]} support vectors, {len(dual_coefs)} dual "
+            f"coefficients and {len(support_indices)} support indices"
+        )
+    # A fitted model stores its gamma resolved, so None is not valid here.
+    gamma = doc["params"].get("gamma")
+    if not (
+        isinstance(gamma, (int, float))
+        and not isinstance(gamma, bool)
+        and math.isfinite(gamma)
+        and gamma > 0
+    ):
+        raise ValueError(f"gamma must be a positive number, got {gamma!r}")
+    return SvrModel(
+        support_vectors=support_vectors,
+        dual_coefs=dual_coefs,
+        bias=float(doc["bias"]),
+        params=SvrParams(**doc["params"]),
+        scaler=scaler,
+        converged=bool(doc["converged"]),
+        n_iter=int(doc["n_iter"]),
+        kkt_gap=float(doc["kkt_gap"]),
+        support_indices=support_indices,
+    )
 
 
 def save_model(model, path: str | Path) -> None:

@@ -19,12 +19,23 @@ unless one is passed, so fits on the same rows at many C and epsilon values
 can share one design and build each Gram once, as LIBSVM's kernel cache
 shares kernel rows across solves. A fitted model keeps its support vectors'
 squared norms, so `predict_svr` does not recompute them on every call.
+
+`SvrDesign.predictions` is the predict side of the same sharing: the models
+fitted on one design share its scaler, so it checks and standardizes a block
+of query rows, and computes their squared norms, once for all of them. Each
+model's kernel is still built on its own support vectors, with the same
+operands as in `predict_svr`, so the predictions are bit-equal to it. Slicing
+one kernel of every design row against the queries would be cheaper, but a
+BLAS product of a row subset is not always bit-equal to the same rows of the
+full product: OpenBLAS takes other code paths for small products and numpy
+for a single row.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,12 +95,16 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
 
 
 def rbf_kernel_matrix(
-    A: np.ndarray, B: np.ndarray, gamma: float, A_sq_norms: np.ndarray | None = None
+    A: np.ndarray,
+    B: np.ndarray,
+    gamma: float,
+    A_sq_norms: np.ndarray | None = None,
+    B_sq_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """exp(-gamma * ||a - b||^2) for every row a of A and b of B.
 
-    `A_sq_norms`, when given, must be `(A * A).sum(axis=1)`; passing it only
-    saves recomputing it.
+    `A_sq_norms` and `B_sq_norms`, when given, must be `(A * A).sum(axis=1)`
+    and `(B * B).sum(axis=1)`; passing them only saves recomputing them.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -97,7 +112,9 @@ def rbf_kernel_matrix(
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if A_sq_norms is None:
         A_sq_norms = _sq_norms(A)
-    sq = A_sq_norms[:, None] + _sq_norms(B)[None, :] - 2.0 * A @ B.T
+    if B_sq_norms is None:
+        B_sq_norms = _sq_norms(B)
+    sq = A_sq_norms[:, None] + B_sq_norms[None, :] - 2.0 * A @ B.T
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
 
@@ -140,6 +157,21 @@ class SvrDesign:
                 self.rows, self.rows, gamma, self.row_sq_norms
             )
         return self._grams[key]
+
+    def predictions(self, models: Iterable[SvrModel], X: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield `predict_svr(model, X)` for each of `models`, in order, bit for bit.
+
+        Every model must have been fitted on this design. X is checked and
+        standardized by the design's scaler once, and its rows' squared norms
+        computed once, for all of them. Models are read as they are consumed,
+        so a generator of fits holds one model at a time.
+        """
+        rows, row_sq_norms = _queries(self.scaler, X)
+        del X  # not read again; freed now unless the caller holds it
+        for model in models:
+            if model.scaler is not self.scaler:
+                raise ValueError("model was not fitted on this design")
+            yield _decision_values(model, rows, row_sq_norms)
 
 
 def _pair_step(
@@ -288,12 +320,24 @@ def _solve(
     return beta, bias, converged, n_iter, float(gap)
 
 
-def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray:
+def _queries(scaler: Scaler, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction rows X, checked and standardized by `scaler`, and their squared norms."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values in prediction input")
-    Xs = model.scaler.transform(X)
+    rows = scaler.transform(X)
+    return rows, _sq_norms(rows)
+
+
+def _decision_values(model: SvrModel, rows: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
+    """The model's predictions on rows that `_queries` returned for its scaler."""
     if model.support_vectors.shape[0] == 0:
-        return np.full(X.shape[0], model.bias)
-    K = rbf_kernel_matrix(model.support_vectors, Xs, model.params.gamma, model.sv_sq_norms)
+        return np.full(rows.shape[0], model.bias)
+    K = rbf_kernel_matrix(
+        model.support_vectors, rows, model.params.gamma, model.sv_sq_norms, row_sq_norms
+    )
     return model.dual_coefs @ K + model.bias
+
+
+def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray:
+    return _decision_values(model, *_queries(model.scaler, X))

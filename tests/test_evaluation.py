@@ -330,16 +330,20 @@ def test_early_grid_search_equals_a_brute_force_loop_of_early_fusion_fit(extract
     bundles = _avm_bundles(extractor, ds, av_features)
     y = np.array([r.induced.p for r in ds.responses])
     groups = [r.participant_id for r in ds.responses]
-    best, results = grid_search(bundles, y, groups, EARLY_GRID, "early", k_inner=2, seed=SEED)
+    # An epsilon wider than the targets' range leaves no support vector.
+    wide = float(np.ptp(y)) + 1.0
+    grid = {**EARLY_GRID, "svr.epsilon": [*EARLY_GRID["svr.epsilon"], wide]}
+    best, results = grid_search(bundles, y, groups, grid, "early", k_inner=2, seed=SEED)
 
     splits = group_splits(groups, 2, child_seed(SEED, "inner-folds"))
     expected = []
-    for values in itertools.product(*EARLY_GRID.values()):
-        hyper = dict(zip(EARLY_GRID, values))
+    for values in itertools.product(*grid.values()):
+        hyper = dict(zip(grid, values))
         params = SvrParams(c=values[0], epsilon=values[1], gamma_scale=values[2])
         fold_r2 = []
         for train_rows, test_rows in splits:
             model = early_fusion_fit([bundles[r] for r in train_rows], y[train_rows], params)
+            assert (model.svr.dual_coefs.size == 0) == (params.epsilon == wide)
             pred = fusion_predict(model, [bundles[r] for r in test_rows])
             fold_r2.append(r2_score(y[test_rows], pred))
         expected.append({"hyper": hyper, "mean_r2": float(np.mean(fold_r2)), "fold_r2": fold_r2})
@@ -354,18 +358,30 @@ def test_early_grid_search_equals_a_brute_force_loop_of_early_fusion_fit(extract
 def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
     extractor, monkeypatch
 ):
-    calls = {"fit_svr": 0, "training_gram": 0}
-    fit_svr, kernel = fusion.fit_svr, svr_module.rbf_kernel_matrix
+    calls = {"fit_svr": 0, "predict_svr": 0, "training_gram": 0, "prediction_kernel": 0}
+    test_blocks = []  # the standardized test rows each prediction kernel reads
+    fit_svr, predict_svr = fusion.fit_svr, fusion.predict_svr
+    kernel = svr_module.rbf_kernel_matrix
 
     def counted_fit(*args, **kwargs):
         calls["fit_svr"] += 1
         return fit_svr(*args, **kwargs)
 
+    def counted_predict(*args, **kwargs):
+        calls["predict_svr"] += 1
+        return predict_svr(*args, **kwargs)
+
     def counted_kernel(A, B, *args, **kwargs):
-        calls["training_gram"] += A is B  # prediction kernels pair SVs with test rows
+        if A is B:
+            calls["training_gram"] += 1
+        else:  # a prediction kernel pairs one model's SVs with test rows
+            calls["prediction_kernel"] += 1
+            if not any(B is block for block in test_blocks):
+                test_blocks.append(B)
         return kernel(A, B, *args, **kwargs)
 
     monkeypatch.setattr(fusion, "fit_svr", counted_fit)
+    monkeypatch.setattr(fusion, "predict_svr", counted_predict)
     monkeypatch.setattr(svr_module, "rbf_kernel_matrix", counted_kernel)
     ds, av_features = _dataset(people=9)
     _, results = grid_search(
@@ -373,8 +389,11 @@ def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
         [r.participant_id for r in ds.responses], EARLY_GRID, "early", k_inner=2, seed=SEED,
     )
     assert len(results) == 8
-    # 2 inner folds x 2 gamma_scale values; every point still solves its own SVR.
-    assert calls == {"fit_svr": 16, "training_gram": 4}
+    # Per inner fold: one Gram per gamma_scale value, one SMO solve and one
+    # prediction kernel per point, and the fold's test rows standardized once
+    # for all 4 points of the fold (`SvrDesign.predictions`, not `predict_svr`).
+    assert calls == {"fit_svr": 16, "predict_svr": 0, "training_gram": 4, "prediction_kernel": 16}
+    assert len(test_blocks) == 2
 
 
 def test_unknown_grid_key_raises():

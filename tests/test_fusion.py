@@ -6,6 +6,7 @@ from memfuse.fusion import (
     ModalityBundle,
     early_fusion_fit,
     early_fusion_fit_grid,
+    early_fusion_predict_grid,
     fusion_predict,
     late_fusion_fit,
     late_fusion_fit_grid,
@@ -242,3 +243,31 @@ def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng):
         assert model.modalities == alone.modalities == ("audio", "mem_lexical")
         assert model.dims == alone.dims
         assert model_to_json(model.svr) == model_to_json(alone.svr)
+
+
+def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
+    audio = rng.normal(size=(36, 3))
+    lexical = rng.normal(size=(36, 4))
+    y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=36)
+    bundles = _bundles(rng, 36, audio=audio, lexical=lexical)
+    train, test = bundles[:25], bundles[25:]
+    points = [
+        SvrParams(c=c, epsilon=eps, gamma_scale=scale)
+        for scale in (1.0, 0.5)
+        for c in (0.5, 2.0)
+        for eps in (0.0, 0.1, 100.0)  # 100 leaves no support vector
+    ]
+    preds = list(early_fusion_predict_grid(train, y[:25], points, test))
+    assert len(preds) == len(points)
+    for params, pred in zip(points, preds):
+        model = early_fusion_fit(train, y[:25], params)
+        assert (model.svr.dual_coefs.size == 0) == (params.epsilon == 100.0)
+        assert np.array_equal(pred, fusion_predict(model, test))
+
+    with pytest.raises(ValueError, match="modalities"):
+        early_fusion_predict_grid(train, y[:25], points, _bundles(rng, 3, audio=audio[:3]))
+    with pytest.raises(ValueError, match="dimension"):
+        early_fusion_predict_grid(
+            train, y[:25], points,
+            _bundles(rng, 3, audio=rng.normal(size=(3, 5)), lexical=lexical[:3]),
+        )

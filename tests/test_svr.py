@@ -124,6 +124,65 @@ def test_design_of_other_rows_rejected(rng):
         fit_svr(X, rng.normal(size=10), SvrParams(), design=SvrDesign(X[:8]))
 
 
+def test_design_predictions_are_bit_equal_to_predict_svr_at_every_point(rng):
+    X = rng.normal(size=(40, 6))
+    y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=40)
+    assert np.ptp(y) < 10.0  # so epsilon 10 leaves no support vector
+    points = [
+        SvrParams(c=c, epsilon=eps, gamma=gamma, gamma_scale=scale)
+        for gamma, scale in ((None, 1.0), (None, 0.5), (0.3, 1.0))
+        for c in (0.5, 4.0)
+        for eps in (0.0, 0.1, 10.0)
+    ]
+    design = SvrDesign(X)
+    models = [fit_svr(X, y, params, design=design) for params in points]
+    assert [m.dual_coefs.size == 0 for m in models] == [p.epsilon == 10.0 for p in points]
+    queries = rng.normal(size=(13, 6))
+    preds = list(design.predictions(iter(models), queries))
+    assert len(preds) == len(models)
+    for model, pred in zip(models, preds):
+        assert np.array_equal(pred, predict_svr(model, queries))
+
+    queries[3, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite values in prediction input"):
+        predict_svr(models[0], queries)
+    with pytest.raises(ValueError, match="non-finite values in prediction input"):
+        next(design.predictions(models, queries))
+
+
+def test_design_predictions_reject_a_model_of_another_design(rng):
+    X = rng.normal(size=(12, 3))
+    y = rng.normal(size=12)
+    model = fit_svr(X, y, SvrParams())
+    with pytest.raises(ValueError, match="not fitted on this design"):
+        next(SvrDesign(X).predictions([model], X))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["short_support_indices", "narrow_support_vectors", "gamma_null", "gamma_nan", "gamma_text"],
+)
+def test_model_from_json_rejects_an_inconsistent_document(rng, case):
+    X = rng.normal(size=(20, 4))
+    doc = model_to_json(fit_svr(X, X[:, 0] + 0.1 * rng.normal(size=20), SvrParams(epsilon=0.0)))
+    assert len(doc["dual_coefs"]) > 2
+    model_from_json(doc)  # the untouched document loads
+    change, message = {
+        "short_support_indices": (
+            {"support_indices": doc["support_indices"][:2]}, "2 support indices"
+        ),
+        "narrow_support_vectors": (
+            {"support_vectors": [row[:-1] for row in doc["support_vectors"]]},
+            "scaler's 4 features",
+        ),
+        "gamma_null": ({"params": {**doc["params"], "gamma": None}}, "gamma must be"),
+        "gamma_nan": ({"params": {**doc["params"], "gamma": float("nan")}}, "gamma must be"),
+        "gamma_text": ({"params": {**doc["params"], "gamma": "0.5"}}, "gamma must be"),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        model_from_json({**doc, **change})
+
+
 def test_max_passes_flag(rng):
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
