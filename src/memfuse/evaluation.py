@@ -543,7 +543,12 @@ def run_experiment1(
     k_inner: int = 4,
     dims: Sequence[str] = DIMS,
 ) -> ExperimentReport:
-    """Predict induced emotion from memory descriptions alone."""
+    """Predict induced emotion from memory descriptions alone.
+
+    The same seed gives a bit-for-bit equal report only at a fixed BLAS
+    thread count: a multi-threaded Gram product rounds differently, which can
+    move an SMO solve. The benchmark and CI pin one thread.
+    """
     return _run(
         "experiment1", ds, None, grid, seed, extractor, ("M",), STRATEGIES, k_outer, k_inner, dims
     )
@@ -561,7 +566,11 @@ def run_experiment2(
     k_inner: int = 4,
     dims: Sequence[str] = DIMS,
 ) -> ExperimentReport:
-    """Ablate audiovisual-only against audiovisual-plus-memory conditions."""
+    """Ablate audiovisual-only against audiovisual-plus-memory conditions.
+
+    As with `run_experiment1`, the same seed gives a bit-for-bit equal report
+    only at a fixed BLAS thread count.
+    """
     return _run(
         "experiment2", ds, av_features, grid, seed, extractor,
         tuple(conditions), tuple(strategies), k_outer, k_inner, dims,

@@ -5,6 +5,15 @@ predict the mean of their training targets. Every tree draws its bootstrap
 sample and feature subsets from an independent generator derived from the
 forest seed, so fits are deterministic and independent of any internal
 parallelism.
+
+A split is searched on each drawn feature's rows in stable sorted order of
+its values: equal values keep the node's row order, and a child's rows are its
+parent's in that order. The search sorts with a faster unstable sort, which
+gives the same order wherever equal values belong to copies of one bootstrap
+row, since those copies are interchangeable. Only a feature on which two
+distinct rows of X are equal is sorted again, stably. The prefix sums, the
+scores and the children therefore match a search with a stable sort bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,13 +37,14 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
+        # Each check is written so that NaN fails it: every comparison with NaN is false.
+        if not self.n_trees >= 1:
             raise ValueError(f"n_trees must be positive, got {self.n_trees}")
         if not 0.0 < self.max_features <= 1.0:
             raise ValueError(f"max_features must be in (0, 1], got {self.max_features}")
-        if self.min_leaf < 1:
+        if not self.min_leaf >= 1:
             raise ValueError(f"min_leaf must be positive, got {self.min_leaf}")
-        if self.max_depth is not None and self.max_depth < 1:
+        if self.max_depth is not None and not self.max_depth >= 1:
             raise ValueError(f"max_depth must be positive, got {self.max_depth}")
 
 
@@ -55,48 +65,100 @@ class ForestModel:
     n_features: int
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    ids: np.ndarray,
-    feats: np.ndarray,
-    min_leaf: int,
-) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-    """Best variance-reducing split over the feature subset, or None."""
-    m = ids.shape[0]
-    sub = X[np.ix_(ids, feats)]
-    order = np.argsort(sub, axis=0, kind="stable")
-    xs = np.take_along_axis(sub, order, axis=0)
-    ys = y[ids][order]
+class _SplitSearch:
+    """Per-fit state of the split search: X transposed and per-size constants.
 
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1, :]
-    k = np.arange(1, m)[:, None].astype(float)
-    left_sum = csum[:-1, :]
-    right_sum = total[None, :] - left_sum
-    # Maximizing sum_L^2/n_L + sum_R^2/n_R minimizes total child SSE.
-    score = left_sum**2 / k + right_sum**2 / (m - k)
+    `best_split` finds the same split as an exhaustive search over the drawn
+    features: each feature's rows in stable sorted order of its values, the
+    score `left**2 / k + right**2 / (m - k)` at every position that leaves
+    `min_leaf` rows on each side and falls between distinct values, and the
+    first maximum in (position, drawn feature) order.
+    """
 
-    valid = xs[:-1, :] < xs[1:, :]
-    kk = np.arange(1, m)[:, None]
-    valid &= (kk >= min_leaf) & (m - kk >= min_leaf)
-    if not valid.any():
-        return None
-    score = np.where(valid, score, -np.inf)
-    flat = int(np.argmax(score))
-    pos, col = np.unravel_index(flat, score.shape)
-    threshold = 0.5 * (xs[pos, col] + xs[pos + 1, col])
-    if threshold == xs[pos + 1, col]:  # the midpoint of adjacent floats rounds up
-        threshold = xs[pos, col]
-    ordered_ids = ids[order[:, col]]
-    return int(feats[col]), float(threshold), ordered_ids[: pos + 1], ordered_ids[pos + 1 :]
+    def __init__(self, X: np.ndarray, min_leaf: int, mtry: int):
+        self.XT = np.ascontiguousarray(X.T)  # (d, n): a node's block is gathered row-wise
+        ordered = np.sort(self.XT, axis=1)
+        # Features on which two distinct rows of X have equal values.
+        self.tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        self.min_leaf = math.ceil(min_leaf)  # the fewest rows a child may have
+        self.mtry = mtry
+        self._sizes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _constants(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """k and m - k (floats) for each scored left-child size k, and block-row offsets.
+
+        A node of m rows scores every k in [min_leaf, m - min_leaf].
+        """
+        if m not in self._sizes:
+            k = np.arange(self.min_leaf, m - self.min_leaf + 1, dtype=float)
+            self._sizes[m] = k, m - k, np.arange(0, self.mtry * m, m)[:, None]
+        return self._sizes[m]
+
+    def best_split(
+        self, ids: np.ndarray, targets: np.ndarray, feats: np.ndarray
+    ) -> tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """Best split of the node's rows `ids` (targets `y[ids]`) over `feats`, or None.
+
+        Returns the feature, the threshold, and the left and right children's
+        rows and targets, each in stable sorted order of the feature.
+        """
+        m = ids.shape[0]
+        lo = self.min_leaf
+        hi = m - lo
+        if hi < lo:  # no left-child size leaves min_leaf rows on both sides
+            return None
+        k, m_minus_k, offsets = self._constants(m)
+        block = self.XT.take(feats, axis=0).take(ids, axis=1)
+        # An unstable sort may reorder equal values. Copies of one row are
+        # interchangeable, so only features with ties between distinct rows
+        # need the stable order; those are sorted again, stably.
+        order = block.argsort(axis=1)
+        redo = self.tied[feats].nonzero()[0]
+        if redo.size:
+            order[redo] = block[redo].argsort(axis=1, kind="stable")
+        xs = block.take(order + offsets)
+        ys = targets[order]
+        csum = ys.cumsum(axis=1)
+
+        left = csum[:, lo - 1 : hi]
+        # Maximizing sum_L^2/n_L + sum_R^2/n_R minimizes total child SSE.
+        right = csum[:, -1:] - left
+        score = np.square(left)
+        score /= k
+        np.square(right, out=right)
+        right /= m_minus_k
+        score += right
+        # No split between equal values.
+        np.putmask(score, xs[:, lo - 1 : hi] == xs[:, lo : hi + 1], -np.inf)
+
+        flat = int(score.T.argmax())  # the first maximum in (position, feature) order
+        pos, col = divmod(flat, self.mtry)
+        if score[col, pos] == -np.inf:
+            return None
+        pos += lo - 1
+        below, above = float(xs[col, pos]), float(xs[col, pos + 1])
+        threshold = 0.5 * (below + above)
+        if threshold == above:  # the midpoint of adjacent floats rounds up
+            threshold = below
+        split_ids, split_ys = ids[order[col]], ys[col]
+        return (
+            int(feats[col]),
+            threshold,
+            split_ids[: pos + 1],
+            split_ys[: pos + 1],
+            split_ids[pos + 1 :],
+            split_ys[pos + 1 :],
+        )
 
 
 def _grow_tree(
-    X: np.ndarray, y: np.ndarray, ids: np.ndarray, params: ForestParams, rng: np.random.Generator
+    search: _SplitSearch,
+    y: np.ndarray,
+    ids: np.ndarray,
+    params: ForestParams,
+    rng: np.random.Generator,
 ) -> _Tree:
-    d = X.shape[1]
-    mtry = max(1, int(math.ceil(d * params.max_features)))
+    d, mtry = search.XT.shape[0], search.mtry
     feature, threshold, left, right, value, sizes = [], [], [], [], [], []
 
     def new_node() -> int:
@@ -109,31 +171,31 @@ def _grow_tree(
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, ids, 0)]
+    stack = [(root, ids, y[ids], 0)]
     while stack:
-        node, node_ids, depth = stack.pop()
-        targets = y[node_ids]
-        value[node] = float(targets.mean())
-        sizes[node] = int(node_ids.shape[0])
+        node, node_ids, targets, depth = stack.pop()
+        m = node_ids.shape[0]
+        value[node] = float(targets.sum()) / m  # bit-equal to targets.mean()
+        sizes[node] = m
         if (
-            node_ids.shape[0] < 2 * params.min_leaf
+            m < 2 * params.min_leaf
             or (params.max_depth is not None and depth >= params.max_depth)
-            or np.ptp(targets) == 0.0
+            or targets.min() == targets.max()
         ):
             continue
         feats = rng.choice(d, size=mtry, replace=False)
-        split = _best_split(X, y, node_ids, feats, params.min_leaf)
+        split = search.best_split(node_ids, targets, feats)
         if split is None:
             continue
-        feat, thr, left_ids, right_ids = split
+        feat, thr, left_ids, left_ys, right_ids, right_ys = split
         feature[node] = feat
         threshold[node] = thr
         left_child = new_node()
         right_child = new_node()
         left[node] = left_child
         right[node] = right_child
-        stack.append((left_child, left_ids, depth + 1))
-        stack.append((right_child, right_ids, depth + 1))
+        stack.append((left_child, left_ids, left_ys, depth + 1))
+        stack.append((right_child, right_ids, right_ys, depth + 1))
 
     return _Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -158,11 +220,13 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestMode
         raise ValueError("non-finite values in training data")
 
     n = X.shape[0]
+    mtry = max(1, int(math.ceil(X.shape[1] * params.max_features)))
+    search = _SplitSearch(X, params.min_leaf, mtry)
     trees = []
     for t in range(params.n_trees):
         rng = child_rng(params.seed, "tree", t)
         bootstrap = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, np.sort(bootstrap), params, rng))
+        trees.append(_grow_tree(search, y, np.sort(bootstrap), params, rng))
     return ForestModel(params=params, trees=trees, n_features=X.shape[1])
 
 

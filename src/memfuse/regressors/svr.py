@@ -34,6 +34,7 @@ for a single row.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -54,17 +55,18 @@ class SvrParams:
     max_passes: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.gamma_scale <= 0:
-            raise ValueError(f"gamma_scale must be positive, got {self.gamma_scale}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_passes < 1:
+        # Each check is written so that NaN fails it: every comparison with NaN is false.
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (math.isfinite(self.gamma_scale) and self.gamma_scale > 0):
+            raise ValueError(f"gamma_scale must be positive and finite, got {self.gamma_scale}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not self.max_passes >= 1:
             raise ValueError(f"max_passes must be positive, got {self.max_passes}")
 
 
@@ -154,7 +156,7 @@ class SvrDesign:
         if key not in self._grams:
             gamma = _resolve_gamma(params, self.rows)
             self._grams[key] = gamma, rbf_kernel_matrix(
-                self.rows, self.rows, gamma, self.row_sq_norms
+                self.rows, self.rows, gamma, self.row_sq_norms, self.row_sq_norms
             )
         return self._grams[key]
 

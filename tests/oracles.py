@@ -1,8 +1,9 @@
 """Independent reference solvers used to check production code.
 
 These deliberately take different algorithmic routes than the package:
-a dense projected-gradient QP solver for the SVR dual and explicit normal
-equations for ridge.
+a dense projected-gradient QP solver for the SVR dual, explicit normal
+equations for ridge, and a one-feature-at-a-time stable-sort scan for the
+forest's split search.
 """
 
 from __future__ import annotations
@@ -109,3 +110,40 @@ def ridge_normal_equations(
     weights = w / stds
     intercept = float(y.mean() - weights @ means)
     return weights, intercept
+
+
+def stable_sort_best_split(
+    X: np.ndarray, y: np.ndarray, ids: np.ndarray, feats: np.ndarray, min_leaf: int
+) -> tuple[int, float, np.ndarray, np.ndarray] | None:
+    """The forest's best split of rows `ids` over `feats`, one feature at a time.
+
+    Each feature's rows are put in stable sorted order of its values; every
+    position with at least `min_leaf` rows on each side and distinct values
+    on either side is scored by sum_L^2/n_L + sum_R^2/n_R, and the first
+    maximum in (position, feature) order wins. Returns the feature, the
+    threshold and the left and right rows, or None when no position is valid.
+    """
+    m = ids.shape[0]
+    best = None  # (score, position, column)
+    orders = []
+    for col, feat in enumerate(feats):
+        order = np.argsort(X[ids, feat], kind="stable")
+        orders.append(order)
+        xs, csum = X[ids[order], feat], np.cumsum(y[ids[order]])
+        for pos in range(m - 1):
+            k = pos + 1
+            if k < min_leaf or m - k < min_leaf or not xs[pos] < xs[pos + 1]:
+                continue
+            left, right = csum[pos], csum[-1] - csum[pos]
+            score = left**2 / float(k) + right**2 / float(m - k)
+            if best is None or score > best[0] or (score == best[0] and (pos, col) < best[1:]):
+                best = (score, pos, col)
+    if best is None:
+        return None
+    _, pos, col = best
+    ordered = ids[orders[col]]
+    below, above = X[ordered[pos], feats[col]], X[ordered[pos + 1], feats[col]]
+    threshold = 0.5 * (below + above)
+    if threshold == above:
+        threshold = below
+    return int(feats[col]), float(threshold), ordered[: pos + 1], ordered[pos + 1 :]

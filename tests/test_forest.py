@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,9 @@ from memfuse.regressors import (
     predict_forest,
     save_model,
 )
+from memfuse.regressors.forest import _SplitSearch
+
+from .oracles import stable_sort_best_split
 
 
 def test_constant_target(rng):
@@ -76,6 +83,12 @@ def test_too_few_rows(rng):
         fit_forest(rng.normal(size=(3, 2)), rng.normal(size=3), ForestParams(min_leaf=2))
 
 
+@pytest.mark.parametrize("field", ["n_trees", "min_leaf", "max_depth"])
+def test_params_reject_nan(field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ForestParams(**{field: float("nan")})
+
+
 def test_max_depth_limits_tree(rng):
     X = rng.normal(size=(100, 3))
     y = rng.normal(size=100)
@@ -131,3 +144,81 @@ def test_split_between_adjacent_floats_separates_them():
     model = fit_forest(x, y, ForestParams(n_trees=1, min_leaf=1, max_features=1.0, seed=0))
     assert model.trees[0].threshold[0] == x[0, 0]
     np.testing.assert_array_equal(predict_forest(model, x), y)
+
+
+# `tests/data/forest_ties_golden.json` pins `model_to_json` of forests grown on
+# tie-heavy inputs byte for byte: bootstrap duplicates, columns with few
+# distinct values (ties between distinct rows), a duplicated column (equal
+# scores across drawn features) and repeated one-decimal targets. A change to
+# the split search that moves any split, threshold, child order or leaf value
+# fails here.
+FOREST_GOLDEN = Path(__file__).parent / "data" / "forest_ties_golden.json"
+TIE_PARAMS = {
+    "leaf1_mf0.1": dict(min_leaf=1, max_features=0.1),
+    "leaf1_mf1.0": dict(min_leaf=1, max_features=1.0),
+    "leaf5_mf0.1": dict(min_leaf=5, max_features=0.1),
+    "leaf5_mf1.0": dict(min_leaf=5, max_features=1.0),
+    "leaf1_mf1.0_depth3": dict(min_leaf=1, max_features=1.0, max_depth=3),
+}
+
+
+def _tie_heavy_inputs() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(2024)
+    n = 48
+    continuous = rng.normal(size=(n, 3))
+    three_levels = rng.integers(0, 3, size=(n, 3)).astype(float)
+    binary = rng.integers(0, 2, size=(n, 2)).astype(float)
+    coarse = np.round(rng.normal(size=(n, 1)), 1)
+    constant = np.full((n, 1), 0.25)
+    X = np.hstack([continuous, three_levels, three_levels[:, :1], binary, coarse, constant])
+    # One decimal: targets repeat, and their float sums depend on the order of summation.
+    y = np.round(continuous[:, 0] + three_levels[:, 0] - binary[:, 0] + rng.normal(size=n), 1)
+    return X, y
+
+
+def _tie_golden_text() -> str:
+    X, y = _tie_heavy_inputs()
+    doc = {
+        name: model_to_json(fit_forest(X, y, ForestParams(n_trees=5, seed=17, **kwargs)))
+        for name, kwargs in TIE_PARAMS.items()
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_forest_bytes_on_tie_heavy_inputs():
+    assert _tie_golden_text() == FOREST_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
+    rng = np.random.default_rng(99)
+    for case in range(300):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 10))
+        levels = rng.integers(1, 6, size=d)  # columns with few distinct values tie often
+        X = np.where(
+            rng.random(d) < 0.5,
+            rng.integers(0, levels, size=(n, d)).astype(float),
+            rng.normal(size=(n, d)),
+        )
+        if d > 1 and rng.random() < 0.5:
+            X[:, 1] = X[:, 0]  # equal scores on two drawn features
+        y = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+        min_leaf = float(rng.choice([1, 2, 3, 4, 1.5, 2.5]))  # a fractional one rounds up
+        ids = rng.integers(0, n, size=int(rng.integers(math.ceil(2 * min_leaf), 60)))  # repeats
+        feats = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+
+        got = _SplitSearch(X, min_leaf, feats.shape[0]).best_split(ids, y[ids], feats)
+        expected = stable_sort_best_split(X, y, ids, feats, min_leaf)
+        if expected is None:
+            assert got is None, case
+            continue
+        feat, threshold, left_ids, left_ys, right_ids, right_ys = got
+        assert (feat, threshold) == expected[:2], case
+        np.testing.assert_array_equal(left_ids, expected[2])
+        np.testing.assert_array_equal(right_ids, expected[3])
+        assert left_ys.tobytes() == y[left_ids].tobytes()
+        assert right_ys.tobytes() == y[right_ids].tobytes()
+
+    # Five rows cannot leave min_leaf=2.5, so 3, rows on both sides.
+    x, ids, feats = np.arange(5.0)[:, None], np.arange(5), np.array([0])
+    assert stable_sort_best_split(x, x[:, 0], ids, feats, 2.5) is None
+    assert _SplitSearch(x, 2.5, 1).best_split(ids, x[:, 0], feats) is None

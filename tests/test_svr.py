@@ -98,9 +98,9 @@ def test_fits_on_a_shared_design_equal_fresh_fits_and_share_its_grams(rng, monke
     grams = []
     kernel = svr_module.rbf_kernel_matrix
 
-    def counting(A, B, gamma, A_sq_norms=None):
+    def counting(A, B, gamma, A_sq_norms=None, B_sq_norms=None):
         grams.append(gamma)
-        return kernel(A, B, gamma, A_sq_norms)
+        return kernel(A, B, gamma, A_sq_norms, B_sq_norms)
 
     X = rng.normal(size=(25, 3))
     y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=25)
@@ -286,3 +286,30 @@ def test_smo_matches_qp_oracle(trial, rng):
     pred_oracle = beta_oracle @ K_test + bias_oracle
     pred_smo = predict_svr(model, X_test)
     assert np.max(np.abs(pred_smo - pred_oracle)) <= 1e-3
+
+
+@pytest.mark.parametrize("field", ["c", "epsilon", "gamma", "gamma_scale", "tol", "max_passes"])
+def test_params_reject_nan(field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SvrParams(**{field: float("nan")})
+
+
+def test_params_reject_infinite_c():
+    with pytest.raises(ValueError, match="^c must be"):
+        SvrParams(c=float("inf"))
+
+
+def test_gram_passes_the_rows_norms_for_both_sides(rng, monkeypatch):
+    seen = []
+    kernel = svr_module.rbf_kernel_matrix
+
+    def recording(A, B, gamma, A_sq_norms=None, B_sq_norms=None):
+        seen.append((A_sq_norms, B_sq_norms))
+        return kernel(A, B, gamma, A_sq_norms, B_sq_norms)
+
+    X = rng.normal(size=(12, 3))
+    design = SvrDesign(X)
+    monkeypatch.setattr(svr_module, "rbf_kernel_matrix", recording)
+    gamma, gram = design.gram(SvrParams())
+    assert [(a is design.row_sq_norms, b is design.row_sq_norms) for a, b in seen] == [(True, True)]
+    assert gram.tobytes() == kernel(design.rows, design.rows, gamma).tobytes()
