@@ -8,12 +8,11 @@ parallelism.
 
 A split is searched on each drawn feature's rows in stable sorted order of
 its values: equal values keep the node's row order, and a child's rows are its
-parent's in that order. The search sorts with a faster unstable sort, which
-gives the same order wherever equal values belong to copies of one bootstrap
-row, since those copies are interchangeable. Only a feature on which two
-distinct rows of X are equal is sorted again, stably. The prefix sums, the
-scores and the children therefore match a search with a stable sort bit for
-bit.
+parent's in that order. Each fit ranks every feature's values once, equal
+values sharing a rank. A node then sorts integer keys that hold a value's rank
+above its row's position in the node. No two keys of a node are equal, so any
+sort puts them in the stable order of the values, and the prefix sums, the
+scores and the children match a search with a stable sort bit for bit.
 """
 
 from __future__ import annotations
@@ -65,33 +64,55 @@ class ForestModel:
     n_features: int
 
 
+def _sorted_ranks(X: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's values in sorted order: their flat indices into X.T, and their ranks.
+
+    Ranks count the distinct values of a feature, from 0; equal values share one.
+    """
+    XT = np.ascontiguousarray(X.T)
+    d, n = XT.shape
+    order = XT.argsort(axis=1)
+    order += np.arange(0, d * n, n)[:, None]
+    ordered = XT.ravel().take(order)
+    ranks = np.zeros((d, n), dtype=dtype)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
+    return order, ranks
+
+
 class _SplitSearch:
-    """Per-fit state of the split search: X transposed and per-size constants.
+    """Per-fit state of the split search: X, its rank keys and per-size constants.
 
     `best_split` finds the same split as an exhaustive search over the drawn
     features: each feature's rows in stable sorted order of its values, the
     score `left**2 / k + right**2 / (m - k)` at every position that leaves
     `min_leaf` rows on each side and falls between distinct values, and the
-    first maximum in (position, drawn feature) order.
+    first maximum in (position, drawn feature) order. A node may hold at most
+    as many rows as X has, as a bootstrap sample does.
     """
 
     def __init__(self, X: np.ndarray, min_leaf: int, mtry: int):
-        self.XT = np.ascontiguousarray(X.T)  # (d, n): a node's block is gathered row-wise
-        ordered = np.sort(self.XT, axis=1)
-        # Features on which two distinct rows of X have equal values.
-        self.tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        self.X = X
+        n = X.shape[0]
+        # A key holds the value's rank among its feature's values above `bits`
+        # bits, which a node fills with each row's position.
+        self.bits = n.bit_length()
+        dtype = np.int32 if 2 * self.bits < 32 else np.int64
+        order, ranks = _sorted_ranks(X, dtype)
+        ranks <<= self.bits
+        self.keys = np.empty_like(ranks)  # (d, n): a node's block is gathered row-wise
+        self.keys.ravel()[order] = ranks
         self.min_leaf = math.ceil(min_leaf)  # the fewest rows a child may have
         self.mtry = mtry
         self._sizes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _constants(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """k and m - k (floats) for each scored left-child size k, and block-row offsets.
+        """Row positions 0..m-1, and k and m - k (floats) for each scored left-child size k.
 
         A node of m rows scores every k in [min_leaf, m - min_leaf].
         """
         if m not in self._sizes:
             k = np.arange(self.min_leaf, m - self.min_leaf + 1, dtype=float)
-            self._sizes[m] = k, m - k, np.arange(0, self.mtry * m, m)[:, None]
+            self._sizes[m] = np.arange(m, dtype=self.keys.dtype), k, m - k
         return self._sizes[m]
 
     def best_split(
@@ -107,17 +128,12 @@ class _SplitSearch:
         hi = m - lo
         if hi < lo:  # no left-child size leaves min_leaf rows on both sides
             return None
-        k, m_minus_k, offsets = self._constants(m)
-        block = self.XT.take(feats, axis=0).take(ids, axis=1)
-        # An unstable sort may reorder equal values. Copies of one row are
-        # interchangeable, so only features with ties between distinct rows
-        # need the stable order; those are sorted again, stably.
-        order = block.argsort(axis=1)
-        redo = self.tied[feats].nonzero()[0]
-        if redo.size:
-            order[redo] = block[redo].argsort(axis=1, kind="stable")
-        xs = block.take(order + offsets)
-        ys = targets[order]
+        positions, k, m_minus_k = self._constants(m)
+        keys = self.keys.take(feats, axis=0).take(ids, axis=1)
+        keys += positions
+        keys.sort(axis=1)
+        order = keys & ((1 << self.bits) - 1)
+        ys = targets.take(order)
         csum = ys.cumsum(axis=1)
 
         left = csum[:, lo - 1 : hi]
@@ -129,20 +145,24 @@ class _SplitSearch:
         right /= m_minus_k
         score += right
         # No split between equal values.
-        np.putmask(score, xs[:, lo - 1 : hi] == xs[:, lo : hi + 1], -np.inf)
+        keys >>= self.bits
+        np.putmask(score, keys[:, lo - 1 : hi] == keys[:, lo : hi + 1], -np.inf)
 
         flat = int(score.T.argmax())  # the first maximum in (position, feature) order
         pos, col = divmod(flat, self.mtry)
         if score[col, pos] == -np.inf:
             return None
         pos += lo - 1
-        below, above = float(xs[col, pos]), float(xs[col, pos + 1])
+        feat = int(feats[col])
+        split_ids = ids.take(order[col])
+        below = float(self.X[split_ids[pos], feat])
+        above = float(self.X[split_ids[pos + 1], feat])
         threshold = 0.5 * (below + above)
         if threshold == above:  # the midpoint of adjacent floats rounds up
             threshold = below
-        split_ids, split_ys = ids[order[col]], ys[col]
+        split_ys = ys[col].copy()  # so the children do not hold the whole block
         return (
-            int(feats[col]),
+            feat,
             threshold,
             split_ids[: pos + 1],
             split_ys[: pos + 1],
@@ -158,7 +178,7 @@ def _grow_tree(
     params: ForestParams,
     rng: np.random.Generator,
 ) -> _Tree:
-    d, mtry = search.XT.shape[0], search.mtry
+    d, mtry = search.keys.shape[0], search.mtry
     feature, threshold, left, right, value, sizes = [], [], [], [], [], []
 
     def new_node() -> int:

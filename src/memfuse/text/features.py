@@ -7,10 +7,7 @@ blocks are concatenated in load order. The rule scorer's four document scores
 are appended after the lexicon blocks, so with the bundled suite the lexical
 vector is 130-dimensional and the embedding vector 500-dimensional.
 `TextFeatureExtractor.extract` tokenizes a text once and hands the tokens to
-both families and to the rule scorer. Each extractor remembers the features of
-the last `_MEMO_TEXTS` distinct texts it extracted, so a text seen again (the
-same memory descriptions in every experiment run) is featurized once; the
-remembered arrays are read-only, so no caller can change a later result.
+both families and to the rule scorer.
 """
 
 from __future__ import annotations
@@ -25,10 +22,6 @@ from .preprocess import Token, lemmatize, preprocess, tokenize
 from .sentiment import RuleScorer
 
 __all__ = ["TextFeatures", "lexical_features", "embed_features", "TextFeatureExtractor"]
-
-# Texts whose features one extractor remembers (about 5 KB each with the
-# bundled suite); past this the oldest entry is dropped first.
-_MEMO_TEXTS = 1000
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,6 @@ class TextFeatureExtractor:
 
     def __init__(self, resources: TextResources):
         self.resources = resources
-        self._memo: dict[str, TextFeatures] = {}  # insertion order is age
 
     @property
     def lexical_dim(self) -> int:
@@ -121,25 +113,15 @@ class TextFeatureExtractor:
         return self.resources.embedding_dim
 
     def extract(self, text: str) -> TextFeatures:
-        """Features of `text`; a text still remembered returns the object made for it."""
-        feats = self._memo.get(text)
-        if feats is not None:
-            return feats
         tokens = tokenize(preprocess(text))
         pairs = _word_pairs(tokens)
         lexical, lex_cov = _lexical(
             tokens, pairs, self.resources.lexicons, self.resources.scorer
         )
         embedding, emb_cov = _embedding(pairs, self.resources.embeddings)
-        lexical.flags.writeable = False
-        embedding.flags.writeable = False
-        feats = TextFeatures(
+        return TextFeatures(
             lexical=lexical,
             embedding=embedding,
             lexical_coverage=lex_cov,
             embedding_coverage=emb_cov,
         )
-        if len(self._memo) >= _MEMO_TEXTS:
-            del self._memo[next(iter(self._memo))]
-        self._memo[text] = feats
-        return feats

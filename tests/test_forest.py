@@ -192,7 +192,7 @@ def test_forest_bytes_on_tie_heavy_inputs():
 def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
     rng = np.random.default_rng(99)
     for case in range(300):
-        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 10))
+        n, d = int(rng.integers(8, 60)), int(rng.integers(1, 10))
         levels = rng.integers(1, 6, size=d)  # columns with few distinct values tie often
         X = np.where(
             rng.random(d) < 0.5,
@@ -203,7 +203,8 @@ def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
             X[:, 1] = X[:, 0]  # equal scores on two drawn features
         y = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
         min_leaf = float(rng.choice([1, 2, 3, 4, 1.5, 2.5]))  # a fractional one rounds up
-        ids = rng.integers(0, n, size=int(rng.integers(math.ceil(2 * min_leaf), 60)))  # repeats
+        # Drawn with repeats, and at most n of them, as a bootstrap sample is.
+        ids = rng.integers(0, n, size=int(rng.integers(math.ceil(2 * min_leaf), n + 1)))
         feats = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
 
         got = _SplitSearch(X, min_leaf, feats.shape[0]).best_split(ids, y[ids], feats)
@@ -217,6 +218,17 @@ def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
         np.testing.assert_array_equal(right_ids, expected[3])
         assert left_ys.tobytes() == y[left_ids].tobytes()
         assert right_ys.tobytes() == y[right_ids].tobytes()
+
+    # From 2**15 rows on, keys are 64-bit; a rank and a position of 2**16
+    # rows would overflow 32 bits.
+    X = np.column_stack([rng.normal(size=2**16), rng.integers(0, 3, size=2**16)])
+    y = np.round(rng.normal(size=2**16), 1)
+    ids, feats = rng.integers(0, 2**16, size=50), np.array([1, 0])
+    got = _SplitSearch(X, 1, 2).best_split(ids, y[ids], feats)
+    expected = stable_sort_best_split(X, y, ids, feats, 1)
+    assert got[:2] == expected[:2]
+    np.testing.assert_array_equal(got[2], expected[2])
+    np.testing.assert_array_equal(got[4], expected[3])
 
     # Five rows cannot leave min_leaf=2.5, so 3, rows on both sides.
     x, ids, feats = np.arange(5.0)[:, None], np.arange(5), np.array([0])

@@ -141,23 +141,18 @@ def test_bundled_suite_dimensions():
     assert feats.embedding_coverage > 0
 
 
-def _counting_tokenize(monkeypatch):
+def test_extract_tokenizes_once_and_matches_the_feature_functions(monkeypatch):
     from memfuse.text import features, sentiment
 
-    calls = []
-    for module in (features, sentiment):
-        original = module.tokenize
-        monkeypatch.setattr(module, "tokenize", lambda t, f=original: calls.append(t) or f(t))
-    return calls
-
-
-def test_extract_tokenizes_once_and_matches_the_feature_functions(monkeypatch):
     resources = load_resources()
     text = "I was NOT happy at all!! The morning felt so awful."
     lexical, lex_cov = lexical_features(text, resources.lexicons, resources.scorer)
     embedding, emb_cov = embed_features(text, resources.embeddings)
 
-    calls = _counting_tokenize(monkeypatch)
+    calls = []
+    for module in (features, sentiment):
+        original = module.tokenize
+        monkeypatch.setattr(module, "tokenize", lambda t, f=original: calls.append(t) or f(t))
     feats = TextFeatureExtractor(resources).extract(text)
     assert len(calls) == 1
     assert feats.lexical.tobytes() == lexical.tobytes()
@@ -192,57 +187,3 @@ def test_embedding_dim_inferred(tmp_path):
     path.write_text("one 0.1 0.2 0.3\n", encoding="utf-8")
     table = load_embedding_text(path)
     assert table.dim == 3
-
-
-def test_extract_repeated_text_returns_equal_features_and_tokenizes_once(monkeypatch):
-    extractor = TextFeatureExtractor(load_resources())
-    text = "we danced all evening and felt triumphant"
-    calls = _counting_tokenize(monkeypatch)
-    first = extractor.extract(text)
-    again = extractor.extract(text)
-    assert len(calls) == 1
-    assert again.lexical.tobytes() == first.lexical.tobytes()
-    assert again.embedding.tobytes() == first.embedding.tobytes()
-    assert (again.lexical_coverage, again.embedding_coverage) == (
-        first.lexical_coverage,
-        first.embedding_coverage,
-    )
-
-
-def test_extract_returns_read_only_arrays():
-    feats = TextFeatureExtractor(load_resources()).extract("a quiet morning by the lake")
-    for array in (feats.lexical, feats.embedding):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
-
-
-def test_extract_memo_is_bounded_and_drops_the_oldest_text_first(monkeypatch):
-    from memfuse.text import features
-
-    monkeypatch.setattr(features, "_MEMO_TEXTS", 3)
-    extractor = TextFeatureExtractor(load_resources())
-    texts = [f"memory number {word}" for word in ("one", "two", "three", "four", "five")]
-    for text in texts:
-        extractor.extract(text)
-        assert len(extractor._memo) <= 3
-    assert list(extractor._memo) == texts[2:]
-
-    calls = _counting_tokenize(monkeypatch)
-    extractor.extract(texts[4])  # still remembered
-    assert calls == []
-    extractor.extract(texts[0])  # dropped first, so featurized again
-    assert len(calls) == 1
-    assert list(extractor._memo) == texts[3:] + texts[:1]
-
-
-def test_extract_memo_leaves_distinct_texts_unaffected():
-    resources = load_resources()
-    texts = ["I was NOT happy at all!!", "the morning felt so awful", "we won the final"]
-    memoized = TextFeatureExtractor(resources)
-    for text in texts + texts[::-1]:
-        feats = memoized.extract(text)
-        lexical, lex_cov = lexical_features(text, resources.lexicons, resources.scorer)
-        embedding, emb_cov = embed_features(text, resources.embeddings)
-        assert feats.lexical.tobytes() == lexical.tobytes()
-        assert feats.embedding.tobytes() == embedding.tobytes()
-        assert (feats.lexical_coverage, feats.embedding_coverage) == (lex_cov, emb_cov)
