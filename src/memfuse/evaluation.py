@@ -6,16 +6,17 @@ search re-tunes the hyperparameters on participant-grouped inner folds, and
 late fusion stacks on grouped folds of its own. All three levels come from
 `folds.group_splits`, which raises if a participant leaks across a split.
 Every fit draws its seed from `child_seed(seed, dim, condition, strategy,
-fold)`, so the loop order cannot change a result. The grid search runs its
-inner folds outermost and fits all grid points of a fold in one call. In
-late fusion, `fusion.late_fusion_fit_grid` fits a base model once per
-setting of its own keys and `stack.k_inner`, not once per grid point, and
+fold)`, so the loop order cannot change a result. One routine fits a fold's
+training rows and predicts its test rows at a list of grid points: the grid
+search calls it once per inner fold with every point, and each outer fold
+calls it once with the selected point. In late fusion,
+`fusion.late_fusion_fit_grid` fits a base model once per setting of its own
+keys and `stack.k_inner`, not once per grid point, and
 `fusion.late_fusion_predict_grid` runs each on the test rows once. In early
 fusion, `fusion.early_fusion_predict_grid` builds one RBF Gram per setting
 of the kernel-width keys (`svr.gamma`, `svr.gamma_scale`), solves each grid
 point of that setting on it, and scores every point from one standardized
-block of the fold's test rows. The outer fold's refit at the selected point
-is a plain `late_fusion_fit` or `early_fusion_fit`. Reported numbers are
+block of the fold's test rows. Reported numbers are
 per-fold test R-squared values and their mean ("AvgR2"). The AV-dagger
 baseline predicts each video's training-fold mean rating, the ceiling of a
 context-free model on the same data.
@@ -33,7 +34,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,14 +43,13 @@ from .folds import assign_group_folds, group_splits
 from .fusion import (
     LateFusionParams,
     ModalityBundle,
-    early_fusion_fit,
     early_fusion_predict_grid,
-    fusion_predict,
     late_fusion_bases,
-    late_fusion_fit,
     late_fusion_fit_grid,
     late_fusion_predict_grid,
 )
+# Not called here; bench/tracer.py wraps these names where this module once looked them up.
+from .fusion import early_fusion_fit, fusion_predict, late_fusion_fit  # noqa: F401
 from .model import Dataset, memory_subset
 from .regressors import ForestParams, SvrParams
 from .text import TextFeatureExtractor, load_resources
@@ -223,27 +223,28 @@ def _late_point(hyper: Mapping) -> tuple[LateFusionParams, float, int]:
     return base_params, hyper.get("ridge.alpha", 1.0), hyper.get("stack.k_inner", 4)
 
 
-def _fit(strategy: str, bundles, y, groups, hyper, seed):
+def _fold_predictions(
+    strategy: str, bundles, y, groups, train_rows, test_rows, combos: list[dict], seed: int
+) -> Iterable[np.ndarray]:
+    """Per combo, in order: the test-row predictions of a fit on the training rows.
+
+    Late fusion returns a list. Early fusion returns a generator, which fits
+    and holds one model at a time and, run to its end, releases the fold's
+    arrays. Only late fusion draws from `seed`; an SVR fit is deterministic.
+    """
+    train_bundles = [bundles[r] for r in train_rows]
+    test_bundles = [bundles[r] for r in test_rows]
     if strategy == "early":
-        return early_fusion_fit(bundles, y, _learner_params(SvrParams, "svr.", hyper))
-    base_params, meta_alpha, k_inner = _late_point(hyper)
-    return late_fusion_fit(
-        bundles, y, base_params, meta_alpha=meta_alpha, k_inner=k_inner, groups=groups, seed=seed
-    )
-
-
-def _fold_r2(strategy: str, bundles, y, groups, train_rows, test_rows, hyper, seed) -> float:
-    """Fit on the training rows and return the R2 on the test rows."""
-    model = _fit(
-        strategy,
-        [bundles[r] for r in train_rows],
+        points = [_learner_params(SvrParams, "svr.", combo) for combo in combos]
+        return early_fusion_predict_grid(train_bundles, y[train_rows], points, test_bundles)
+    models = late_fusion_fit_grid(
+        train_bundles,
         y[train_rows],
-        [groups[r] for r in train_rows],
-        hyper,
-        seed,
+        [_late_point(combo) for combo in combos],
+        groups=[groups[r] for r in train_rows],
+        seed=seed,
     )
-    pred = fusion_predict(model, [bundles[r] for r in test_rows])
-    return r2_score(y[test_rows], pred)
+    return late_fusion_predict_grid(models, test_bundles)
 
 
 def _sort_key(values: tuple) -> tuple:
@@ -269,13 +270,15 @@ def grid_search(
     learner here reads, short-circuits without fitting anything; its one
     point leaves the unset parameters at their defaults.
 
-    Each inner fold is fitted once for all grid points. For late fusion that
-    is one `late_fusion_fit_grid` call: per fold, a base model's out-of-fold
-    column is fitted once per distinct setting of its own keys ("svr.*" for
-    audio and visual, "forest.*" for memory) and "stack.k_inner", its final
-    fit once per setting of its own keys, and "ridge.alpha" only refits the
-    ridge meta-learner. `late_fusion_predict_grid` then runs each distinct
-    final base model on the fold's test rows once. For early fusion it is
+    Each inner fold is fitted and scored once for all grid points, by the
+    routine that also refits each outer fold at its selected point. For
+    late fusion that is one `late_fusion_fit_grid` call: per fold, a base
+    model's out-of-fold column is fitted once per distinct setting of its
+    own keys ("svr.*" for audio and visual, "forest.*" for memory) and
+    "stack.k_inner", its final fit once per setting of its own keys, and
+    "ridge.alpha" only refits the ridge meta-learner.
+    `late_fusion_predict_grid` then runs each distinct final base model on
+    the fold's test rows once. For early fusion it is
     one `early_fusion_predict_grid` call: per fold, the training features
     are standardized once and the RBF Gram is built once per setting of
     "svr.gamma" and "svr.gamma_scale", and the test features are
@@ -295,26 +298,13 @@ def grid_search(
     if len(combos) == 1:
         return combos[0], [{"hyper": combos[0], "mean_r2": None, "fold_r2": []}]
 
-    if strategy == "late":
-        points = [_late_point(combo) for combo in combos]
-    else:
-        points = [_learner_params(SvrParams, "svr.", combo) for combo in combos]
     splits = group_splits(groups, k_inner, child_seed(seed, "inner-folds"))
     fold_scores: list[list[float]] = [[] for _ in combos]
     for fold, (train_rows, test_rows) in enumerate(splits):
-        train_bundles = [bundles[r] for r in train_rows]
-        test_bundles = [bundles[r] for r in test_rows]
-        if strategy == "late":
-            models = late_fusion_fit_grid(
-                train_bundles,
-                y[train_rows],
-                points,
-                groups=[groups[r] for r in train_rows],
-                seed=child_seed(seed, "inner-fit", fold),
-            )
-            preds = late_fusion_predict_grid(models, points, test_bundles)
-        else:  # a generator: one early-fusion model is fitted and held at a time
-            preds = early_fusion_predict_grid(train_bundles, y[train_rows], points, test_bundles)
+        preds = _fold_predictions(
+            strategy, bundles, y, groups, train_rows, test_rows, combos,
+            child_seed(seed, "inner-fit", fold),
+        )
         # strict: a generator is run to its end, so it releases the fold's
         # arrays before the next fold builds its own.
         for scores, pred in zip(fold_scores, preds, strict=True):
@@ -506,12 +496,12 @@ def _run(
                         k_inner=k_inner,
                         seed=fold_seed,
                     )
-                    scores.append(
-                        _fold_r2(
-                            strat, bundles, y, participants, train_rows, test_rows, best,
-                            child_seed(fold_seed, "final"),
-                        )
+                    # Unpacking runs an early-fusion generator to its end.
+                    (pred,) = _fold_predictions(
+                        strat, bundles, y, participants, train_rows, test_rows, [best],
+                        child_seed(fold_seed, "final"),
                     )
+                    scores.append(r2_score(y[test_rows], pred))
                     params.append(best)
                 cells[(dim, cond, strat)] = CellResult(
                     mean_r2=float(np.mean(scores)), fold_r2=tuple(scores), params=tuple(params)

@@ -9,6 +9,7 @@ from `group_splits`.
 
 from __future__ import annotations
 
+import numbers
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -21,8 +22,8 @@ def assign_group_folds(
 ) -> dict[Hashable, int]:
     """Deterministically assign each distinct group id to one of k folds."""
     distinct = sorted(set(group_ids), key=str)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > len(distinct):
         raise ValueError(f"k={k} exceeds number of groups ({len(distinct)})")
     rng = np.random.default_rng(seed)

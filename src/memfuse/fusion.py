@@ -14,19 +14,18 @@ only on (base, its own params, `k_inner`) and its final fit only on (base,
 its own params), since the fit seeds are the same at every point; each is
 computed once per distinct key and shared, so the base fits grow as the sum
 of the distinct base settings, not their product with the other axes.
-`late_fusion_fit` is its one-point case, and `late_fusion_predict_grid`
-predicts with every model of such a grid, running each shared base model on
-the given rows once.
+`late_fusion_fit` is its one-point case. `late_fusion_predict_grid` predicts
+with many late-fusion models, running each distinct base-model object on the
+given rows once; `fusion_predict` is its one-model case.
 
-`early_fusion_fit_grid` does the same for early fusion. The concatenated
-features, their standardization and the RBF Gram read neither the targets
-nor C nor epsilon, so the SVR of every point is solved on one `SvrDesign`,
-whose Gram is built once per distinct gamma setting. `early_fusion_fit` is
-its one-point case. `early_fusion_predict_grid` fits the same models and
-predicts given test rows with each: the test rows are concatenated, checked
-and standardized once for all points (`SvrDesign.predictions`), and each
-point's kernel is built on its own support vectors, as `fusion_predict`
-builds it.
+`early_fusion_predict_grid` does the same for early fusion, fitting and
+predicting in one pass. The concatenated features, their standardization and
+the RBF Gram read neither the targets nor C nor epsilon, so the SVR of every
+point is solved on one `SvrDesign`, whose Gram is built once per distinct
+gamma setting. The test rows are concatenated, checked and standardized once
+for all points (`SvrDesign.predictions`), and each point's kernel is built on
+its own support vectors, as `fusion_predict` builds it. `early_fusion_fit`
+fits one SVR on the concatenated features.
 
 A full experiment fits one model per affective dimension (P, A, D); these
 fits are independent and this module is agnostic about which dimension it is
@@ -72,7 +71,6 @@ __all__ = [
     "LateFusionParams",
     "late_fusion_bases",
     "early_fusion_fit",
-    "early_fusion_fit_grid",
     "early_fusion_predict_grid",
     "late_fusion_fit",
     "late_fusion_fit_grid",
@@ -143,35 +141,8 @@ class LateFusionModel:
     fold_log: list[dict]  # per OOF fold: train row/group sets vs predicted rows
 
 
-def _early_design(
-    bundles: list[ModalityBundle],
-) -> tuple[tuple[str, ...], dict[str, int], np.ndarray, SvrDesign]:
-    """(modalities, their widths, concatenated features, their `SvrDesign`)."""
-    modalities = _check_bundles(bundles)
-    X = _concat_features(bundles, modalities)
-    dims = {
-        name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in modalities
-    }
-    return modalities, dims, X, SvrDesign(X)
-
-
-def early_fusion_fit_grid(
-    bundles: list[ModalityBundle], y: np.ndarray, svr_params_list: Sequence[SvrParams]
-) -> Iterator[EarlyFusionModel]:
-    """Yield one early-fusion model per entry of `svr_params_list`, in order.
-
-    Each model equals `early_fusion_fit` at its params. The features are
-    concatenated once and every SVR is fitted on one `SvrDesign` of them, so
-    the standardization is computed once and the RBF Gram once per distinct
-    (gamma, gamma_scale). Models are fitted as they are consumed, so a caller
-    that drops each model before asking for the next holds one at a time.
-    """
-    modalities, dims, X, design = _early_design(bundles)
-    y = np.asarray(y, dtype=float)
-    for svr_params in svr_params_list:
-        yield EarlyFusionModel(
-            modalities=modalities, dims=dims, svr=fit_svr(X, y, svr_params, design=design)
-        )
+def _widths(bundles: list[ModalityBundle], modalities: tuple[str, ...]) -> dict[str, int]:
+    return {name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in modalities}
 
 
 def early_fusion_predict_grid(
@@ -180,26 +151,35 @@ def early_fusion_predict_grid(
     svr_params_list: Sequence[SvrParams],
     test_bundles: list[ModalityBundle],
 ) -> Iterator[np.ndarray]:
-    """Predict `test_bundles` with every model `early_fusion_fit_grid` yields.
+    """Fit early fusion at each of `svr_params_list` and yield its predictions on `test_bundles`.
 
-    Yields `fusion_predict(model, test_bundles)`, bit for bit, for each model
-    of `early_fusion_fit_grid(train_bundles, y, svr_params_list)`, in order.
-    The models are fitted as there, and the test features are concatenated,
-    checked and standardized once for all of them (`SvrDesign.predictions`).
-    One model is fitted and held at a time.
+    Yields `fusion_predict(early_fusion_fit(train_bundles, y, params),
+    test_bundles)`, bit for bit, for each params, in order. The training
+    features are concatenated and standardized once, the Gram is built once
+    per distinct (gamma, gamma_scale) on one `SvrDesign`, and the test
+    features are concatenated, checked and standardized once for all points
+    (`SvrDesign.predictions`). The raw training block is dropped once the
+    design holds its standardized rows, and one model is fitted and held at
+    a time.
     """
-    modalities, dims, X, design = _early_design(train_bundles)
-    _check_early_inputs(modalities, dims, test_bundles)
+    modalities = _check_bundles(train_bundles)
+    _check_early_inputs(modalities, _widths(train_bundles, modalities), test_bundles)
+    design = SvrDesign(_concat_features(train_bundles, modalities))
     y = np.asarray(y, dtype=float)
-    svrs = (fit_svr(X, y, svr_params, design=design) for svr_params in svr_params_list)
+    svrs = (fit_svr(design.rows, y, params, design=design) for params in svr_params_list)
     return design.predictions(svrs, _concat_features(test_bundles, modalities))
 
 
 def early_fusion_fit(
     bundles: list[ModalityBundle], y: np.ndarray, svr_params: SvrParams
 ) -> EarlyFusionModel:
-    """Early fusion at one point: `early_fusion_fit_grid` of one point."""
-    return next(early_fusion_fit_grid(bundles, y, [svr_params]))
+    """One SVR on the concatenated features of the active modalities."""
+    modalities = _check_bundles(bundles)
+    return EarlyFusionModel(
+        modalities=modalities,
+        dims=_widths(bundles, modalities),
+        svr=fit_svr(_concat_features(bundles, modalities), y, svr_params),
+    )
 
 
 _BASE_MODALITIES = {
@@ -372,8 +352,7 @@ def _check_early_inputs(
     active = _check_bundles(bundles)
     if active != modalities:
         raise ValueError(f"modalities {active} do not match fit-time {modalities}")
-    for name in modalities:
-        width = np.asarray(getattr(bundles[0], name)).shape[-1]
+    for name, width in _widths(bundles, modalities).items():
         if width != dims[name]:
             raise ValueError(f"{name} dimension {width} does not match fit-time {dims[name]}")
 
@@ -384,44 +363,35 @@ def fusion_predict(
     if isinstance(model, EarlyFusionModel):
         _check_early_inputs(model.modalities, model.dims, bundles)
         return predict_svr(model.svr, _concat_features(bundles, model.modalities))
-
-    active = _check_bundles(bundles)
-    _check_late_bases(model, active)
-    inputs = _base_inputs(bundles, active)
-    columns = [
-        _predict_base(model.base_models[name], inputs[name]) for name in model.base_order
-    ]
-    return predict_ridge(model.meta, np.column_stack(columns))
-
-
-def _check_late_bases(model: LateFusionModel, active: tuple[str, ...]) -> None:
-    base_order = late_fusion_bases(active)
-    if base_order != model.base_order:
-        raise ValueError(f"base models {base_order} do not match fit-time {model.base_order}")
+    return late_fusion_predict_grid([model], bundles)[0]
 
 
 def late_fusion_predict_grid(
-    models: Sequence[LateFusionModel],
-    points: Sequence[tuple[LateFusionParams, float, int]],
-    bundles: list[ModalityBundle],
+    models: Sequence[LateFusionModel], bundles: list[ModalityBundle]
 ) -> list[np.ndarray]:
-    """`fusion_predict` on `bundles` of each model `late_fusion_fit_grid(..., points)` returned.
+    """`fusion_predict(model, bundles)` for each of `models`, in order.
 
-    A base model of such a grid depends only on the base and its own params,
-    so its column on `bundles` is computed once per distinct (base, own
-    params), compared by value, and only the ridge is applied per point.
+    Each distinct base-model object runs on `bundles` once, and only the
+    ridge is applied per model. Models of one `late_fusion_fit_grid` call
+    whose points share a base setting share that base-model object, and so
+    its column; models fitted apart never do.
     """
     active = _check_bundles(bundles)
+    base_order = late_fusion_bases(active)
+    for model in models:
+        if model.base_order != base_order:
+            raise ValueError(f"base models {base_order} do not match fit-time {model.base_order}")
     inputs = _base_inputs(bundles, active)
-    columns: dict[tuple, np.ndarray] = {}  # (base, its params) -> predictions
+    # Keyed by object identity, which is unique while `models` holds every base model.
+    columns: dict[tuple[str, int], np.ndarray] = {}
     preds = []
-    for model, (base_params, _, _) in zip(models, points, strict=True):
-        _check_late_bases(model, active)
-        keys = [(name, getattr(base_params, name)) for name in model.base_order]
-        for name, own in keys:
-            if (name, own) not in columns:
-                columns[name, own] = _predict_base(model.base_models[name], inputs[name])
-        preds.append(predict_ridge(model.meta, np.column_stack([columns[k] for k in keys])))
+    for model in models:
+        bases = [(name, model.base_models[name]) for name in base_order]
+        for name, base in bases:
+            if (name, id(base)) not in columns:
+                columns[name, id(base)] = _predict_base(base, inputs[name])
+        stacked = np.column_stack([columns[name, id(base)] for name, base in bases])
+        preds.append(predict_ridge(model.meta, stacked))
     return preds
 
 

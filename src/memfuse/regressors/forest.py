@@ -18,6 +18,7 @@ scores and the children match a search with a stable sort bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,15 @@ class ForestParams:
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it: every comparison with NaN is false.
-        if not self.n_trees >= 1:
-            raise ValueError(f"n_trees must be positive, got {self.n_trees}")
+        # Counts must be Python or numpy integers: 2.5 trees or a 2.5-row leaf mean nothing.
+        for name in ("n_trees", "min_leaf", "max_depth"):
+            value = getattr(self, name)
+            if name == "max_depth" and value is None:
+                continue
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.max_features <= 1.0:
             raise ValueError(f"max_features must be in (0, 1], got {self.max_features}")
-        if not self.min_leaf >= 1:
-            raise ValueError(f"min_leaf must be positive, got {self.min_leaf}")
-        if self.max_depth is not None and not self.max_depth >= 1:
-            raise ValueError(f"max_depth must be positive, got {self.max_depth}")
 
 
 @dataclass
@@ -101,7 +103,7 @@ class _SplitSearch:
         ranks <<= self.bits
         self.keys = np.empty_like(ranks)  # (d, n): a node's block is gathered row-wise
         self.keys.ravel()[order] = ranks
-        self.min_leaf = math.ceil(min_leaf)  # the fewest rows a child may have
+        self.min_leaf = min_leaf  # the fewest rows a child may have
         self.mtry = mtry
         self._sizes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -66,8 +67,8 @@ class SvrParams:
             raise ValueError(f"gamma_scale must be positive and finite, got {self.gamma_scale}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not self.max_passes >= 1:
-            raise ValueError(f"max_passes must be positive, got {self.max_passes}")
+        if not (isinstance(self.max_passes, numbers.Integral) and self.max_passes >= 1):
+            raise ValueError(f"max_passes must be a positive integer, got {self.max_passes!r}")
 
 
 @dataclass
@@ -224,8 +225,10 @@ def fit_svr(
 ) -> SvrModel:
     """Fit an SVR on (X, y).
 
-    `design`, when given, must be `SvrDesign(X)` for this X; the fit then
-    reuses its standardization and its Gram for the gamma setting of `params`.
+    `design`, when given, must be `SvrDesign(X)` of the training rows; the
+    fit then reuses its standardization and its Gram for the gamma setting of
+    `params`, and reads X only for its shape. A caller may therefore pass
+    `design.rows` as X and drop the raw rows once the design is built.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)

@@ -164,6 +164,31 @@ def test_group_splits_follow_the_outer_fold_plan():
         assert {groups[r] for r in test_rows} == {p for p, f in plan.assignments.items() if f == fold}
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+def test_group_splits_reject_a_non_integer_fold_count(k):
+    with pytest.raises(ValueError, match="^k must be a positive integer"):
+        group_splits([f"p{i % 7}" for i in range(30)], k, seed=4)
+
+
+def test_group_splits_accept_a_numpy_integer_fold_count():
+    groups = [f"p{i % 7}" for i in range(30)]
+    for (train, test), (np_train, np_test) in zip(
+        group_splits(groups, 3, seed=4), group_splits(groups, np.int64(3), seed=4), strict=True
+    ):
+        assert np.array_equal(train, np_train) and np.array_equal(test, np_test)
+
+
+def test_grid_search_rejects_a_non_integer_stacking_fold_count(extractor):
+    ds, _ = _dataset(people=9)
+    bundles = _memory_bundles(extractor, ds)
+    grid = {"ridge.alpha": [1.0], "stack.k_inner": [2, 2.5]}
+    with pytest.raises(ValueError, match="^k must be a positive integer"):
+        grid_search(
+            bundles, np.array([r.induced.p for r in ds.responses]),
+            [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
+        )
+
+
 def _memory_bundles(extractor, ds):
     feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
     return [ModalityBundle(mem_lexical=f.lexical, mem_embedding=f.embedding) for f in feats]

@@ -1,5 +1,4 @@
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +86,20 @@ def test_too_few_rows(rng):
 def test_params_reject_nan(field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ForestParams(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field", ["n_trees", "min_leaf", "max_depth"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+def test_params_reject_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+        ForestParams(**{field: value})
+
+
+def test_params_accept_numpy_integer_counts(rng):
+    params = ForestParams(n_trees=np.int64(2), min_leaf=np.int32(2), max_depth=np.uint8(3))
+    X = rng.normal(size=(20, 3))
+    model = fit_forest(X, X[:, 0], params)
+    assert len(model.trees) == 2
 
 
 def test_max_depth_limits_tree(rng):
@@ -202,9 +215,9 @@ def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
         if d > 1 and rng.random() < 0.5:
             X[:, 1] = X[:, 0]  # equal scores on two drawn features
         y = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
-        min_leaf = float(rng.choice([1, 2, 3, 4, 1.5, 2.5]))  # a fractional one rounds up
+        min_leaf = int(rng.choice([1, 2, 3, 4]))
         # Drawn with repeats, and at most n of them, as a bootstrap sample is.
-        ids = rng.integers(0, n, size=int(rng.integers(math.ceil(2 * min_leaf), n + 1)))
+        ids = rng.integers(0, n, size=int(rng.integers(2 * min_leaf, n + 1)))
         feats = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
 
         got = _SplitSearch(X, min_leaf, feats.shape[0]).best_split(ids, y[ids], feats)
@@ -229,8 +242,3 @@ def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
     assert got[:2] == expected[:2]
     np.testing.assert_array_equal(got[2], expected[2])
     np.testing.assert_array_equal(got[4], expected[3])
-
-    # Five rows cannot leave min_leaf=2.5, so 3, rows on both sides.
-    x, ids, feats = np.arange(5.0)[:, None], np.arange(5), np.array([0])
-    assert stable_sort_best_split(x, x[:, 0], ids, feats, 2.5) is None
-    assert _SplitSearch(x, 2.5, 1).best_split(ids, x[:, 0], feats) is None

@@ -1,19 +1,29 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from memfuse import fusion
 from memfuse.fusion import (
     LateFusionParams,
     ModalityBundle,
     early_fusion_fit,
-    early_fusion_fit_grid,
     early_fusion_predict_grid,
     fusion_predict,
     late_fusion_fit,
     late_fusion_fit_grid,
+    late_fusion_predict_grid,
     load_fusion_model,
     save_fusion_model,
 )
-from memfuse.regressors import ForestParams, SvrParams, fit_svr, model_to_json, predict_svr
+from memfuse.regressors import (
+    ForestParams,
+    SvrDesign,
+    SvrParams,
+    fit_svr,
+    model_to_json,
+    predict_svr,
+)
 
 
 def _bundles(rng, n, audio=None, visual=None, lexical=None, embedding=None):
@@ -224,27 +234,6 @@ def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
         assert model.fold_log == alone.fold_log
 
 
-def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng):
-    n = 30
-    audio = rng.normal(size=(n, 3))
-    lexical = rng.normal(size=(n, 4))
-    y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
-    bundles = _bundles(rng, n, audio=audio, lexical=lexical)
-    points = [
-        SvrParams(c=c, epsilon=eps, gamma=gamma, gamma_scale=scale)
-        for gamma, scale in ((None, 1.0), (None, 0.5), (0.2, 1.0))
-        for c in (0.5, 2.0)
-        for eps in (0.0, 0.1)
-    ]
-    models = list(early_fusion_fit_grid(bundles, y, points))
-    assert len(models) == len(points)
-    for params, model in zip(points, models):
-        alone = early_fusion_fit(bundles, y, params)
-        assert model.modalities == alone.modalities == ("audio", "mem_lexical")
-        assert model.dims == alone.dims
-        assert model_to_json(model.svr) == model_to_json(alone.svr)
-
-
 def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
     audio = rng.normal(size=(36, 3))
     lexical = rng.normal(size=(36, 4))
@@ -252,8 +241,8 @@ def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
     bundles = _bundles(rng, 36, audio=audio, lexical=lexical)
     train, test = bundles[:25], bundles[25:]
     points = [
-        SvrParams(c=c, epsilon=eps, gamma_scale=scale)
-        for scale in (1.0, 0.5)
+        SvrParams(c=c, epsilon=eps, gamma=gamma, gamma_scale=scale)
+        for gamma, scale in ((None, 1.0), (None, 0.5), (0.2, 1.0))
         for c in (0.5, 2.0)
         for eps in (0.0, 0.1, 100.0)  # 100 leaves no support vector
     ]
@@ -261,6 +250,8 @@ def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
     assert len(preds) == len(points)
     for params, pred in zip(points, preds):
         model = early_fusion_fit(train, y[:25], params)
+        assert model.modalities == ("audio", "mem_lexical")
+        assert model.dims == {"audio": 3, "mem_lexical": 4}
         assert (model.svr.dual_coefs.size == 0) == (params.epsilon == 100.0)
         assert np.array_equal(pred, fusion_predict(model, test))
 
@@ -271,3 +262,70 @@ def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
             train, y[:25], points,
             _bundles(rng, 3, audio=rng.normal(size=(3, 5)), lexical=lexical[:3]),
         )
+
+
+def test_early_fusion_predict_grid_drops_the_raw_training_block_before_predicting(
+    rng, monkeypatch
+):
+    raw_blocks = []  # weak references to the features each design standardizes
+
+    class RecordingDesign(SvrDesign):
+        def __init__(self, X):
+            raw_blocks.append(weakref.ref(X))
+            super().__init__(X)
+
+    monkeypatch.setattr(fusion, "SvrDesign", RecordingDesign)
+    audio = rng.normal(size=(30, 3))
+    lexical = rng.normal(size=(30, 4))
+    bundles = _bundles(rng, 30, audio=audio, lexical=lexical)
+    points = [SvrParams(c=0.5), SvrParams(c=2.0)]
+    preds = early_fusion_predict_grid(bundles[:24], audio[:24, 0], points, bundles[24:])
+    next(preds)
+    assert len(raw_blocks) == 1
+    assert raw_blocks[0]() is None
+
+
+def test_late_fusion_predict_grid_equals_fusion_predict_and_shares_only_shared_bases(
+    rng, monkeypatch
+):
+    n = 40
+    groups = [f"g{i % 10}" for i in range(n)]
+    audio = rng.normal(size=(n, 3))
+    lexical = rng.normal(size=(n, 4))
+    y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
+    bundles = _bundles(rng, n, audio=audio, lexical=lexical)
+    train, test = bundles[:30], bundles[30:]
+    points = [
+        (
+            LateFusionParams(audio=SvrParams(c=c), memory=ForestParams(n_trees=3, min_leaf=2)),
+            alpha,
+            2,
+        )
+        for c in (0.5, 2.0)
+        for alpha in (0.1, 10.0)
+    ]
+    grid = late_fusion_fit_grid(train, y[:30], points, groups=groups[:30], seed=6)
+    # A second fit of the first point on other targets: equal params, other base models.
+    other = late_fusion_fit_grid(train, -y[:30], points[:1], groups=groups[:30], seed=6)
+    models = grid + other
+
+    predicted = []  # the base model of every base prediction
+    predict_base = fusion._predict_base
+
+    def counted(model, X):
+        predicted.append(model)
+        return predict_base(model, X)
+
+    monkeypatch.setattr(fusion, "_predict_base", counted)
+    preds = late_fusion_predict_grid(models, test)
+    # Two SVR settings and one forest in the grid, and two bases of the second fit.
+    assert len(predicted) == 5
+    assert len({id(model) for model in predicted}) == 5
+    monkeypatch.setattr(fusion, "_predict_base", predict_base)
+    assert len(preds) == len(models)
+    for model, pred in zip(models, preds):
+        assert np.array_equal(pred, fusion_predict(model, test))
+    assert not np.array_equal(preds[0], preds[-1])
+
+    with pytest.raises(ValueError, match="base models"):
+        late_fusion_predict_grid(models, _bundles(rng, 3, audio=audio[:3]))

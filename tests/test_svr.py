@@ -190,6 +190,19 @@ def test_max_passes_flag(rng):
     assert not model.converged
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+def test_params_reject_a_non_integer_max_passes(value):
+    with pytest.raises(ValueError, match="^max_passes must be a positive integer"):
+        SvrParams(max_passes=value)
+
+
+def test_params_accept_a_numpy_integer_max_passes(rng):
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    model = fit_svr(X, y, SvrParams(c=10.0, epsilon=0.0, max_passes=np.int64(2)))
+    assert model.n_iter == 2 and not model.converged
+
+
 def test_dual_feasibility_invariants(rng):
     for trial in range(8):
         n = int(rng.integers(10, 40))
