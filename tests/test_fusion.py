@@ -234,6 +234,39 @@ def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
         assert model.fold_log == alone.fold_log
 
 
+def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng, monkeypatch):
+    # The grid path fits each point on one shared design; every SVR it fits
+    # must serialize exactly as early_fusion_fit's SVR at that point.
+    n = 30
+    audio = rng.normal(size=(n, 3))
+    lexical = rng.normal(size=(n, 4))
+    y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
+    bundles = _bundles(rng, n, audio=audio, lexical=lexical)
+    points = [
+        SvrParams(c=c, epsilon=eps, gamma=gamma, gamma_scale=scale)
+        for gamma, scale in ((None, 1.0), (None, 0.5), (0.2, 1.0))
+        for c in (0.5, 2.0)
+        for eps in (0.0, 0.1)
+    ]
+    fitted = []  # every SVR the grid path fits, in order
+    grid_fit = fusion.fit_svr
+
+    def recording(X, y, params, design=None):
+        svr = grid_fit(X, y, params, design=design)
+        fitted.append(svr)
+        return svr
+
+    monkeypatch.setattr(fusion, "fit_svr", recording)
+    preds = list(early_fusion_predict_grid(bundles, y, points, bundles[:5]))
+    monkeypatch.setattr(fusion, "fit_svr", grid_fit)
+    assert len(preds) == len(fitted) == len(points)
+    for params, svr in zip(points, fitted):
+        alone = early_fusion_fit(bundles, y, params)
+        assert alone.modalities == ("audio", "mem_lexical")
+        assert alone.dims == {"audio": 3, "mem_lexical": 4}
+        assert model_to_json(svr) == model_to_json(alone.svr)
+
+
 def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
     audio = rng.normal(size=(36, 3))
     lexical = rng.normal(size=(36, 4))
