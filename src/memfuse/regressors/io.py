@@ -83,6 +83,7 @@ def model_from_json(doc: dict):
             scaler=Scaler.from_json(doc["scaler"]),
         )
     if kind == "forest":
+        n_features = int(doc["n_features"])
         trees = [
             _Tree(
                 feature=np.asarray(t["feature"], dtype=np.int32),
@@ -94,12 +95,38 @@ def model_from_json(doc: dict):
             )
             for t in doc["trees"]
         ]
+        if not trees:
+            raise ValueError("a forest needs at least one tree")
+        for index, tree in enumerate(trees):
+            _check_tree(tree, n_features, index)
         return ForestModel(
-            params=ForestParams(**doc["params"]),
-            trees=trees,
-            n_features=int(doc["n_features"]),
+            params=ForestParams(**doc["params"]), trees=trees, n_features=n_features
         )
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def _check_tree(tree: _Tree, n_features: int, index: int) -> None:
+    """Raise unless every row walks `tree` from its root to a leaf.
+
+    A node whose feature is negative is a leaf. Each other node must split
+    on one of the `n_features` columns and have both children after itself
+    in the tree, as `fit_forest` grows them, so every walk ends.
+    """
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.leaf_sizes)
+    n = tree.feature.size
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        shapes = [a.shape for a in arrays]
+        raise ValueError(
+            f"tree {index}: node arrays must be 1-d, non-empty and of one length, got {shapes}"
+        )
+    internal = np.flatnonzero(tree.feature >= 0)
+    if np.any(tree.feature[internal] >= n_features):
+        raise ValueError(f"tree {index}: split feature out of range for {n_features} features")
+    for child in (tree.left[internal], tree.right[internal]):
+        if np.any(child <= internal) or np.any(child >= n):
+            raise ValueError(
+                f"tree {index}: a child index is not after its node and inside the tree"
+            )
 
 
 def _svr_from_json(doc: dict) -> SvrModel:

@@ -1,11 +1,13 @@
 """Lexical and embedding feature vectors for memory descriptions.
 
 Both feature families run the shared front end (preprocess, tokenize) and
-average word-level resource vectors. Out-of-vocabulary tokens are skipped; a
-resource matching no token at all contributes a zero block, and per-resource
-blocks are concatenated in load order. The rule scorer's four document scores
-are appended after the lexicon blocks, so with the bundled suite the lexical
-vector is 130-dimensional and the embedding vector 500-dimensional.
+average word-level resource vectors. One lookup rule serves every word table:
+a word token is looked up as itself and, only when that misses, as its lemma.
+Out-of-vocabulary tokens are skipped; a resource matching no token at all
+contributes a zero block, and per-resource blocks are concatenated in load
+order. The rule scorer's four document scores are appended after the lexicon
+blocks, so with the bundled suite the lexical vector is 130-dimensional and
+the embedding vector 500-dimensional.
 `TextFeatureExtractor.extract` tokenizes a text once and hands the tokens to
 both families and to the rule scorer.
 """
@@ -42,18 +44,21 @@ def _token_means(
 ) -> tuple[np.ndarray, float]:
     """Concatenated per-resource token means, and the coverage of the tokens.
 
-    Lookup tries the raw token first, then its lemma; a resource matching no
-    token contributes a zero block of its width. Coverage is the fraction of
-    word tokens found in at least one resource.
+    Applies the lookup rule to each resource's `entries`; a resource matching
+    no token contributes a zero block of its width. Coverage is the fraction
+    of word tokens found in at least one resource.
     """
     if not resources:
         raise ValueError(f"no {what} loaded")
     blocks = []
     matched = [False] * len(pairs)
     for resource, width in zip(resources, widths):
+        entries = resource.entries
         hits = []
         for i, (token, lemma) in enumerate(pairs):
-            vec = resource.lookup(token, lemma)
+            vec = entries.get(token)
+            if vec is None:
+                vec = entries.get(lemma)
             if vec is not None:
                 hits.append(vec)
                 matched[i] = True
@@ -84,8 +89,7 @@ def lexical_features(
 ) -> tuple[np.ndarray, float]:
     """Concatenated per-lexicon token means plus the rule-scorer block.
 
-    Lookup tries the raw token first, then its lemma. Coverage is the
-    fraction of word tokens found in at least one lexicon.
+    Coverage is the fraction of word tokens found in at least one lexicon.
     """
     tokens = tokenize(preprocess(text))
     return _lexical(tokens, _word_pairs(tokens), lexicons, scorer)
@@ -103,14 +107,6 @@ class TextFeatureExtractor:
 
     def __init__(self, resources: TextResources):
         self.resources = resources
-
-    @property
-    def lexical_dim(self) -> int:
-        return self.resources.lexical_dim
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.resources.embedding_dim
 
     def extract(self, text: str) -> TextFeatures:
         tokens = tokenize(preprocess(text))

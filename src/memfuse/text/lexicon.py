@@ -1,10 +1,15 @@
 """Affect lexicon and word-embedding resources.
 
-Lexicons are TSV files with a header line ("word<TAB>dim1<TAB>..."); embedding
-tables are text files with one "word v1 v2 ... vd" line per word, dimension
-inferred from the first line. The bundled sample suite under ``resources/`` is
-declared by a manifest listing each lexicon slot, its dimensions, the rule
-scorer's valence lexicon, and two embedding tables.
+A word table maps lowercase, unique words to finite vectors of one width. A
+lexicon is a TSV file with a header line ``word<TAB>dim1<TAB>...`` and one
+``word<TAB>v1<TAB>...`` row per word. An embedding table has one
+whitespace-separated ``word v1 ... vd`` line per word, its width taken from
+the first line. One reader loads both: it skips blank lines, lowercases words,
+and raises `ResourceFormatError` naming ``path:line`` for a repeated word, a
+row of another width or a non-finite value. `Lexicon` and `EmbeddingTable`
+check their words and widths when built in code. The bundled sample suite
+under ``resources/`` is declared by a manifest listing each lexicon slot, its
+dimensions, the rule scorer's valence lexicon, and two embedding tables.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +41,16 @@ class ResourceFormatError(ValueError):
     """Raised for malformed lexicon or embedding files."""
 
 
+def _check_entries(kind: str, name: str, entries: dict[str, np.ndarray], width: int) -> None:
+    for word, vec in entries.items():
+        if word != word.lower():
+            raise ValueError(f"{kind} {name!r}: word {word!r} is not lowercase")
+        if vec.shape != (width,):
+            raise ValueError(
+                f"{kind} {name!r}: entry {word!r} has shape {vec.shape}, expected ({width},)"
+            )
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """A named word -> vector affect dictionary with fixed dimension names."""
@@ -44,21 +60,7 @@ class Lexicon:
     entries: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        width = len(self.dims)
-        for word, vec in self.entries.items():
-            if word != word.lower():
-                raise ValueError(f"lexicon {self.name!r}: word {word!r} is not lowercase")
-            if vec.shape != (width,):
-                raise ValueError(
-                    f"lexicon {self.name!r}: entry {word!r} has {vec.shape[0]} values, "
-                    f"expected {width}"
-                )
-
-    def lookup(self, token: str, lemma: str) -> np.ndarray | None:
-        hit = self.entries.get(token)
-        if hit is None:
-            hit = self.entries.get(lemma)
-        return hit
+        _check_entries("lexicon", self.name, self.entries, self.width)
 
     @property
     def width(self) -> int:
@@ -73,17 +75,49 @@ class EmbeddingTable:
     dim: int
     entries: dict[str, np.ndarray]
 
-    def lookup(self, token: str, lemma: str) -> np.ndarray | None:
-        hit = self.entries.get(token)
-        if hit is None:
-            hit = self.entries.get(lemma)
-        return hit
+    def __post_init__(self) -> None:
+        _check_entries("embedding table", self.name, self.entries, self.dim)
+
+
+def _read_table(
+    path: Path,
+    lines: Iterable[tuple[int, str]],
+    sep: str | None,
+    width: int | None,
+) -> tuple[dict[str, np.ndarray], int | None]:
+    """Entries and width of a word table from its numbered lines.
+
+    A line splits at `sep` (None: any whitespace) into the word and its
+    values; `width` is the expected number of values, or None to take it
+    from the first row.
+    """
+    entries: dict[str, np.ndarray] = {}
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split(sep)
+        word, fields = parts[0].lower(), parts[1:]
+        if width is None and fields:
+            width = len(fields)
+        if len(fields) != width:
+            expected = "some" if width is None else width
+            raise ResourceFormatError(
+                f"{path}:{lineno}: expected a word and {expected} values, got {len(fields)}"
+            )
+        if word in entries:
+            raise ResourceFormatError(f"{path}:{lineno}: duplicate word {word!r}")
+        try:
+            values = [float(v) for v in fields]
+        except ValueError as exc:
+            raise ResourceFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ResourceFormatError(f"{path}:{lineno}: non-finite value")
+        entries[word] = np.asarray(values, dtype=float)
+    return entries, width
 
 
 def load_lexicon_tsv(path: str | Path, name: str | None = None) -> Lexicon:
     path = Path(path)
-    name = name if name is not None else path.stem
-    entries: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
@@ -94,56 +128,17 @@ def load_lexicon_tsv(path: str | Path, name: str | None = None) -> Lexicon:
                 f"{path}:1: header must be 'word<TAB>dim1[<TAB>...]', got {header.rstrip()!r}"
             )
         dims = tuple(columns[1:])
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(columns):
-                raise ResourceFormatError(
-                    f"{path}:{lineno}: expected {len(columns)} fields, got {len(parts)}"
-                )
-            word = parts[0].lower()
-            if word in entries:
-                raise ResourceFormatError(f"{path}:{lineno}: duplicate word {word!r}")
-            try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ResourceFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise ResourceFormatError(f"{path}:{lineno}: non-finite value")
-            entries[word] = np.asarray(values, dtype=float)
-    return Lexicon(name=name, dims=dims, entries=entries)
+        entries, _ = _read_table(path, enumerate(fh, start=2), "\t", len(dims))
+    return Lexicon(name=name if name is not None else path.stem, dims=dims, entries=entries)
 
 
 def load_embedding_text(path: str | Path, name: str | None = None) -> EmbeddingTable:
     path = Path(path)
-    name = name if name is not None else path.stem
-    entries: dict[str, np.ndarray] = {}
-    dim: int | None = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ResourceFormatError(f"{path}:{lineno}: expected 'word v1 ... vd'")
-            word = parts[0].lower()
-            try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ResourceFormatError(f"{path}:{lineno}: {exc}") from exc
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ResourceFormatError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
-                )
-            if not all(math.isfinite(v) for v in values):
-                raise ResourceFormatError(f"{path}:{lineno}: non-finite value")
-            entries[word] = np.asarray(values, dtype=float)
+        entries, dim = _read_table(path, enumerate(fh, start=1), None, None)
     if dim is None:
         raise ResourceFormatError(f"{path}: empty embedding file")
-    return EmbeddingTable(name=name, dim=dim, entries=entries)
+    return EmbeddingTable(name=name if name is not None else path.stem, dim=dim, entries=entries)
 
 
 def _load_scorer_lexicon(path: Path) -> RuleScorer:
@@ -166,14 +161,6 @@ class TextResources:
     lexicons: tuple[Lexicon, ...]
     scorer: RuleScorer
     embeddings: tuple[EmbeddingTable, ...]
-
-    @property
-    def lexical_dim(self) -> int:
-        return sum(lex.width for lex in self.lexicons) + len(RuleScorer.DIMS)
-
-    @property
-    def embedding_dim(self) -> int:
-        return sum(table.dim for table in self.embeddings)
 
 
 def bundled_resource_dir() -> Path:

@@ -149,6 +149,30 @@ def test_serialization_via_json_text_roundtrip(rng):
     assert np.array_equal(predict_forest(model, X), predict_forest(loaded, X))
 
 
+@pytest.mark.parametrize(
+    "case", ["left_self_loop", "child_outside_tree", "feature_out_of_range", "ragged", "no_trees"]
+)
+def test_model_from_json_rejects_a_forest_that_cannot_be_predicted(rng, case):
+    X = rng.normal(size=(40, 3))
+    doc = model_to_json(fit_forest(X, X[:, 0], ForestParams(n_trees=1, min_leaf=2, seed=4)))
+    tree = doc["trees"][0]
+    assert tree["feature"][0] >= 0  # the root splits
+    model_from_json(doc)  # the untouched document loads
+    change, message = {
+        # At the root, a left child of 0 sends rows back to the root forever.
+        "left_self_loop": ({"left": [0] + tree["left"][1:]}, "not after its node"),
+        "child_outside_tree": (
+            {"right": [len(tree["right"])] + tree["right"][1:]}, "inside the tree"
+        ),
+        "feature_out_of_range": ({"feature": [3] + tree["feature"][1:]}, "out of range"),
+        "ragged": ({"value": tree["value"][:-1]}, "of one length"),
+        "no_trees": (None, "at least one tree"),
+    }[case]
+    trees = [] if change is None else [{**tree, **change}]
+    with pytest.raises(ValueError, match=message):
+        model_from_json({**doc, "trees": trees})
+
+
 def test_split_between_adjacent_floats_separates_them():
     # 0.5 * (nextafter(1, 0) + 1) rounds to 1.0; a threshold of 1.0 would
     # send the x = 1.0 rows left with the others and lose the split.
@@ -200,6 +224,11 @@ def _tie_golden_text() -> str:
 
 def test_forest_bytes_on_tie_heavy_inputs():
     assert _tie_golden_text() == FOREST_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_tie_golden_forests_load_unchanged():
+    for doc in json.loads(FOREST_GOLDEN.read_text(encoding="utf-8")).values():
+        assert model_to_json(model_from_json(doc)) == doc
 
 
 def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():

@@ -187,3 +187,31 @@ def test_embedding_dim_inferred(tmp_path):
     path.write_text("one 0.1 0.2 0.3\n", encoding="utf-8")
     table = load_embedding_text(path)
     assert table.dim == 3
+
+
+def test_lexicon_tsv_short_row_names_line(tmp_path):
+    path = tmp_path / "toy.tsv"
+    path.write_text("word\tv1\tv2\ngood\t0.5\t0.1\nbad\t0.5\n", encoding="utf-8")
+    with pytest.raises(ResourceFormatError, match="toy.tsv:3"):
+        load_lexicon_tsv(path)
+
+
+@pytest.mark.parametrize("second", ["word", "Word"])
+def test_embedding_repeated_word_names_second_line(tmp_path, second):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"word 0.1 0.2\n{second} 0.3 0.4\n", encoding="utf-8")
+    with pytest.raises(ResourceFormatError, match="emb.txt:2: duplicate word 'word'"):
+        load_embedding_text(path)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"word": np.array([1.0, 2.0, 3.0])}, r"expected \(2,\)"),
+        ({"Word": np.array([1.0, 2.0])}, "not lowercase"),
+    ],
+    ids=["wrong_width", "uppercase"],
+)
+def test_embedding_table_checks_words_and_width(entries, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddingTable(name="a", dim=2, entries=entries)
