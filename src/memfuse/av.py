@@ -9,6 +9,13 @@ sidecar manifest.
 
 File format: headerless CSV, comma-separated decimal floats, one vector per
 line, UTF-8.
+
+Manifest format: one JSON object, UTF-8, with
+
+- ``videos`` (required): an object mapping each video id to an object with
+  string ``audio`` and ``frames`` paths, relative to the manifest's folder;
+- ``audio_dim`` and ``frame_dim`` (optional, default 1582 and 8709): the
+  width of every audio and frame row, each a positive JSON integer.
 """
 
 from __future__ import annotations
@@ -25,8 +32,6 @@ FRAME_DIM = 8709  # 271 theory-inspired + 4096 deep + 4342 visual-sentiment
 __all__ = [
     "AUDIO_DIM",
     "FRAME_DIM",
-    "AudioFeatures",
-    "FrameFeatures",
     "FeatureFormatError",
     "load_audio_features",
     "load_frame_features",
@@ -42,19 +47,8 @@ class FeatureFormatError(ValueError):
     """Raised for malformed or dimensionally wrong feature files."""
 
 
-@dataclass(frozen=True)
-class AudioFeatures:
-    video_id: str
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameFeatures:
-    video_id: str
-    frames: np.ndarray  # (n_frames, frame_dim)
-
-
-def _parse_rows(path: Path) -> list[np.ndarray]:
+def _parse_rows(path: Path, expected_dim: int) -> np.ndarray:
+    """The file's rows as an (n_rows, expected_dim) matrix; n_rows is 0 for a file without rows."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -71,47 +65,40 @@ def _parse_rows(path: Path) -> list[np.ndarray]:
                     f"{path}: non-finite value at row {lineno}, column {bad[0] + 1}"
                 )
             rows.append(values)
-    return rows
-
-
-def load_audio_features(
-    path: str | Path, video_id: str | None = None, expected_dim: int = AUDIO_DIM
-) -> AudioFeatures:
-    """Load a one-row audio feature CSV, enforcing the dimension contract."""
-    path = Path(path)
-    rows = _parse_rows(path)
-    if len(rows) != 1:
-        raise FeatureFormatError(f"{path}: expected exactly 1 row, got {len(rows)}")
-    vector = rows[0]
-    if vector.shape[0] != expected_dim:
-        raise FeatureFormatError(
-            f"{path}: expected {expected_dim} columns, got {vector.shape[0]}"
-        )
-    return AudioFeatures(video_id=video_id or path.stem, vector=vector)
-
-
-def load_frame_features(
-    path: str | Path, video_id: str | None = None, expected_dim: int = FRAME_DIM
-) -> FrameFeatures:
-    """Load a per-frame feature CSV (one row per frame, ordered)."""
-    path = Path(path)
-    rows = _parse_rows(path)
     if not rows:
-        raise FeatureFormatError(f"{path}: empty feature file")
+        return np.empty((0, expected_dim))
     widths = {row.shape[0] for row in rows}
     if len(widths) > 1:
         raise FeatureFormatError(f"{path}: ragged rows with widths {sorted(widths)}")
     width = widths.pop()
     if width != expected_dim:
         raise FeatureFormatError(f"{path}: expected {expected_dim} columns, got {width}")
-    return FrameFeatures(video_id=video_id or path.stem, frames=np.vstack(rows))
+    return np.vstack(rows)
 
 
-def pool_frames(features: FrameFeatures) -> np.ndarray:
-    """Dimension-wise mean over frames; the per-video visual vector."""
-    if features.frames.shape[0] < 1:
+def load_audio_features(path: str | Path, expected_dim: int = AUDIO_DIM) -> np.ndarray:
+    """The `(expected_dim,)` vector of a one-row audio feature CSV."""
+    path = Path(path)
+    matrix = _parse_rows(path, expected_dim)
+    if matrix.shape[0] != 1:
+        raise FeatureFormatError(f"{path}: expected exactly 1 row, got {matrix.shape[0]}")
+    return matrix[0]
+
+
+def load_frame_features(path: str | Path, expected_dim: int = FRAME_DIM) -> np.ndarray:
+    """The `(n_frames, expected_dim)` matrix of a per-frame feature CSV, one row per frame."""
+    path = Path(path)
+    frames = _parse_rows(path, expected_dim)
+    if frames.shape[0] == 0:
+        raise FeatureFormatError(f"{path}: empty feature file")
+    return frames
+
+
+def pool_frames(frames: np.ndarray) -> np.ndarray:
+    """Dimension-wise mean of an `(n_frames, d)` frame matrix; the per-video visual vector."""
+    if frames.shape[0] < 1:
         raise ValueError("no frames to pool")
-    return features.frames.mean(axis=0)
+    return frames.mean(axis=0)
 
 
 def save_feature_csv(path: str | Path, data: np.ndarray) -> None:
@@ -136,36 +123,35 @@ class AvManifest:
     frame_dim: int
     videos: dict[str, dict[str, str]]
 
-    def audio_path(self, video_id: str) -> Path:
-        return self.root / self.videos[video_id]["audio"]
-
-    def frames_path(self, video_id: str) -> Path:
-        return self.root / self.videos[video_id]["frames"]
-
 
 def load_manifest(path: str | Path) -> AvManifest:
+    """Read and check a feature manifest (its format is in the module docstring)."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "videos" not in doc:
-        raise FeatureFormatError(f"{path}: manifest missing 'videos'")
-    return AvManifest(
-        root=path.parent,
-        audio_dim=int(doc.get("audio_dim", AUDIO_DIM)),
-        frame_dim=int(doc.get("frame_dim", FRAME_DIM)),
-        videos={str(k): dict(v) for k, v in doc["videos"].items()},
-    )
+    if not isinstance(doc, dict) or not isinstance(doc.get("videos"), dict):
+        raise FeatureFormatError(f"{path}: manifest missing a 'videos' object")
+    defaults = {"audio_dim": AUDIO_DIM, "frame_dim": FRAME_DIM}
+    dims = {key: doc.get(key, default) for key, default in defaults.items()}
+    for key, dim in dims.items():
+        if not (isinstance(dim, int) and not isinstance(dim, bool) and dim > 0):
+            raise FeatureFormatError(f"{path}: {key!r} must be a positive integer, got {dim!r}")
+    for video_id, files in doc["videos"].items():
+        if not isinstance(files, dict) or not all(
+            isinstance(files.get(key), str) for key in ("audio", "frames")
+        ):
+            raise FeatureFormatError(
+                f"{path}: video {video_id!r} needs string 'audio' and 'frames' paths"
+            )
+    videos = {str(k): dict(v) for k, v in doc["videos"].items()}
+    return AvManifest(root=path.parent, videos=videos, **dims)
 
 
 def load_video_features(manifest: AvManifest) -> dict[str, dict[str, np.ndarray]]:
     """Load audio vectors and pooled visual vectors for every video."""
     out: dict[str, dict[str, np.ndarray]] = {}
-    for video_id in sorted(manifest.videos):
-        audio = load_audio_features(
-            manifest.audio_path(video_id), video_id, expected_dim=manifest.audio_dim
-        )
-        frames = load_frame_features(
-            manifest.frames_path(video_id), video_id, expected_dim=manifest.frame_dim
-        )
-        out[video_id] = {"audio": audio.vector, "visual": pool_frames(frames)}
+    for video_id, files in sorted(manifest.videos.items()):
+        audio = load_audio_features(manifest.root / files["audio"], manifest.audio_dim)
+        frames = load_frame_features(manifest.root / files["frames"], manifest.frame_dim)
+        out[video_id] = {"audio": audio, "visual": pool_frames(frames)}
     return out

@@ -34,7 +34,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -225,12 +225,10 @@ def _late_point(hyper: Mapping) -> tuple[LateFusionParams, float, int]:
 
 def _fold_predictions(
     strategy: str, bundles, y, groups, train_rows, test_rows, combos: list[dict], seed: int
-) -> Iterable[np.ndarray]:
+) -> list[np.ndarray]:
     """Per combo, in order: the test-row predictions of a fit on the training rows.
 
-    Late fusion returns a list. Early fusion returns a generator, which fits
-    and holds one model at a time and, run to its end, releases the fold's
-    arrays. Only late fusion draws from `seed`; an SVR fit is deterministic.
+    Only late fusion draws from `seed`; an SVR fit is deterministic.
     """
     train_bundles = [bundles[r] for r in train_rows]
     test_bundles = [bundles[r] for r in test_rows]
@@ -305,8 +303,6 @@ def grid_search(
             strategy, bundles, y, groups, train_rows, test_rows, combos,
             child_seed(seed, "inner-fit", fold),
         )
-        # strict: a generator is run to its end, so it releases the fold's
-        # arrays before the next fold builds its own.
         for scores, pred in zip(fold_scores, preds, strict=True):
             scores.append(r2_score(y[test_rows], pred))
     results = [
@@ -496,7 +492,6 @@ def _run(
                         k_inner=k_inner,
                         seed=fold_seed,
                     )
-                    # Unpacking runs an early-fusion generator to its end.
                     (pred,) = _fold_predictions(
                         strat, bundles, y, participants, train_rows, test_rows, [best],
                         child_seed(fold_seed, "final"),

@@ -38,7 +38,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,10 +150,10 @@ def early_fusion_predict_grid(
     y: np.ndarray,
     svr_params_list: Sequence[SvrParams],
     test_bundles: list[ModalityBundle],
-) -> Iterator[np.ndarray]:
-    """Fit early fusion at each of `svr_params_list` and yield its predictions on `test_bundles`.
+) -> list[np.ndarray]:
+    """Fit early fusion at each of `svr_params_list` and predict `test_bundles` with it.
 
-    Yields `fusion_predict(early_fusion_fit(train_bundles, y, params),
+    Returns `fusion_predict(early_fusion_fit(train_bundles, y, params),
     test_bundles)`, bit for bit, for each params, in order. The training
     features are concatenated and standardized once, the Gram is built once
     per distinct (gamma, gamma_scale) on one `SvrDesign`, and the test

@@ -38,9 +38,6 @@ class PadTriple:
         """Euclidean norm of the (p, a, d) vector."""
         return math.sqrt(self.p * self.p + self.a * self.a + self.d * self.d)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p, self.a, self.d)
-
     def to_json(self) -> dict:
         return {"p": self.p, "a": self.a, "d": self.d}
 
@@ -80,9 +77,6 @@ class ViewerResponse:
     induced: PadTriple
     memories: tuple[MemoryRecord, ...]
     context: ViewerContext
-
-    def has_memory(self) -> bool:
-        return len(self.memories) > 0
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ forming the normal equations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if X.shape[0] < 1:
         raise ValueError("need at least one training row")
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    # Written so that NaN fails it, as every comparison with NaN is false.
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in training data")
 

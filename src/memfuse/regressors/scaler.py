@@ -38,7 +38,17 @@ class Scaler:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Scaler":
-        return cls(
-            means=np.asarray(doc["means"], dtype=float),
-            stds=np.asarray(doc["stds"], dtype=float),
-        )
+        """The scaler of `doc`, which must be able to standardize (`fit` stores a zero std as 1)."""
+        means = np.asarray(doc["means"], dtype=float)
+        stds = np.asarray(doc["stds"], dtype=float)
+        if not (
+            means.ndim == 1
+            and stds.shape == means.shape
+            and np.all(np.isfinite(means))
+            and np.all(np.isfinite(stds) & (stds > 0))
+        ):
+            raise ValueError(
+                "scaler needs finite 1-d means and positive finite stds of one length, "
+                f"got shapes {means.shape} and {stds.shape}"
+            )
+        return cls(means=means, stds=stds)

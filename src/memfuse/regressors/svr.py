@@ -37,7 +37,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -161,20 +161,22 @@ class SvrDesign:
             )
         return self._grams[key]
 
-    def predictions(self, models: Iterable[SvrModel], X: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield `predict_svr(model, X)` for each of `models`, in order, bit for bit.
+    def predictions(self, models: Iterable[SvrModel], X: np.ndarray) -> list[np.ndarray]:
+        """`predict_svr(model, X)` for each of `models`, in order, bit for bit.
 
         Every model must have been fitted on this design. X is checked and
         standardized by the design's scaler once, and its rows' squared norms
-        computed once, for all of them. Models are read as they are consumed,
-        so a generator of fits holds one model at a time.
+        computed once, for all of them. Models are read one at a time, so a
+        generator of fits holds one model at a time.
         """
         rows, row_sq_norms = _queries(self.scaler, X)
         del X  # not read again; freed now unless the caller holds it
+        preds = []
         for model in models:
             if model.scaler is not self.scaler:
                 raise ValueError("model was not fitted on this design")
-            yield _decision_values(model, rows, row_sq_norms)
+            preds.append(_decision_values(model, rows, row_sq_norms))
+        return preds
 
 
 def _pair_step(

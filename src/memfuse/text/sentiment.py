@@ -9,7 +9,7 @@ compound score is the normalized sum of token valences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .preprocess import Token, preprocess, tokenize
 
@@ -83,8 +83,8 @@ class SentimentScores:
         return (self.negative, self.neutral, self.positive, self.compound)
 
 
-def _normalize(score: float, alpha: float = NORMALIZE_ALPHA) -> float:
-    norm = score / math.sqrt(score * score + alpha)
+def _normalize(score: float) -> float:
+    norm = score / math.sqrt(score * score + NORMALIZE_ALPHA)
     return max(-1.0, min(1.0, norm))
 
 
@@ -95,13 +95,9 @@ def _mixed_case(words: list[Token]) -> bool:
 
 @dataclass(frozen=True)
 class RuleScorer:
-    """Valence lexicon plus the rule tables used for document scoring."""
+    """A valence lexicon, scored with the module's booster and negation tables."""
 
     valences: dict[str, float]
-    boosters: dict[str, float] = field(default_factory=lambda: dict(BOOSTERS))
-    negations: frozenset[str] = NEGATIONS
-
-    DIMS = ("negative", "neutral", "positive", "compound")
 
     def score(self, text: str) -> SentimentScores:
         """Score a raw document. Empty or word-free text is fully neutral."""
@@ -131,13 +127,13 @@ class RuleScorer:
                 prior = words[wi - dist]
                 if prior in self.valences:
                     continue
-                scalar = self.boosters.get(prior)
+                scalar = BOOSTERS.get(prior)
                 if scalar is not None:
                     v += scalar * _WINDOW_DAMPING[dist - 1] * _sign(v)
             for dist in (1, 2, 3):
                 if wi - dist < 0:
                     break
-                if words[wi - dist] in self.negations:
+                if words[wi - dist] in NEGATIONS:
                     v *= NEGATION_SCALE
             exclaims = 0
             pos = word_positions[wi] + 1

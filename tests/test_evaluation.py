@@ -19,6 +19,9 @@ import pytest
 from memfuse import fusion
 from memfuse._seeds import child_seed
 from memfuse.evaluation import (
+    AgreementTable,
+    CellResult,
+    ExperimentReport,
     annotator_agreement,
     av_dagger_baseline,
     grid_search,
@@ -468,3 +471,50 @@ def test_annotator_agreement_matches_corrcoef():
         assert table.reliability[dim] == pytest.approx(
             np.corrcoef(ann1[:, col], ann2[:, col])[0, 1], abs=1e-12
         )
+
+
+def test_experiment_report_renders_its_table():
+    def cell(r2):
+        return CellResult(mean_r2=r2, fold_r2=(r2,), params=None)
+
+    report = ExperimentReport(
+        experiment="experiment2",
+        seed=7,
+        conditions=("AV", "AVM", "AVdagger"),
+        strategies=("early", "late"),
+        cells={
+            ("p", "AV", "early"): cell(0.1),
+            ("p", "AV", "late"): cell(0.2),
+            ("p", "AVM", "early"): cell(0.35),
+            ("p", "AVM", "late"): cell(-0.05),
+            ("p", "AVdagger", "early"): cell(0.5),
+            ("p", "AVdagger", "late"): cell(0.5),
+            ("a", "AV", "early"): cell(0.25),  # no late cell; no AVM, AV† or D row at all
+        },
+        deltas={("p", "early"): 0.25, ("p", "late"): -0.25},
+    )
+    assert report.render_table() == (
+        "experiment2 (seed 7)  AvgR² per dimension\n"
+        "dim  condition      early      late\n"
+        "-----------------------------------\n"
+        "P    AV             0.100     0.200\n"
+        "P    AVM            0.350    -0.050\n"
+        "P    AV†            0.500     0.500\n"
+        "A    AV             0.250         -\n"
+        "\n"
+        "ΔAvgR² (AVM - AV)\n"
+        "P    early: +0.250  late: -0.250\n"
+    )
+
+
+def test_agreement_table_renders_one_row_per_dimension():
+    table = AgreementTable(
+        correspondence={"p": 0.5, "a": -0.125, "d": 1.0},
+        reliability={"p": 0.25, "a": 0.0, "d": -1.0},
+    )
+    assert table.render_table() == (
+        "dim   correspondence   reliability\n"
+        "P              0.500         0.250\n"
+        "A             -0.125         0.000\n"
+        "D              1.000        -1.000\n"
+    )

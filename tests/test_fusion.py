@@ -257,7 +257,7 @@ def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng, monke
         return svr
 
     monkeypatch.setattr(fusion, "fit_svr", recording)
-    preds = list(early_fusion_predict_grid(bundles, y, points, bundles[:5]))
+    preds = early_fusion_predict_grid(bundles, y, points, bundles[:5])
     monkeypatch.setattr(fusion, "fit_svr", grid_fit)
     assert len(preds) == len(fitted) == len(points)
     for params, svr in zip(points, fitted):
@@ -265,6 +265,14 @@ def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng, monke
         assert alone.modalities == ("audio", "mem_lexical")
         assert alone.dims == {"audio": 3, "mem_lexical": 4}
         assert model_to_json(svr) == model_to_json(alone.svr)
+
+
+@pytest.mark.parametrize("meta_alpha", [float("nan"), float("inf")])
+def test_late_fusion_rejects_a_non_finite_meta_alpha(rng, meta_alpha):
+    audio = rng.normal(size=(16, 2))
+    bundles = _bundles(rng, 16, audio=audio)
+    with pytest.raises(ValueError, match="^alpha must be non-negative and finite"):
+        late_fusion_fit(bundles, audio[:, 0], _late_params(), meta_alpha=meta_alpha)
 
 
 def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
@@ -279,7 +287,7 @@ def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
         for c in (0.5, 2.0)
         for eps in (0.0, 0.1, 100.0)  # 100 leaves no support vector
     ]
-    preds = list(early_fusion_predict_grid(train, y[:25], points, test))
+    preds = early_fusion_predict_grid(train, y[:25], points, test)
     assert len(preds) == len(points)
     for params, pred in zip(points, preds):
         model = early_fusion_fit(train, y[:25], params)
@@ -301,21 +309,29 @@ def test_early_fusion_predict_grid_drops_the_raw_training_block_before_predictin
     rng, monkeypatch
 ):
     raw_blocks = []  # weak references to the features each design standardizes
+    live_at_fit = []  # per fit_svr call: is the raw training block still alive?
 
     class RecordingDesign(SvrDesign):
         def __init__(self, X):
             raw_blocks.append(weakref.ref(X))
             super().__init__(X)
 
+    grid_fit = fusion.fit_svr
+
+    def recording_fit(*args, **kwargs):
+        live_at_fit.append(raw_blocks[0]() is not None)
+        return grid_fit(*args, **kwargs)
+
     monkeypatch.setattr(fusion, "SvrDesign", RecordingDesign)
+    monkeypatch.setattr(fusion, "fit_svr", recording_fit)
     audio = rng.normal(size=(30, 3))
     lexical = rng.normal(size=(30, 4))
     bundles = _bundles(rng, 30, audio=audio, lexical=lexical)
     points = [SvrParams(c=0.5), SvrParams(c=2.0)]
     preds = early_fusion_predict_grid(bundles[:24], audio[:24, 0], points, bundles[24:])
-    next(preds)
+    assert len(preds) == 2
     assert len(raw_blocks) == 1
-    assert raw_blocks[0]() is None
+    assert live_at_fit == [False, False]
 
 
 def test_late_fusion_predict_grid_equals_fusion_predict_and_shares_only_shared_bases(

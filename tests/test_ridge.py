@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from memfuse.regressors import Scaler, fit_ridge, predict_ridge
+from memfuse.regressors import (
+    Scaler,
+    SvrParams,
+    fit_ridge,
+    fit_svr,
+    model_from_json,
+    model_to_json,
+    predict_ridge,
+)
 
 from .oracles import ridge_normal_equations
 
@@ -90,3 +98,32 @@ def test_row_permutation_invariance(rng):
 def test_negative_alpha_rejected(rng):
     with pytest.raises(ValueError, match="non-negative"):
         fit_ridge(rng.normal(size=(5, 2)), rng.normal(size=5), -1.0)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_non_finite_alpha_rejected(rng, alpha):
+    with pytest.raises(ValueError, match="^alpha must be non-negative and finite"):
+        fit_ridge(rng.normal(size=(5, 2)), rng.normal(size=5), alpha)
+
+
+_BAD_SCALERS = {
+    "zero_std": lambda s: {**s, "stds": [0.0, *s["stds"][1:]]},
+    "negative_std": lambda s: {**s, "stds": [-1.0, *s["stds"][1:]]},
+    "infinite_std": lambda s: {**s, "stds": [float("inf"), *s["stds"][1:]]},
+    "nan_mean": lambda s: {**s, "means": [float("nan"), *s["means"][1:]]},
+    "short_stds": lambda s: {**s, "stds": s["stds"][:-1]},
+    "2d": lambda s: {"means": [s["means"]], "stds": [s["stds"]]},
+}
+
+
+@pytest.mark.parametrize("kind", ["svr", "ridge"])
+@pytest.mark.parametrize("case", sorted(_BAD_SCALERS))
+def test_model_from_json_rejects_a_scaler_that_cannot_standardize(rng, kind, case):
+    X = rng.normal(size=(20, 3))
+    X[:, 1] = 5.0  # fitted with std 0, stored as 1
+    y = X[:, 0] + 0.1 * rng.normal(size=20)
+    doc = model_to_json(fit_svr(X, y, SvrParams()) if kind == "svr" else fit_ridge(X, y, 1.0))
+    assert doc["scaler"]["stds"][1] == 1.0
+    model_from_json(doc)  # the untouched document loads
+    with pytest.raises(ValueError, match="^scaler "):
+        model_from_json({**doc, "scaler": _BAD_SCALERS[case](doc["scaler"])})

@@ -138,7 +138,7 @@ def test_design_predictions_are_bit_equal_to_predict_svr_at_every_point(rng):
     models = [fit_svr(X, y, params, design=design) for params in points]
     assert [m.dual_coefs.size == 0 for m in models] == [p.epsilon == 10.0 for p in points]
     queries = rng.normal(size=(13, 6))
-    preds = list(design.predictions(iter(models), queries))
+    preds = design.predictions(iter(models), queries)
     assert len(preds) == len(models)
     for model, pred in zip(models, preds):
         assert np.array_equal(pred, predict_svr(model, queries))
@@ -147,7 +147,7 @@ def test_design_predictions_are_bit_equal_to_predict_svr_at_every_point(rng):
     with pytest.raises(ValueError, match="non-finite values in prediction input"):
         predict_svr(models[0], queries)
     with pytest.raises(ValueError, match="non-finite values in prediction input"):
-        next(design.predictions(models, queries))
+        design.predictions(models, queries)
 
 
 def test_design_predictions_reject_a_model_of_another_design(rng):
@@ -155,7 +155,7 @@ def test_design_predictions_reject_a_model_of_another_design(rng):
     y = rng.normal(size=12)
     model = fit_svr(X, y, SvrParams())
     with pytest.raises(ValueError, match="not fitted on this design"):
-        next(SvrDesign(X).predictions([model], X))
+        SvrDesign(X).predictions([model], X)
 
 
 @pytest.mark.parametrize(
