@@ -9,16 +9,10 @@ Every fit draws its seed from `child_seed(seed, dim, condition, strategy,
 fold)`, so the loop order cannot change a result. One routine fits a fold's
 training rows and predicts its test rows at a list of grid points: the grid
 search calls it once per inner fold with every point, and each outer fold
-calls it once with the selected point. In late fusion,
-`fusion.late_fusion_fit_grid` fits a base model once per setting of its own
-keys and `stack.k_inner`, not once per grid point, and
-`fusion.late_fusion_predict_grid` runs each on the test rows once. In early
-fusion, `fusion.early_fusion_predict_grid` builds one RBF Gram per setting
-of the kernel-width keys (`svr.gamma`, `svr.gamma_scale`), solves each grid
-point of that setting on it, and scores every point from one standardized
-block of the fold's test rows. Reported numbers are
-per-fold test R-squared values and their mean ("AvgR2"). The AV-dagger
-baseline predicts each video's training-fold mean rating, the ceiling of a
+calls it once with the selected point; `memfuse.fusion` describes how the
+points share fits. Reported numbers are per-fold test R-squared values and
+their mean ("AvgR2"). The AV-dagger baseline, scored in the same fold loop,
+predicts each video's training-fold mean rating, the ceiling of a
 context-free model on the same data.
 
 A grid maps hyperparameter keys ("svr.c", "forest.n_trees", "ridge.alpha",
@@ -41,6 +35,7 @@ import numpy as np
 from ._seeds import child_seed
 from .folds import assign_group_folds, group_splits
 from .fusion import (
+    BASE_LEARNER,
     LateFusionParams,
     ModalityBundle,
     early_fusion_predict_grid,
@@ -95,9 +90,6 @@ class CvPlan:
     k: int
     assignments: dict[str, int]  # participant id -> fold index
     seed: int
-
-    def fold_of(self, participant_id: str) -> int:
-        return self.assignments[participant_id]
 
 
 def make_lpo_folds(participants: Sequence[str] | set[str], k: int, seed: int) -> CvPlan:
@@ -181,7 +173,6 @@ _LEARNER_KEYS = {
     "forest": ("forest.n_trees", "forest.max_features", "forest.min_leaf", "forest.max_depth"),
     "stack": ("ridge.alpha", "stack.k_inner"),
 }
-_BASE_LEARNER = {"audio": "svr", "visual": "svr", "memory": "forest"}
 
 
 def validate_grid(grid: Mapping[str, Sequence]) -> None:
@@ -202,7 +193,7 @@ def _searched_keys(strategy: str, bundles: list[ModalityBundle]) -> tuple[str, .
         learners = {"svr"}
     elif strategy == "late":
         active = bundles[0].active() if bundles else ()
-        learners = {_BASE_LEARNER[base] for base in late_fusion_bases(active)} | {"stack"}
+        learners = {BASE_LEARNER[base] for base in late_fusion_bases(active)} | {"stack"}
     else:
         raise ValueError(f"unknown fusion strategy {strategy!r}")
     return tuple(
@@ -268,26 +259,17 @@ def grid_search(
     learner here reads, short-circuits without fitting anything; its one
     point leaves the unset parameters at their defaults.
 
-    Each inner fold is fitted and scored once for all grid points, by the
-    routine that also refits each outer fold at its selected point. For
-    late fusion that is one `late_fusion_fit_grid` call: per fold, a base
-    model's out-of-fold column is fitted once per distinct setting of its
-    own keys ("svr.*" for audio and visual, "forest.*" for memory) and
-    "stack.k_inner", its final fit once per setting of its own keys, and
-    "ridge.alpha" only refits the ridge meta-learner.
-    `late_fusion_predict_grid` then runs each distinct final base model on
-    the fold's test rows once. For early fusion it is
-    one `early_fusion_predict_grid` call: per fold, the training features
-    are standardized once and the RBF Gram is built once per setting of
-    "svr.gamma" and "svr.gamma_scale", and the test features are
-    concatenated, checked and standardized once for all points. Each point
-    still gets its own SMO solve and its own prediction kernel on its
-    support vectors, and its model is dropped before the next is fitted.
-    The scores equal those of fitting and predicting each point alone with
-    `late_fusion_fit` or `early_fusion_fit` and `fusion_predict`.
+    Each inner fold is fitted and scored once for all grid points, and each
+    point's scores equal those of fitting and predicting it alone with
+    `late_fusion_fit` or `early_fusion_fit` and `fusion_predict`. `bundles`,
+    `y` and `groups` must have the same length.
     """
     validate_grid(grid)
     y = np.asarray(y, dtype=float)
+    if not len(bundles) == len(y) == len(groups):
+        raise ValueError(
+            f"{len(bundles)} bundles, {len(y)} targets and {len(groups)} groups differ in length"
+        )
     keys = tuple(k for k in _searched_keys(strategy, bundles) if k in grid)
     combos = [
         dict(zip(keys, values))
@@ -326,9 +308,12 @@ def grid_search(
 
 @dataclass(frozen=True)
 class CellResult:
-    mean_r2: float
     fold_r2: tuple[float, ...]
     params: tuple[dict, ...] | None  # per-outer-fold selections; None for AV†
+
+    @property
+    def mean_r2(self) -> float:
+        return float(np.mean(self.fold_r2))
 
 
 @dataclass
@@ -338,7 +323,15 @@ class ExperimentReport:
     conditions: tuple[str, ...]
     strategies: tuple[str, ...]
     cells: dict[tuple[str, str, str], CellResult]  # (dim, condition, strategy)
-    deltas: dict[tuple[str, str], float]  # (dim, strategy) -> AVM - AV
+
+    @property
+    def deltas(self) -> dict[tuple[str, str], float]:
+        """(dim, strategy) -> AVM - AV mean R², where both cells exist."""
+        return {
+            (dim, strat): cell.mean_r2 - self.cells[(dim, "AV", strat)].mean_r2
+            for (dim, cond, strat), cell in self.cells.items()
+            if cond == "AVM" and (dim, "AV", strat) in self.cells
+        }
 
     def to_json(self) -> dict:
         return {
@@ -379,14 +372,15 @@ class ExperimentReport:
                         present = True
                 if present:
                     lines.append(row)
-        if self.deltas:
+        deltas = self.deltas
+        if deltas:
             lines.append("")
             lines.append("ΔAvgR² (AVM - AV)")
             for dim in DIMS:
                 parts = [
-                    f"{strat}: {self.deltas[(dim, strat)]:+.3f}"
+                    f"{strat}: {deltas[(dim, strat)]:+.3f}"
                     for strat in self.strategies
-                    if (dim, strat) in self.deltas
+                    if (dim, strat) in deltas
                 ]
                 if parts:
                     lines.append(f"{dim.upper():4s} " + "  ".join(parts))
@@ -418,6 +412,17 @@ def _make_bundles(
     return bundles
 
 
+def _check_choices(kind: str, given: tuple, allowed: tuple) -> None:
+    """Reject an empty, unknown or repeated experiment argument, naming it."""
+    if not given:
+        raise ValueError(f"no {kind} given; choose from {list(allowed)}")
+    for i, value in enumerate(given):
+        if value not in allowed:
+            raise ValueError(f"unknown {kind} {value!r}; choose from {list(allowed)}")
+        if value in given[:i]:
+            raise ValueError(f"{kind} {value!r} given twice")
+
+
 def _run(
     experiment: str,
     ds: Dataset,
@@ -431,6 +436,9 @@ def _run(
     k_inner: int,
     dims: Sequence[str],
 ) -> ExperimentReport:
+    _check_choices("condition", conditions, CONDITIONS)
+    _check_choices("strategy", strategies, STRATEGIES)
+    _check_choices("dim", tuple(dims), DIMS)
     validate_grid(grid)
     sub = memory_subset(ds)
     if len(sub) == 0:
@@ -460,54 +468,36 @@ def _run(
     for dim in dims:
         y = np.array([getattr(r.induced, dim) for r in rows])
         for cond in conditions:
-            if cond == "AVdagger":
-                scores = tuple(
-                    r2_score(
-                        y[test_rows],
-                        av_dagger_baseline(
-                            [videos[r] for r in train_rows],
-                            y[train_rows],
-                            [videos[r] for r in test_rows],
-                        ),
-                    )
-                    for train_rows, test_rows in splits
-                )
-                # report the oracle under each requested strategy column
-                for strat in strategies:
-                    cells[(dim, cond, strat)] = CellResult(
-                        mean_r2=float(np.mean(scores)), fold_r2=scores, params=None
-                    )
-                continue
-            bundles = bundles_by_condition[cond]
+            # AV† has no bundles: it reports the same oracle under every strategy column.
+            bundles = bundles_by_condition.get(cond)
             for strat in strategies:
                 scores, params = [], []
                 for fold, (train_rows, test_rows) in enumerate(splits):
-                    fold_seed = child_seed(seed, dim, cond, strat, fold)
-                    best, _ = grid_search(
-                        [bundles[r] for r in train_rows],
-                        y[train_rows],
-                        [participants[r] for r in train_rows],
-                        grid,
-                        strat,
-                        k_inner=k_inner,
-                        seed=fold_seed,
-                    )
-                    (pred,) = _fold_predictions(
-                        strat, bundles, y, participants, train_rows, test_rows, [best],
-                        child_seed(fold_seed, "final"),
-                    )
+                    if bundles is None:
+                        pred = av_dagger_baseline(
+                            [videos[r] for r in train_rows],
+                            y[train_rows],
+                            [videos[r] for r in test_rows],
+                        )
+                    else:
+                        fold_seed = child_seed(seed, dim, cond, strat, fold)
+                        best, _ = grid_search(
+                            [bundles[r] for r in train_rows],
+                            y[train_rows],
+                            [participants[r] for r in train_rows],
+                            grid,
+                            strat,
+                            k_inner=k_inner,
+                            seed=fold_seed,
+                        )
+                        (pred,) = _fold_predictions(
+                            strat, bundles, y, participants, train_rows, test_rows, [best],
+                            child_seed(fold_seed, "final"),
+                        )
+                        params.append(best)
                     scores.append(r2_score(y[test_rows], pred))
-                    params.append(best)
                 cells[(dim, cond, strat)] = CellResult(
-                    mean_r2=float(np.mean(scores)), fold_r2=tuple(scores), params=tuple(params)
-                )
-
-    deltas = {}
-    if "AV" in conditions and "AVM" in conditions:
-        for dim in dims:
-            for strat in strategies:
-                deltas[(dim, strat)] = (
-                    cells[(dim, "AVM", strat)].mean_r2 - cells[(dim, "AV", strat)].mean_r2
+                    fold_r2=tuple(scores), params=None if bundles is None else tuple(params)
                 )
     return ExperimentReport(
         experiment=experiment,
@@ -515,7 +505,6 @@ def _run(
         conditions=conditions,
         strategies=strategies,
         cells=cells,
-        deltas=deltas,
     )
 
 

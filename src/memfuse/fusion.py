@@ -61,10 +61,12 @@ from .regressors import (
 
 MODALITY_ORDER = ("audio", "visual", "mem_lexical", "mem_embedding")
 BASE_ORDER = ("audio", "visual", "memory")
+BASE_LEARNER = {"audio": "svr", "visual": "svr", "memory": "forest"}
 
 __all__ = [
     "MODALITY_ORDER",
     "BASE_ORDER",
+    "BASE_LEARNER",
     "ModalityBundle",
     "EarlyFusionModel",
     "LateFusionModel",
@@ -98,7 +100,12 @@ class ModalityBundle:
         return tuple(name for name in MODALITY_ORDER if getattr(self, name) is not None)
 
 
-def _check_bundles(bundles: list[ModalityBundle]) -> tuple[str, ...]:
+def _widths(bundles: list[ModalityBundle], fitted: dict[str, int] | None = None) -> dict[str, int]:
+    """The width of each modality of `bundles`, in `MODALITY_ORDER`.
+
+    The list must be non-empty, with the same modalities in every bundle; given
+    a fitted early model's `dims`, exactly those modalities at those widths.
+    """
     if not bundles:
         raise ValueError("no bundles")
     active = bundles[0].active()
@@ -107,7 +114,14 @@ def _check_bundles(bundles: list[ModalityBundle]) -> tuple[str, ...]:
             raise ValueError(
                 f"bundle {i} has modalities {bundle.active()}, expected {active}"
             )
-    return active
+    widths = {name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in active}
+    if fitted is not None:
+        if active != tuple(fitted):
+            raise ValueError(f"modalities {active} do not match fit-time {tuple(fitted)}")
+        for name, width in widths.items():
+            if width != fitted[name]:
+                raise ValueError(f"{name} dimension {width} does not match fit-time {fitted[name]}")
+    return widths
 
 
 def _stack_modality(bundles: list[ModalityBundle], name: str) -> np.ndarray:
@@ -121,9 +135,12 @@ def _concat_features(bundles: list[ModalityBundle], modalities: tuple[str, ...])
 
 @dataclass
 class EarlyFusionModel:
-    modalities: tuple[str, ...]
-    dims: dict[str, int]
+    dims: dict[str, int]  # modality -> width, in concatenation order
     svr: SvrModel
+
+    @property
+    def modalities(self) -> tuple[str, ...]:
+        return tuple(self.dims)
 
 
 @dataclass(frozen=True)
@@ -135,14 +152,13 @@ class LateFusionParams:
 
 @dataclass
 class LateFusionModel:
-    base_order: tuple[str, ...]
-    base_models: dict[str, SvrModel | ForestModel]
+    base_models: dict[str, SvrModel | ForestModel]  # in meta-learner column order
     meta: RidgeModel
     fold_log: list[dict]  # per OOF fold: train row/group sets vs predicted rows
 
-
-def _widths(bundles: list[ModalityBundle], modalities: tuple[str, ...]) -> dict[str, int]:
-    return {name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in modalities}
+    @property
+    def base_order(self) -> tuple[str, ...]:
+        return tuple(self.base_models)
 
 
 def early_fusion_predict_grid(
@@ -162,24 +178,20 @@ def early_fusion_predict_grid(
     design holds its standardized rows, and one model is fitted and held at
     a time.
     """
-    modalities = _check_bundles(train_bundles)
-    _check_early_inputs(modalities, _widths(train_bundles, modalities), test_bundles)
-    design = SvrDesign(_concat_features(train_bundles, modalities))
+    dims = _widths(train_bundles)
+    _widths(test_bundles, dims)
+    design = SvrDesign(_concat_features(train_bundles, tuple(dims)))
     y = np.asarray(y, dtype=float)
     svrs = (fit_svr(design.rows, y, params, design=design) for params in svr_params_list)
-    return design.predictions(svrs, _concat_features(test_bundles, modalities))
+    return design.predictions(svrs, _concat_features(test_bundles, tuple(dims)))
 
 
 def early_fusion_fit(
     bundles: list[ModalityBundle], y: np.ndarray, svr_params: SvrParams
 ) -> EarlyFusionModel:
     """One SVR on the concatenated features of the active modalities."""
-    modalities = _check_bundles(bundles)
-    return EarlyFusionModel(
-        modalities=modalities,
-        dims=_widths(bundles, modalities),
-        svr=fit_svr(_concat_features(bundles, modalities), y, svr_params),
-    )
+    dims = _widths(bundles)
+    return EarlyFusionModel(dims, fit_svr(_concat_features(bundles, tuple(dims)), y, svr_params))
 
 
 _BASE_MODALITIES = {
@@ -211,7 +223,7 @@ def _fit_base(
     name: str, X: np.ndarray, y: np.ndarray, params: SvrParams | ForestParams, seed: int
 ):
     """Fit base model `name` with its own params (`LateFusionParams.<name>`)."""
-    if name == "memory":
+    if BASE_LEARNER[name] == "forest":
         return fit_forest(X, y, dataclasses.replace(params, seed=seed))
     return fit_svr(X, y, params)
 
@@ -288,15 +300,17 @@ def late_fusion_fit_grid(
     Models of points with equal keys share their fold log and base models.
     """
     y = np.asarray(y, dtype=float)
-    active = _check_bundles(bundles)
+    active = tuple(_widths(bundles))
     n = len(bundles)
+    if groups is None:
+        groups = list(range(n))
+    if not len(y) == len(groups) == n:
+        raise ValueError(f"{n} bundles, {len(y)} targets and {len(groups)} groups differ in length")
     for _, _, k_inner in points:
         if n < 2 * k_inner:
             raise ValueError(f"need at least {2 * k_inner} samples for {k_inner} stacking folds")
     inputs = _base_inputs(bundles, active)
     base_order = late_fusion_bases(active)
-    if groups is None:
-        groups = list(range(n))
 
     stacking: dict[int, tuple] = {}  # k_inner -> (splits, fold_log)
     oof: dict[tuple, np.ndarray] = {}  # (base, its params, k_inner) -> out-of-fold column
@@ -322,7 +336,6 @@ def late_fusion_fit_grid(
                 )
         models.append(
             LateFusionModel(
-                base_order=base_order,
                 base_models={name: final[name, own[name]] for name in base_order},
                 meta=meta,
                 fold_log=fold_log,
@@ -346,22 +359,11 @@ def late_fusion_fit(
     )[0]
 
 
-def _check_early_inputs(
-    modalities: tuple[str, ...], dims: dict[str, int], bundles: list[ModalityBundle]
-) -> None:
-    active = _check_bundles(bundles)
-    if active != modalities:
-        raise ValueError(f"modalities {active} do not match fit-time {modalities}")
-    for name, width in _widths(bundles, modalities).items():
-        if width != dims[name]:
-            raise ValueError(f"{name} dimension {width} does not match fit-time {dims[name]}")
-
-
 def fusion_predict(
     model: EarlyFusionModel | LateFusionModel, bundles: list[ModalityBundle]
 ) -> np.ndarray:
     if isinstance(model, EarlyFusionModel):
-        _check_early_inputs(model.modalities, model.dims, bundles)
+        _widths(bundles, model.dims)
         return predict_svr(model.svr, _concat_features(bundles, model.modalities))
     return late_fusion_predict_grid([model], bundles)[0]
 
@@ -376,7 +378,7 @@ def late_fusion_predict_grid(
     whose points share a base setting share that base-model object, and so
     its column; models fitted apart never do.
     """
-    active = _check_bundles(bundles)
+    active = tuple(_widths(bundles))
     base_order = late_fusion_bases(active)
     for model in models:
         if model.base_order != base_order:
@@ -432,17 +434,16 @@ def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionMod
     with open(directory / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest["kind"] == "early":
+        # The manifest is written with sorted keys; "modalities" keeps the concatenation order.
         return EarlyFusionModel(
-            modalities=tuple(manifest["modalities"]),
-            dims={k: int(v) for k, v in manifest["dims"].items()},
+            dims={name: int(manifest["dims"][name]) for name in manifest["modalities"]},
             svr=load_model(directory / manifest["models"]["svr"]),
         )
     if manifest["kind"] == "late":
-        base_order = tuple(manifest["base_order"])
         return LateFusionModel(
-            base_order=base_order,
             base_models={
-                name: load_model(directory / manifest["models"][name]) for name in base_order
+                name: load_model(directory / manifest["models"][name])
+                for name in manifest["base_order"]
             },
             meta=load_model(directory / manifest["meta"]),
             fold_log=manifest.get("fold_log", []),

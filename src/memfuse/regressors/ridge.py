@@ -66,4 +66,6 @@ def predict_ridge(model: RidgeModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature dimension mismatch: expected {model.weights.shape[0]}, got {X.shape[1]}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite values in prediction input")
     return X @ model.weights + model.intercept

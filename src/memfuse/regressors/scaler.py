@@ -19,8 +19,12 @@ class Scaler:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
         X = np.asarray(X, dtype=float)
-        means = X.mean(axis=0)
-        stds = X.std(axis=0)
+        # Squares of values beyond ~1e154 overflow; the check below reports it, not numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = X.mean(axis=0)
+            stds = X.std(axis=0)
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
+            raise ValueError("columns too large to standardize: a mean or std is not finite")
         stds = np.where(stds == 0.0, 1.0, stds)
         return cls(means=means, stds=stds)
 

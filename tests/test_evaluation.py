@@ -192,6 +192,42 @@ def test_grid_search_rejects_a_non_integer_stacking_fold_count(extractor):
         )
 
 
+@pytest.mark.parametrize("n_targets, n_groups", [(40, 30), (40, 50), (50, 40)])
+def test_grid_search_rejects_targets_or_groups_of_another_length(extractor, n_targets, n_groups):
+    ds, _ = _dataset(people=10)
+    bundles = _memory_bundles(extractor, ds)
+    groups = [f"p{i % 10}" for i in range(n_groups)]
+    with pytest.raises(ValueError, match=f"^40 bundles, {n_targets} targets and {n_groups} groups"):
+        grid_search(bundles, np.linspace(-1, 1, n_targets), groups, GRID, "late", k_inner=2)
+
+
+class _NoWork:
+    def extract(self, text):
+        raise AssertionError("the arguments must be checked before any text is extracted")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"conditions": ("AVdagger",), "strategies": ("erly",)}, "unknown strategy 'erly'"),
+        ({"conditions": ("AV", "A V")}, "unknown condition 'A V'"),
+        ({"dims": ("p", "v")}, "unknown dim 'v'"),
+        ({"dims": ()}, "no dim given"),
+        ({"conditions": ("AV", "AVdagger", "AV")}, "condition 'AV' given twice"),
+    ],
+)
+def test_run_experiment2_rejects_a_bad_argument_before_any_work(kwargs, message):
+    ds, av_features = _dataset(people=6)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run_experiment2(ds, av_features, GRID, SEED, extractor=_NoWork(), **kwargs)
+
+
+def test_run_experiment1_rejects_a_bad_dim_before_any_work():
+    ds, _ = _dataset(people=6)
+    with pytest.raises(ValueError, match="^unknown dim 'valence'"):
+        run_experiment1(ds, GRID, SEED, extractor=_NoWork(), dims=("p", "valence"))
+
+
 def _memory_bundles(extractor, ds):
     feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
     return [ModalityBundle(mem_lexical=f.lexical, mem_embedding=f.embedding) for f in feats]
@@ -475,7 +511,7 @@ def test_annotator_agreement_matches_corrcoef():
 
 def test_experiment_report_renders_its_table():
     def cell(r2):
-        return CellResult(mean_r2=r2, fold_r2=(r2,), params=None)
+        return CellResult(fold_r2=(r2,), params=None)
 
     report = ExperimentReport(
         experiment="experiment2",
@@ -491,8 +527,11 @@ def test_experiment_report_renders_its_table():
             ("p", "AVdagger", "late"): cell(0.5),
             ("a", "AV", "early"): cell(0.25),  # no late cell; no AVM, AV† or D row at all
         },
-        deltas={("p", "early"): 0.25, ("p", "late"): -0.25},
     )
+    assert report.deltas == {
+        ("p", "early"): 0.35 - 0.1,
+        ("p", "late"): -0.05 - 0.2,
+    }
     assert report.render_table() == (
         "experiment2 (seed 7)  AvgR² per dimension\n"
         "dim  condition      early      late\n"

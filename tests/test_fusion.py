@@ -201,6 +201,29 @@ def test_fusion_roundtrip_serialization(tmp_path, rng):
     )
 
 
+def test_early_model_keeps_a_non_alphabetical_modality_order_through_save_and_load(
+    tmp_path, rng
+):
+    # The manifest is written with sorted keys, so it stores "dims" alphabetically.
+    visual = rng.normal(size=(30, 3))
+    lexical = rng.normal(size=(30, 5))
+    bundles = _bundles(rng, 30, visual=visual, lexical=lexical)
+    model = early_fusion_fit(bundles, visual[:, 0] + lexical[:, 1], SvrParams(c=2.0))
+    save_fusion_model(model, tmp_path)
+    loaded = load_fusion_model(tmp_path)
+    assert model.modalities == loaded.modalities == ("visual", "mem_lexical")
+    assert list(loaded.dims.items()) == [("visual", 3), ("mem_lexical", 5)]
+    assert np.array_equal(fusion_predict(loaded, bundles), fusion_predict(model, bundles))
+
+
+@pytest.mark.parametrize("n_targets, n_groups", [(40, 30), (40, 50), (30, 40), (50, 40)])
+def test_late_fusion_rejects_targets_or_groups_of_another_length(rng, n_targets, n_groups):
+    bundles = _bundles(rng, 40, audio=rng.normal(size=(40, 2)))
+    groups = [f"g{i % 10}" for i in range(n_groups)]
+    with pytest.raises(ValueError, match=f"^40 bundles, {n_targets} targets and {n_groups} groups"):
+        late_fusion_fit(bundles, rng.normal(size=n_targets), _late_params(), 1.0, groups=groups)
+
+
 def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
     n = 40
     groups = [f"g{i % 10}" for i in range(n)]

@@ -25,6 +25,19 @@ def test_scaler_standardizes_training_data(rng):
     assert stds[2] == 0.0  # constant column maps to zeros
 
 
+def test_scaler_rejects_columns_too_large_to_standardize(rng):
+    X = rng.normal(size=(10, 3))
+    X[:, 1] = np.where(X[:, 1] > 0, 1e200, -1e200)  # finite, but its squares overflow
+    y = rng.normal(size=10)
+    for fit in (Scaler.fit, lambda X: fit_svr(X, y, SvrParams()), lambda X: fit_ridge(X, y, 1.0)):
+        with pytest.raises(ValueError, match="^columns too large to standardize"):
+            fit(X)
+    X[:, 1] = 1e150  # large but standardizable: the column is constant
+    scaler = Scaler.fit(X)
+    assert np.array_equal(scaler.means, X.mean(axis=0))
+    assert np.array_equal(scaler.stds, np.where(X.std(axis=0) == 0, 1.0, X.std(axis=0)))
+
+
 def test_scaler_dim_mismatch(rng):
     scaler = Scaler.fit(rng.normal(size=(10, 3)))
     with pytest.raises(ValueError, match="mismatch"):
@@ -98,6 +111,13 @@ def test_row_permutation_invariance(rng):
 def test_negative_alpha_rejected(rng):
     with pytest.raises(ValueError, match="non-negative"):
         fit_ridge(rng.normal(size=(5, 2)), rng.normal(size=5), -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_ridge_rejects_non_finite_input(rng, bad):
+    model = fit_ridge(rng.normal(size=(10, 2)), rng.normal(size=10), 1.0)
+    with pytest.raises(ValueError, match="^non-finite values in prediction input"):
+        predict_ridge(model, np.array([[bad, 0.0]]))
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
