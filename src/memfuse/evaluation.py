@@ -19,11 +19,13 @@ A grid maps hyperparameter keys ("svr.c", "forest.n_trees", "ridge.alpha",
 ...) to candidate values. Each cell searches only the keys its learners read:
 early fusion reads the SVR keys; late fusion reads the SVR keys when it has
 an audio or visual base model, the forest keys when it has a memory base
-model, and the stacking keys always. Unknown keys raise.
+model, and the stacking keys always. Unknown keys, and values that their
+learner's own check rejects, raise before anything is fitted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -33,9 +35,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._seeds import child_seed
-from .folds import assign_group_folds, group_splits
+from .folds import assign_group_folds, check_fold_count, group_splits
 from .fusion import (
-    BASE_LEARNER,
+    BASES,
     LateFusionParams,
     ModalityBundle,
     early_fusion_predict_grid,
@@ -47,6 +49,7 @@ from .fusion import (
 from .fusion import early_fusion_fit, fusion_predict, late_fusion_fit  # noqa: F401
 from .model import Dataset, memory_subset
 from .regressors import ForestParams, SvrParams
+from .regressors.ridge import check_alpha
 from .text import TextFeatureExtractor, load_resources
 
 DIMS = ("p", "a", "d")
@@ -105,6 +108,8 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {y_true.shape} vs {y_pred.shape}")
     if y_true.shape[0] < 2:
         raise ValueError("need at least two observations")
+    if not (np.all(np.isfinite(y_true)) and np.all(np.isfinite(y_pred))):
+        raise ValueError("non-finite input")
     # Tested on the values, not on ss_tot: the mean of a constant array can be
     # inexact, which leaves ss_tot a tiny positive number.
     if np.ptp(y_true) == 0:
@@ -121,6 +126,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.shape[0] < 3:
         raise ValueError("need at least three observations")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite input")
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
@@ -140,6 +147,10 @@ def av_dagger_baseline(
     a warning; at production scale every video appears in every training fold.
     """
     train_values = np.asarray(train_values, dtype=float)
+    if len(train_videos) != len(train_values):
+        raise ValueError(
+            f"{len(train_videos)} training videos but {len(train_values)} training values"
+        )
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for vid, val in zip(train_videos, train_values):
@@ -166,16 +177,20 @@ def av_dagger_baseline(
 # Grid search
 
 
-# Grid keys per learner. A learner's parameters are its dataclass fields under
-# a "<learner>." prefix; the stacking keys go to the late-fusion fit.
+# Grid keys per learner. A base learner's keys are its params' fields under a
+# "<learner>." prefix, but for the solver's pass limit and the forest's seed;
+# the stacking keys go to the late-fusion fit.
+_LEARNER_PARAMS = {"svr": SvrParams, "forest": ForestParams}
 _LEARNER_KEYS = {
-    "svr": ("svr.c", "svr.epsilon", "svr.gamma", "svr.gamma_scale", "svr.tol"),
-    "forest": ("forest.n_trees", "forest.max_features", "forest.min_leaf", "forest.max_depth"),
-    "stack": ("ridge.alpha", "stack.k_inner"),
-}
+    learner: tuple(
+        f"{learner}.{f.name}" for f in dataclasses.fields(cls) if f.name not in ("max_passes", "seed")
+    )
+    for learner, cls in _LEARNER_PARAMS.items()
+} | {"stack": ("ridge.alpha", "stack.k_inner")}
 
 
 def validate_grid(grid: Mapping[str, Sequence]) -> None:
+    """Raise unless every key is known and every value passes its learner's own check."""
     if not grid:
         raise ValueError("empty grid")
     known = {key for keys in _LEARNER_KEYS.values() for key in keys}
@@ -185,6 +200,13 @@ def validate_grid(grid: Mapping[str, Sequence]) -> None:
     for name, values in grid.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ValueError(f"grid entry {name!r} must be a non-empty list")
+        for value in values:
+            if name == "ridge.alpha":
+                check_alpha(value)
+            elif name == "stack.k_inner":
+                check_fold_count(value)
+            else:
+                _learner_params(name.partition(".")[0], {name: value})
 
 
 def _searched_keys(strategy: str, bundles: list[ModalityBundle]) -> tuple[str, ...]:
@@ -193,7 +215,7 @@ def _searched_keys(strategy: str, bundles: list[ModalityBundle]) -> tuple[str, .
         learners = {"svr"}
     elif strategy == "late":
         active = bundles[0].active() if bundles else ()
-        learners = {BASE_LEARNER[base] for base in late_fusion_bases(active)} | {"stack"}
+        learners = {BASES[base][0] for base in late_fusion_bases(active)} | {"stack"}
     else:
         raise ValueError(f"unknown fusion strategy {strategy!r}")
     return tuple(
@@ -201,16 +223,18 @@ def _searched_keys(strategy: str, bundles: list[ModalityBundle]) -> tuple[str, .
     )
 
 
-def _learner_params(cls, prefix: str, hyper: Mapping):
-    return cls(**{k[len(prefix):]: v for k, v in hyper.items() if k.startswith(prefix)})
+def _learner_params(learner: str, hyper: Mapping):
+    """The params of base learner `learner` from the keys of `hyper` under its prefix."""
+    prefix = learner + "."
+    return _LEARNER_PARAMS[learner](
+        **{k[len(prefix):]: v for k, v in hyper.items() if k.startswith(prefix)}
+    )
 
 
 def _late_point(hyper: Mapping) -> tuple[LateFusionParams, float, int]:
     """The (base_params, meta_alpha, k_inner) point of `late_fusion_fit_grid`."""
-    svr = _learner_params(SvrParams, "svr.", hyper)
-    base_params = LateFusionParams(
-        audio=svr, visual=svr, memory=_learner_params(ForestParams, "forest.", hyper)
-    )
+    svr = _learner_params("svr", hyper)
+    base_params = LateFusionParams(audio=svr, visual=svr, memory=_learner_params("forest", hyper))
     return base_params, hyper.get("ridge.alpha", 1.0), hyper.get("stack.k_inner", 4)
 
 
@@ -224,7 +248,7 @@ def _fold_predictions(
     train_bundles = [bundles[r] for r in train_rows]
     test_bundles = [bundles[r] for r in test_rows]
     if strategy == "early":
-        points = [_learner_params(SvrParams, "svr.", combo) for combo in combos]
+        points = [_learner_params("svr", combo) for combo in combos]
         return early_fusion_predict_grid(train_bundles, y[train_rows], points, test_bundles)
     models = late_fusion_fit_grid(
         train_bundles,
@@ -391,25 +415,27 @@ class ExperimentReport:
 # Experiment runners
 
 
+# Each modality's vector for a row, from the row, the features of its memory
+# text and the AV features of every video.
+_MODALITY_SOURCE = {
+    "audio": lambda row, text, av: av[row.video_id]["audio"],
+    "visual": lambda row, text, av: av[row.video_id]["visual"],
+    "mem_lexical": lambda row, text, av: text.lexical,
+    "mem_embedding": lambda row, text, av: text.embedding,
+}
+
+
 def _make_bundles(
     rows,
     modalities: tuple[str, ...],
-    text_feats,
+    text_feats: list,
     av_features: Mapping[str, Mapping[str, np.ndarray]] | None,
 ) -> list[ModalityBundle]:
-    bundles = []
-    for i, row in enumerate(rows):
-        kwargs = {}
-        if "audio" in modalities:
-            kwargs["audio"] = av_features[row.video_id]["audio"]
-        if "visual" in modalities:
-            kwargs["visual"] = av_features[row.video_id]["visual"]
-        if "mem_lexical" in modalities:
-            kwargs["mem_lexical"] = text_feats[i].lexical
-        if "mem_embedding" in modalities:
-            kwargs["mem_embedding"] = text_feats[i].embedding
-        bundles.append(ModalityBundle(**kwargs))
-    return bundles
+    """One bundle per row; `text_feats` holds each row's text features, or None."""
+    return [
+        ModalityBundle(**{m: _MODALITY_SOURCE[m](row, text, av_features) for m in modalities})
+        for row, text in zip(rows, text_feats)
+    ]
 
 
 def _check_choices(kind: str, given: tuple, allowed: tuple) -> None:
@@ -446,7 +472,7 @@ def _run(
     rows = list(sub.responses)
     modalities = {c: _CONDITION_MODALITIES[c] for c in conditions}
     read = {m for mods in modalities.values() for m in mods}
-    text_feats = None
+    text_feats = [None] * len(rows)
     if read & {"mem_lexical", "mem_embedding"}:
         if extractor is None:
             extractor = TextFeatureExtractor(load_resources())

@@ -14,7 +14,13 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-__all__ = ["assign_group_folds", "group_splits"]
+__all__ = ["assign_group_folds", "check_fold_count", "group_splits"]
+
+
+def check_fold_count(k: int) -> None:
+    """Raise unless k, a Python or numpy integer, is at least 1."""
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 def assign_group_folds(
@@ -22,8 +28,7 @@ def assign_group_folds(
 ) -> dict[Hashable, int]:
     """Deterministically assign each distinct group id to one of k folds."""
     distinct = sorted(set(group_ids), key=str)
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    check_fold_count(k)
     if k > len(distinct):
         raise ValueError(f"k={k} exceeds number of groups ({len(distinct)})")
     rng = np.random.default_rng(seed)

@@ -60,13 +60,17 @@ from .regressors import (
 )
 
 MODALITY_ORDER = ("audio", "visual", "mem_lexical", "mem_embedding")
-BASE_ORDER = ("audio", "visual", "memory")
-BASE_LEARNER = {"audio": "svr", "visual": "svr", "memory": "forest"}
+# Late-fusion base model -> (its learner, the modalities it reads), in the
+# meta-learner's column order.
+BASES = {
+    "audio": ("svr", ("audio",)),
+    "visual": ("svr", ("visual",)),
+    "memory": ("forest", ("mem_lexical", "mem_embedding")),
+}
 
 __all__ = [
     "MODALITY_ORDER",
-    "BASE_ORDER",
-    "BASE_LEARNER",
+    "BASES",
     "ModalityBundle",
     "EarlyFusionModel",
     "LateFusionModel",
@@ -194,17 +198,10 @@ def early_fusion_fit(
     return EarlyFusionModel(dims, fit_svr(_concat_features(bundles, tuple(dims)), y, svr_params))
 
 
-_BASE_MODALITIES = {
-    "audio": ("audio",),
-    "visual": ("visual",),
-    "memory": ("mem_lexical", "mem_embedding"),
-}
-
-
 def late_fusion_bases(modalities: tuple[str, ...]) -> tuple[str, ...]:
-    """The late-fusion base models, in `BASE_ORDER`, that the given modalities feed."""
+    """The late-fusion base models, in `BASES` order, that the given modalities feed."""
     return tuple(
-        name for name in BASE_ORDER if any(m in modalities for m in _BASE_MODALITIES[name])
+        name for name, (_, reads) in BASES.items() if any(m in modalities for m in reads)
     )
 
 
@@ -212,9 +209,7 @@ def _base_inputs(
     bundles: list[ModalityBundle], active: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
     return {
-        name: _concat_features(
-            bundles, tuple(m for m in _BASE_MODALITIES[name] if m in active)
-        )
+        name: _concat_features(bundles, tuple(m for m in BASES[name][1] if m in active))
         for name in late_fusion_bases(active)
     }
 
@@ -223,7 +218,7 @@ def _fit_base(
     name: str, X: np.ndarray, y: np.ndarray, params: SvrParams | ForestParams, seed: int
 ):
     """Fit base model `name` with its own params (`LateFusionParams.<name>`)."""
-    if BASE_LEARNER[name] == "forest":
+    if BASES[name][0] == "forest":
         return fit_forest(X, y, dataclasses.replace(params, seed=seed))
     return fit_svr(X, y, params)
 

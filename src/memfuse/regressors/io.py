@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .forest import ForestModel, ForestParams, _Tree
-from .ridge import RidgeModel
+from .ridge import RidgeModel, check_alpha
 from .scaler import Scaler
 from .svr import SvrModel, SvrParams
 
@@ -23,49 +22,28 @@ FORMAT_VERSION = 1
 __all__ = ["model_to_json", "model_from_json", "save_model", "load_model", "FORMAT_VERSION"]
 
 
+_KINDS = {SvrModel: "svr", RidgeModel: "ridge", ForestModel: "forest"}
+
+
+def _to_json(value):
+    """`value` with arrays as lists and dataclasses as dicts of their saved fields."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_to_json(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _to_json(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.metadata.get("saved", True)
+        }
+    return value
+
+
 def model_to_json(model) -> dict:
-    if isinstance(model, SvrModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "svr",
-            "params": dataclasses.asdict(model.params),
-            "support_vectors": model.support_vectors.tolist(),
-            "dual_coefs": model.dual_coefs.tolist(),
-            "support_indices": model.support_indices.tolist(),
-            "bias": model.bias,
-            "scaler": model.scaler.to_json(),
-            "converged": model.converged,
-            "n_iter": model.n_iter,
-            "kkt_gap": model.kkt_gap,
-        }
-    if isinstance(model, RidgeModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "ridge",
-            "alpha": model.alpha,
-            "weights": model.weights.tolist(),
-            "intercept": model.intercept,
-            "scaler": model.scaler.to_json(),
-        }
-    if isinstance(model, ForestModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "forest",
-            "params": dataclasses.asdict(model.params),
-            "n_features": model.n_features,
-            "trees": [
-                {
-                    "feature": tree.feature.tolist(),
-                    "threshold": tree.threshold.tolist(),
-                    "left": tree.left.tolist(),
-                    "right": tree.right.tolist(),
-                    "value": tree.value.tolist(),
-                    "leaf_sizes": tree.leaf_sizes.tolist(),
-                }
-                for tree in model.trees
-            ],
-        }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    if type(model) not in _KINDS:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    return {"format_version": FORMAT_VERSION, "kind": _KINDS[type(model)], **_to_json(model)}
 
 
 def model_from_json(doc: dict):
@@ -76,23 +54,11 @@ def model_from_json(doc: dict):
     if kind == "svr":
         return _svr_from_json(doc)
     if kind == "ridge":
-        return RidgeModel(
-            alpha=float(doc["alpha"]),
-            weights=np.asarray(doc["weights"], dtype=float),
-            intercept=float(doc["intercept"]),
-            scaler=Scaler.from_json(doc["scaler"]),
-        )
+        return _ridge_from_json(doc)
     if kind == "forest":
         n_features = int(doc["n_features"])
         trees = [
-            _Tree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
-                threshold=np.asarray(t["threshold"], dtype=float),
-                left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
-                value=np.asarray(t["value"], dtype=float),
-                leaf_sizes=np.asarray(t["leaf_sizes"], dtype=np.int32),
-            )
+            _Tree(**{name: np.asarray(t[name], dtype=dt) for name, dt in _TREE_ARRAYS.items()})
             for t in doc["trees"]
         ]
         if not trees:
@@ -105,20 +71,40 @@ def model_from_json(doc: dict):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def _finite(name: str, value):
+    """`value`, a number or an array, unless it holds a NaN or an infinity."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+# The node arrays of a tree and their dtypes, as `fit_forest` grows them.
+_TREE_ARRAYS = {
+    "feature": np.int32,
+    "threshold": float,
+    "left": np.int32,
+    "right": np.int32,
+    "value": float,
+    "leaf_sizes": np.int32,
+}
+
+
 def _check_tree(tree: _Tree, n_features: int, index: int) -> None:
-    """Raise unless every row walks `tree` from its root to a leaf.
+    """Raise unless every row walks `tree` from its root to a finite leaf value.
 
     A node whose feature is negative is a leaf. Each other node must split
     on one of the `n_features` columns and have both children after itself
     in the tree, as `fit_forest` grows them, so every walk ends.
     """
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.leaf_sizes)
+    arrays = {name: getattr(tree, name) for name in _TREE_ARRAYS}
     n = tree.feature.size
-    if n == 0 or any(a.shape != (n,) for a in arrays):
-        shapes = [a.shape for a in arrays]
+    if n == 0 or any(a.shape != (n,) for a in arrays.values()):
+        shapes = [a.shape for a in arrays.values()]
         raise ValueError(
             f"tree {index}: node arrays must be 1-d, non-empty and of one length, got {shapes}"
         )
+    for name in ("threshold", "value"):
+        _finite(f"tree {index}: {name}", arrays[name])
     internal = np.flatnonzero(tree.feature >= 0)
     if np.any(tree.feature[internal] >= n_features):
         raise ValueError(f"tree {index}: split feature out of range for {n_features} features")
@@ -133,10 +119,10 @@ def _svr_from_json(doc: dict) -> SvrModel:
     """An `SvrModel` from its document, which must be consistent with itself."""
     scaler = Scaler.from_json(doc["scaler"])
     width = scaler.means.shape[0]
-    support_vectors = np.asarray(doc["support_vectors"], dtype=float)
+    support_vectors = _finite("support_vectors", np.asarray(doc["support_vectors"], dtype=float))
     if support_vectors.shape == (0,):
         support_vectors = support_vectors.reshape(0, width)
-    dual_coefs = np.asarray(doc["dual_coefs"], dtype=float)
+    dual_coefs = _finite("dual_coefs", np.asarray(doc["dual_coefs"], dtype=float))
     support_indices = np.asarray(doc["support_indices"], dtype=int)
     if support_vectors.ndim != 2 or support_vectors.shape[1] != width:
         raise ValueError(
@@ -148,25 +134,40 @@ def _svr_from_json(doc: dict) -> SvrModel:
             f"{support_vectors.shape[0]} support vectors, {len(dual_coefs)} dual "
             f"coefficients and {len(support_indices)} support indices"
         )
-    # A fitted model stores its gamma resolved, so None is not valid here.
+    # A fitted model stores its gamma resolved, so None is not valid here;
+    # SvrParams checks that the number is positive and finite.
     gamma = doc["params"].get("gamma")
-    if not (
-        isinstance(gamma, (int, float))
-        and not isinstance(gamma, bool)
-        and math.isfinite(gamma)
-        and gamma > 0
-    ):
-        raise ValueError(f"gamma must be a positive number, got {gamma!r}")
+    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
+        raise ValueError(f"gamma must be a number, got {gamma!r}")
     return SvrModel(
         support_vectors=support_vectors,
         dual_coefs=dual_coefs,
-        bias=float(doc["bias"]),
+        bias=_finite("bias", float(doc["bias"])),
         params=SvrParams(**doc["params"]),
         scaler=scaler,
         converged=bool(doc["converged"]),
         n_iter=int(doc["n_iter"]),
         kkt_gap=float(doc["kkt_gap"]),
         support_indices=support_indices,
+    )
+
+
+def _ridge_from_json(doc: dict) -> RidgeModel:
+    """A `RidgeModel` from its document, which must be consistent with itself."""
+    scaler = Scaler.from_json(doc["scaler"])
+    weights = _finite("weights", np.asarray(doc["weights"], dtype=float))
+    if weights.shape != scaler.means.shape:
+        raise ValueError(
+            f"weights of shape {weights.shape} do not match the scaler's "
+            f"{scaler.means.shape[0]} features"
+        )
+    alpha = float(doc["alpha"])
+    check_alpha(alpha)
+    return RidgeModel(
+        alpha=alpha,
+        weights=weights,
+        intercept=_finite("intercept", float(doc["intercept"])),
+        scaler=scaler,
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .scaler import Scaler
 
-__all__ = ["RidgeModel", "fit_ridge", "predict_ridge"]
+__all__ = ["RidgeModel", "check_alpha", "fit_ridge", "predict_ridge"]
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,12 @@ class RidgeModel:
     scaler: Scaler
 
 
+def check_alpha(alpha: float) -> None:
+    # Written so that NaN fails it, as every comparison with NaN is false.
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
+
+
 def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -32,9 +38,7 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if X.shape[0] < 1:
         raise ValueError("need at least one training row")
-    # Written so that NaN fails it, as every comparison with NaN is false.
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
+    check_alpha(alpha)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in training data")
 

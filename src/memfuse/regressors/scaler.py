@@ -37,9 +37,6 @@ class Scaler:
             )
         return (X - self.means) / self.stds
 
-    def to_json(self) -> dict:
-        return {"means": self.means.tolist(), "stds": self.stds.tolist()}
-
     @classmethod
     def from_json(cls, doc: dict) -> "Scaler":
         """The scaler of `doc`, which must be able to standardize (`fit` stores a zero std as 1)."""

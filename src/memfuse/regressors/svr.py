@@ -84,7 +84,9 @@ class SvrModel:
     support_indices: np.ndarray  # positions of the SVs in the training set
     # _sq_norms(support_vectors), kept so that predict_svr does not recompute
     # it per call; computed here when not given, and never serialized.
-    sv_sq_norms: np.ndarray | None = field(default=None, repr=False, compare=False)
+    sv_sq_norms: np.ndarray | None = field(
+        default=None, repr=False, compare=False, metadata={"saved": False}
+    )
 
     def __post_init__(self) -> None:
         if self.sv_sq_norms is None:

@@ -40,7 +40,7 @@ def _word_pairs(tokens: list[Token]) -> list[tuple[str, str]]:
 
 
 def _token_means(
-    pairs: list[tuple[str, str]], resources: Sequence, widths: Sequence[int], what: str
+    pairs: list[tuple[str, str]], resources: Sequence[Lexicon | EmbeddingTable], what: str
 ) -> tuple[np.ndarray, float]:
     """Concatenated per-resource token means, and the coverage of the tokens.
 
@@ -52,7 +52,7 @@ def _token_means(
         raise ValueError(f"no {what} loaded")
     blocks = []
     matched = [False] * len(pairs)
-    for resource, width in zip(resources, widths):
+    for resource in resources:
         entries = resource.entries
         hits = []
         for i, (token, lemma) in enumerate(pairs):
@@ -62,7 +62,7 @@ def _token_means(
             if vec is not None:
                 hits.append(vec)
                 matched[i] = True
-        blocks.append(np.mean(hits, axis=0) if hits else np.zeros(width))
+        blocks.append(np.mean(hits, axis=0) if hits else np.zeros(resource.width))
     coverage = (sum(matched) / len(pairs)) if pairs else 0.0
     return np.concatenate(blocks), coverage
 
@@ -73,15 +73,9 @@ def _lexical(
     lexicons: Sequence[Lexicon],
     scorer: RuleScorer,
 ) -> tuple[np.ndarray, float]:
-    means, coverage = _token_means(pairs, lexicons, [lex.width for lex in lexicons], "lexicons")
+    means, coverage = _token_means(pairs, lexicons, "lexicons")
     scores = np.asarray(scorer.score_tokens(tokens).as_tuple(), dtype=float)
     return np.concatenate([means, scores]), coverage
-
-
-def _embedding(
-    pairs: list[tuple[str, str]], tables: Sequence[EmbeddingTable]
-) -> tuple[np.ndarray, float]:
-    return _token_means(pairs, tables, [table.dim for table in tables], "embedding tables")
 
 
 def lexical_features(
@@ -99,7 +93,7 @@ def embed_features(
     text: str, tables: Sequence[EmbeddingTable]
 ) -> tuple[np.ndarray, float]:
     """Concatenated per-table token means; zero block for unmatched tables."""
-    return _embedding(_word_pairs(tokenize(preprocess(text))), tables)
+    return _token_means(_word_pairs(tokenize(preprocess(text))), tables, "embedding tables")
 
 
 class TextFeatureExtractor:
@@ -114,7 +108,7 @@ class TextFeatureExtractor:
         lexical, lex_cov = _lexical(
             tokens, pairs, self.resources.lexicons, self.resources.scorer
         )
-        embedding, emb_cov = _embedding(pairs, self.resources.embeddings)
+        embedding, emb_cov = _token_means(pairs, self.resources.embeddings, "embedding tables")
         return TextFeatures(
             lexical=lexical,
             embedding=embedding,

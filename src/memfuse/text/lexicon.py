@@ -78,6 +78,10 @@ class EmbeddingTable:
     def __post_init__(self) -> None:
         _check_entries("embedding table", self.name, self.entries, self.dim)
 
+    @property
+    def width(self) -> int:
+        return self.dim
+
 
 def _read_table(
     path: Path,

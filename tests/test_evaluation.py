@@ -26,9 +26,11 @@ from memfuse.evaluation import (
     av_dagger_baseline,
     grid_search,
     make_lpo_folds,
+    pearson,
     r2_score,
     run_experiment1,
     run_experiment2,
+    validate_grid,
 )
 from memfuse.folds import group_splits
 from memfuse.fusion import (
@@ -226,6 +228,33 @@ def test_run_experiment1_rejects_a_bad_dim_before_any_work():
     ds, _ = _dataset(people=6)
     with pytest.raises(ValueError, match="^unknown dim 'valence'"):
         run_experiment1(ds, GRID, SEED, extractor=_NoWork(), dims=("p", "valence"))
+
+
+def test_run_experiment1_rejects_a_bad_grid_value_before_any_work():
+    # Only late fusion reads forest keys; the value is checked before early fusion runs.
+    ds, _ = _dataset(people=6)
+    with pytest.raises(ValueError, match="^n_trees must be a positive integer, got 2.5"):
+        run_experiment1(ds, {**GRID, "forest.n_trees": [3, 2.5]}, SEED, extractor=_NoWork())
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"svr.c": [1.0, -1.0]}, "c must be positive and finite, got -1.0"),
+        ({"svr.gamma": [None, float("nan")]}, "gamma must be positive and finite"),
+        ({"forest.n_trees": [2.5]}, "n_trees must be a positive integer, got 2.5"),
+        ({"forest.max_features": [0.0]}, "max_features must be in"),
+        ({"ridge.alpha": [-1.0]}, "alpha must be non-negative and finite, got -1.0"),
+        ({"stack.k_inner": [0]}, "k must be a positive integer, got 0"),
+    ],
+)
+def test_validate_grid_runs_each_value_through_its_learner_check(grid, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        validate_grid(grid)
+
+
+def test_validate_grid_accepts_the_learners_own_unset_values():
+    validate_grid({"svr.gamma": [None, 0.5], "forest.max_depth": [None, 3], "stack.k_inner": [2]})
 
 
 def _memory_bundles(extractor, ds):
@@ -487,6 +516,28 @@ def test_single_point_grid_fits_nothing():
 def test_av_dagger_predicts_training_video_means():
     pred = av_dagger_baseline(["a", "b", "a"], np.array([1.0, 4.0, 3.0]), ["b", "a"])
     np.testing.assert_array_equal(pred, [4.0, 2.0])
+
+
+def test_av_dagger_rejects_videos_and_values_of_another_length():
+    with pytest.raises(ValueError, match="^4 training videos but 2 training values"):
+        av_dagger_baseline(["a", "b", "a", "b"], np.array([1.0, 2.0]), ["a", "b"])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_pearson_and_r2_reject_non_finite_input(bad):
+    x, y = np.array([0.1, 0.5, 0.2, 0.9]), np.array([0.3, 0.4, 0.1, 0.8])
+    for metric in (pearson, r2_score):
+        for args in ((np.where(x > 0.8, bad, x), y), (x, np.where(y > 0.7, bad, y))):
+            with pytest.raises(ValueError, match="^non-finite input"):
+                metric(*args)
+
+
+def test_annotator_agreement_rejects_a_nan_rating():
+    rng = np.random.default_rng(5)
+    self_ma, ann1, ann2 = (rng.uniform(-1, 1, size=(20, 3)) for _ in range(3))
+    ann1[3, 0] = np.nan
+    with pytest.raises(ValueError, match="^non-finite input"):
+        annotator_agreement(self_ma, ann1, ann2)
 
 
 def test_av_dagger_unseen_video_warns_and_uses_global_mean():

@@ -150,7 +150,16 @@ def test_serialization_via_json_text_roundtrip(rng):
 
 
 @pytest.mark.parametrize(
-    "case", ["left_self_loop", "child_outside_tree", "feature_out_of_range", "ragged", "no_trees"]
+    "case",
+    [
+        "left_self_loop",
+        "child_outside_tree",
+        "feature_out_of_range",
+        "ragged",
+        "no_trees",
+        "threshold_nan",
+        "value_nan",
+    ],
 )
 def test_model_from_json_rejects_a_forest_that_cannot_be_predicted(rng, case):
     X = rng.normal(size=(40, 3))
@@ -167,6 +176,10 @@ def test_model_from_json_rejects_a_forest_that_cannot_be_predicted(rng, case):
         "feature_out_of_range": ({"feature": [3] + tree["feature"][1:]}, "out of range"),
         "ragged": ({"value": tree["value"][:-1]}, "of one length"),
         "no_trees": (None, "at least one tree"),
+        "threshold_nan": (
+            {"threshold": [float("nan")] + tree["threshold"][1:]}, "tree 0: threshold must be finite"
+        ),
+        "value_nan": ({"value": tree["value"][:-1] + [float("nan")]}, "tree 0: value must be finite"),
     }[case]
     trees = [] if change is None else [{**tree, **change}]
     with pytest.raises(ValueError, match=message):

@@ -136,6 +136,27 @@ _BAD_SCALERS = {
 }
 
 
+_BAD_RIDGES = {
+    "weights_nan": (lambda d: {"weights": [float("nan"), *d["weights"][1:]]}, "^weights must be"),
+    "weights_inf": (lambda d: {"weights": [*d["weights"][:-1], float("inf")]}, "^weights must be"),
+    "intercept_nan": (lambda d: {"intercept": float("nan")}, "^intercept must be finite"),
+    "intercept_inf": (lambda d: {"intercept": float("-inf")}, "^intercept must be finite"),
+    "weights_2d": (lambda d: {"weights": [d["weights"]]}, r"^weights of shape \(1, 3\)"),
+    "weights_short": (lambda d: {"weights": d["weights"][:-1]}, "scaler's 3 features"),
+    "alpha_negative": (lambda d: {"alpha": -0.5}, "^alpha must be non-negative and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RIDGES))
+def test_model_from_json_rejects_a_ridge_that_cannot_predict(rng, case):
+    X = rng.normal(size=(20, 3))
+    doc = model_to_json(fit_ridge(X, X[:, 0] + 0.1 * rng.normal(size=20), 1.0))
+    model_from_json(doc)  # the untouched document loads
+    change, message = _BAD_RIDGES[case]
+    with pytest.raises(ValueError, match=message):
+        model_from_json({**doc, **change(doc)})
+
+
 @pytest.mark.parametrize("kind", ["svr", "ridge"])
 @pytest.mark.parametrize("case", sorted(_BAD_SCALERS))
 def test_model_from_json_rejects_a_scaler_that_cannot_standardize(rng, kind, case):

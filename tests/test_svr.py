@@ -160,7 +160,16 @@ def test_design_predictions_reject_a_model_of_another_design(rng):
 
 @pytest.mark.parametrize(
     "case",
-    ["short_support_indices", "narrow_support_vectors", "gamma_null", "gamma_nan", "gamma_text"],
+    [
+        "short_support_indices",
+        "narrow_support_vectors",
+        "gamma_null",
+        "gamma_nan",
+        "gamma_text",
+        "bias_nan",
+        "dual_coefs_nan",
+        "support_vectors_inf",
+    ],
 )
 def test_model_from_json_rejects_an_inconsistent_document(rng, case):
     X = rng.normal(size=(20, 4))
@@ -178,6 +187,14 @@ def test_model_from_json_rejects_an_inconsistent_document(rng, case):
         "gamma_null": ({"params": {**doc["params"], "gamma": None}}, "gamma must be"),
         "gamma_nan": ({"params": {**doc["params"], "gamma": float("nan")}}, "gamma must be"),
         "gamma_text": ({"params": {**doc["params"], "gamma": "0.5"}}, "gamma must be"),
+        "bias_nan": ({"bias": float("nan")}, "^bias must be finite"),
+        "dual_coefs_nan": (
+            {"dual_coefs": [float("nan"), *doc["dual_coefs"][1:]]}, "^dual_coefs must be finite"
+        ),
+        "support_vectors_inf": (
+            {"support_vectors": [[float("inf")] * 4, *doc["support_vectors"][1:]]},
+            "^support_vectors must be finite",
+        ),
     }[case]
     with pytest.raises(ValueError, match=message):
         model_from_json({**doc, **change})

@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
-"""Print one digest per benchmark workload of one round's outputs.
+"""Print a digest of one seed's benchmark inputs and of each workload's round outputs.
 
     python tools/round_digests.py [--seed N]
 
-For each workload in `bench/workloads.py` it makes (or reuses) the seed's
-inputs through `bench/run.py`'s `ensure_inputs`, sets the workload up, runs
-one round of its operations and prints ``<workload> <digest>``. The digest is
-the first 16 hex digits of the sha256 of `json.dumps(outputs,
-sort_keys=True)`. Two checkouts whose digests match on a seed produced the
-same reports and scores for it, number for number. The outputs depend on the
-BLAS thread count, so compare digests taken with the same thread settings
-(the benchmark pins one thread). The script only prints; it checks nothing.
+It generates the seed's inputs afresh into a temporary directory with the
+checkout's `bench/generate.py`, in a child process as `bench/run.py` does, and
+prints ``inputs <digest>``: a digest of every generated file's relative path
+and bytes. The inputs are made anew rather than taken from `bench/_data`,
+whose sets are keyed on `generate.py` alone and so can predate a change to the
+dataset or feature writers or to the bundled resources that they use.
+
+Then, for each workload in `bench/workloads.py`, it sets the workload up on
+those inputs, runs one round of its operations and prints ``<workload>
+<digest>``, a digest of `json.dumps(outputs, sort_keys=True)`. Each digest is
+the first 16 hex digits of a sha256. Two checkouts whose digests match on a
+seed generated the same inputs and produced the same reports and scores for
+it, number for number. The outputs depend on the BLAS thread count, so compare
+digests taken with the same thread settings (the benchmark pins one thread).
+The script only prints; it checks nothing.
 """
 
 from __future__ import annotations
@@ -18,10 +25,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _files_digest(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{path.relative_to(directory).as_posix()}\0{content}\n".encode())
+    return digest.hexdigest()[:16]
 
 
 def main(argv=None) -> int:
@@ -36,12 +53,19 @@ def main(argv=None) -> int:
     paths.use_checkout_src()
     import workloads
 
-    data_dir = run.ensure_inputs(args.seed)
-    for name, workload_cls in workloads.WORKLOADS.items():
-        workload = workload_cls(data_dir, args.seed)
-        _, outputs, _ = run.run_round(workload.operations(workload.setup()))
-        digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
-        print(f"{name} {digest[:16]}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp) / f"seed-{args.seed}"
+        subprocess.run(
+            [sys.executable, str(BENCH_DIR / "generate.py"), "--seed", str(args.seed),
+             "--out", str(data_dir)],
+            check=True,
+        )
+        print(f"inputs {_files_digest(data_dir)}", flush=True)
+        for name, workload_cls in workloads.WORKLOADS.items():
+            workload = workload_cls(data_dir, args.seed)
+            _, outputs, _ = run.run_round(workload.operations(workload.setup()))
+            digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+            print(f"{name} {digest[:16]}", flush=True)
     return 0
 
 
