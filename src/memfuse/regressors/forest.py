@@ -13,13 +13,20 @@ values sharing a rank. A node then sorts integer keys that hold a value's rank
 above its row's position in the node. No two keys of a node are equal, so any
 sort puts them in the stable order of the values, and the prefix sums, the
 scores and the children match a search with a stable sort bit for bit.
+
+A fitted forest also holds its trees' nodes packed into one table.
+`predict_forest` steps every row down every tree at once, one level per step,
+until each walk sits on a leaf. It adds the leaf values tree by tree, in tree
+order and from zero, and divides by the tree count: the predictions are those
+of walking and summing the trees one at a time, bit for bit. A numpy sum over
+the (rows, trees) block would not be, as it adds a row's values pairwise.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,11 +66,54 @@ class _Tree:
     leaf_sizes: np.ndarray  # training targets per leaf (diagnostic)
 
 
+@dataclass(frozen=True)
+class _Nodes:
+    """Every tree's nodes in one set of arrays, so that one walk steps all trees.
+
+    Tree t's nodes follow those of the trees before it, from `roots[t]` on, and
+    its child indices are offset to match. A leaf is its own left and right
+    child, so a walk that has reached it stays there.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray  # -1 marks a leaf
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+
+def _pack(trees: list[_Tree]) -> _Nodes:
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offsets = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature < 0
+    ids = np.arange(feature.size)
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    return _Nodes(
+        roots=roots,
+        feature=feature,
+        threshold=joined("threshold"),
+        left=np.where(leaf, ids, joined("left") + offsets),
+        right=np.where(leaf, ids, joined("right") + offsets),
+        value=joined("value"),
+    )
+
+
 @dataclass
 class ForestModel:
     params: ForestParams
     trees: list[_Tree]
     n_features: int
+    # _pack(trees), which predict_forest walks; built here and never serialized.
+    nodes: _Nodes = field(init=False, repr=False, compare=False, metadata={"saved": False})
+
+    def __post_init__(self) -> None:
+        self.nodes = _pack(self.trees)
 
 
 def _sorted_ranks(X: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
@@ -252,19 +302,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestMode
     return ForestModel(params=params, trees=trees, n_features=X.shape[1])
 
 
-def _predict_tree(tree: _Tree, X: np.ndarray) -> np.ndarray:
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    while True:
-        at_leaf = tree.feature[node] < 0
-        if at_leaf.all():
-            break
-        active = ~at_leaf
-        cur = node[active]
-        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-    return tree.value[node]
-
-
 def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_features:
@@ -273,7 +310,17 @@ def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values in prediction input")
+    nodes = model.nodes
+    node = np.tile(nodes.roots, (X.shape[0], 1))  # (rows, trees): each walk's node
+    while True:
+        feature = nodes.feature[node]
+        if (feature < 0).all():
+            break
+        # A leaf's -1 reads the last column; it goes to itself either way.
+        x = np.take_along_axis(X, feature, axis=1)
+        node = np.where(x <= nodes.threshold[node], nodes.left[node], nodes.right[node])
+    # Tree by tree from zero: a numpy sum over each row would add pairwise.
     out = np.zeros(X.shape[0])
-    for tree in model.trees:
-        out += _predict_tree(tree, X)
+    for leaf_values in nodes.value[node].T:
+        out += leaf_values
     return out / len(model.trees)

@@ -129,11 +129,16 @@ def _svr_from_json(doc: dict) -> SvrModel:
             f"support vectors of shape {support_vectors.shape} do not match "
             f"the scaler's {width} features"
         )
-    if not support_vectors.shape[0] == len(dual_coefs) == len(support_indices):
+    n_support = support_vectors.shape[0]
+    if not dual_coefs.shape == support_indices.shape == (n_support,):
         raise ValueError(
-            f"{support_vectors.shape[0]} support vectors, {len(dual_coefs)} dual "
-            f"coefficients and {len(support_indices)} support indices"
+            f"{n_support} support vectors, {dual_coefs.size} dual coefficients of shape "
+            f"{dual_coefs.shape} and {support_indices.size} support indices of shape "
+            f"{support_indices.shape}: each needs one entry per support vector"
         )
+    converged = doc["converged"]
+    if not isinstance(converged, bool):
+        raise ValueError(f"converged must be true or false, got {converged!r}")
     # A fitted model stores its gamma resolved, so None is not valid here;
     # SvrParams checks that the number is positive and finite.
     gamma = doc["params"].get("gamma")
@@ -145,7 +150,7 @@ def _svr_from_json(doc: dict) -> SvrModel:
         bias=_finite("bias", float(doc["bias"])),
         params=SvrParams(**doc["params"]),
         scaler=scaler,
-        converged=bool(doc["converged"]),
+        converged=converged,
         n_iter=int(doc["n_iter"]),
         kkt_gap=float(doc["kkt_gap"]),
         support_indices=support_indices,

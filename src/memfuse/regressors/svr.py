@@ -29,6 +29,12 @@ one kernel of every design row against the queries would be cheaper, but a
 BLAS product of a row subset is not always bit-equal to the same rows of the
 full product: OpenBLAS takes other code paths for small products and numpy
 for a single row.
+
+`rbf_kernel_matrix` doubles the product `A @ B.T` in place rather than an
+operand. Doubling is exact in binary floating point, so the kernel is bit-equal
+to one built from `(2.0 * A) @ B.T`, and a predict call does not copy the
+model's support vectors. A Gram, whose operands share memory, still doubles an
+operand: numpy computes `A @ A.T` with syrk, which rounds differently.
 """
 
 from __future__ import annotations
@@ -119,7 +125,14 @@ def rbf_kernel_matrix(
         A_sq_norms = _sq_norms(A)
     if B_sq_norms is None:
         B_sq_norms = _sq_norms(B)
-    sq = A_sq_norms[:, None] + B_sq_norms[None, :] - 2.0 * A @ B.T
+    if np.may_share_memory(A, B):
+        # numpy would send A @ A.T to syrk, which rounds differently from gemm;
+        # doubling an operand keeps a Gram on the gemm its fits were pinned with.
+        product = 2.0 * A @ B.T
+    else:
+        product = A @ B.T
+        product *= 2.0  # exact, and bit-equal to (2.0 * A) @ B.T without copying A
+    sq = A_sq_norms[:, None] + B_sq_norms[None, :] - product
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
 

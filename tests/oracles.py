@@ -2,8 +2,8 @@
 
 These deliberately take different algorithmic routes than the package:
 a dense projected-gradient QP solver for the SVR dual, explicit normal
-equations for ridge, and a one-feature-at-a-time stable-sort scan for the
-forest's split search.
+equations for ridge, a one-feature-at-a-time stable-sort scan for the
+forest's split search, and one row down one tree at a time for its prediction.
 """
 
 from __future__ import annotations
@@ -147,3 +147,27 @@ def stable_sort_best_split(
     if threshold == above:
         threshold = below
     return int(feats[col]), float(threshold), ordered[: pos + 1], ordered[pos + 1 :]
+
+
+def tree_leaf_values(tree, X: np.ndarray) -> list[float]:
+    """The leaf value that each row of X reaches in `tree`, walked one row at a time."""
+    values = []
+    for x in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        values.append(float(tree.value[node]))
+    return values
+
+
+def forest_by_tree_walks(model, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf values added tree by tree, in tree order from 0.0, over the tree count."""
+    per_tree = [tree_leaf_values(tree, X) for tree in model.trees]
+    out = []
+    for row_values in zip(*per_tree):
+        total = 0.0
+        for value in row_values:
+            total += value
+        out.append(total / len(model.trees))
+    return np.array(out)

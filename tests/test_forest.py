@@ -15,7 +15,7 @@ from memfuse.regressors import (
 )
 from memfuse.regressors.forest import _SplitSearch
 
-from .oracles import stable_sort_best_split
+from .oracles import forest_by_tree_walks, stable_sort_best_split, tree_leaf_values
 
 
 def test_constant_target(rng):
@@ -242,6 +242,44 @@ def test_forest_bytes_on_tie_heavy_inputs():
 def test_tie_golden_forests_load_unchanged():
     for doc in json.loads(FOREST_GOLDEN.read_text(encoding="utf-8")).values():
         assert model_to_json(model_from_json(doc)) == doc
+
+
+def test_tie_golden_forests_predict_as_their_trees_walked_one_at_a_time():
+    X, _ = _tie_heavy_inputs()
+    queries = np.vstack([X, np.random.default_rng(3).normal(size=(20, X.shape[1]))])
+    for doc in json.loads(FOREST_GOLDEN.read_text(encoding="utf-8")).values():
+        model = model_from_json(doc)
+        expected = forest_by_tree_walks(model, queries)
+        assert predict_forest(model, queries).tobytes() == expected.tobytes()
+        for i, row in enumerate(queries):
+            assert predict_forest(model, row).tobytes() == expected[i : i + 1].tobytes()
+
+
+def _max_depth(tree) -> int:
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for node in np.flatnonzero(tree.feature >= 0):  # children come after their node
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+@pytest.mark.parametrize("n_trees, min_leaf", [(8, 1), (13, 2), (20, 1)])
+def test_predict_equals_walking_and_summing_the_trees_one_at_a_time(n_trees, min_leaf):
+    rng = np.random.default_rng(n_trees)
+    X = rng.normal(size=(60, 5))
+    y = X[:, 0] + np.sin(3 * X[:, 1]) + rng.normal(size=60)
+    queries = np.vstack([X, rng.normal(size=(40, 5))])
+    model = fit_forest(X, y, ForestParams(n_trees=n_trees, min_leaf=min_leaf, seed=5))
+    assert len({_max_depth(tree) for tree in model.trees}) > 1  # trees of uneven depth
+
+    expected = forest_by_tree_walks(model, queries)
+    assert predict_forest(model, queries).tobytes() == expected.tobytes()
+    for i, row in enumerate(queries):
+        assert predict_forest(model, row[None, :]).tobytes() == expected[i : i + 1].tobytes()
+    # A numpy sum over each row's leaf values adds them pairwise and misses.
+    leaves = np.ascontiguousarray(
+        np.array([tree_leaf_values(tree, queries) for tree in model.trees]).T
+    )
+    assert not np.array_equal(leaves.sum(axis=1) / n_trees, expected)
 
 
 def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():

@@ -169,6 +169,10 @@ def test_design_predictions_reject_a_model_of_another_design(rng):
         "bias_nan",
         "dual_coefs_nan",
         "support_vectors_inf",
+        "dual_coefs_column",
+        "support_indices_column",
+        "converged_text",
+        "converged_number",
     ],
 )
 def test_model_from_json_rejects_an_inconsistent_document(rng, case):
@@ -195,6 +199,16 @@ def test_model_from_json_rejects_an_inconsistent_document(rng, case):
             {"support_vectors": [[float("inf")] * 4, *doc["support_vectors"][1:]]},
             "^support_vectors must be finite",
         ),
+        "dual_coefs_column": (
+            {"dual_coefs": [[b] for b in doc["dual_coefs"]]},
+            r"dual coefficients of shape \(\d+, 1\)",
+        ),
+        "support_indices_column": (
+            {"support_indices": [[i] for i in doc["support_indices"]]},
+            r"support indices of shape \(\d+, 1\)",
+        ),
+        "converged_text": ({"converged": "no"}, "^converged must be true or false, got 'no'"),
+        "converged_number": ({"converged": 1}, "^converged must be true or false, got 1"),
     }[case]
     with pytest.raises(ValueError, match=message):
         model_from_json({**doc, **change})
@@ -343,3 +357,27 @@ def test_gram_passes_the_rows_norms_for_both_sides(rng, monkeypatch):
     gamma, gram = design.gram(SvrParams())
     assert [(a is design.row_sq_norms, b is design.row_sq_norms) for a, b in seen] == [(True, True)]
     assert gram.tobytes() == kernel(design.rows, design.rows, gamma).tobytes()
+
+
+def _kernel_by_doubled_operand(A, B, gamma):
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - (2.0 * A) @ B.T
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
+def test_kernel_of_two_blocks_is_byte_equal_to_doubling_an_operand(rng):
+    # The first shape is a predict call of a visual SVR: one query row of 8709 values.
+    for n_a, n_b, d in ((170, 1, 8709), (30, 7, 13), (5, 60, 3), (1, 1, 8), (40, 25, 300)):
+        A, B = rng.normal(size=(n_a, d)), rng.normal(size=(n_b, d))
+        gamma = 1.0 / d
+        expected = _kernel_by_doubled_operand(A, B, gamma)
+        assert rbf_kernel_matrix(A, B, gamma).tobytes() == expected.tobytes()
+
+
+def test_gram_is_byte_equal_to_doubling_an_operand(rng):
+    # On these shapes numpy's syrk for rows @ rows.T rounds differently from the
+    # gemm for (2.0 * rows) @ rows.T, so doubling the Gram's product would fail here.
+    for n, d in ((12, 3), (60, 50)):
+        design = SvrDesign(rng.normal(size=(n, d)))
+        gamma, gram = design.gram(SvrParams())
+        expected = _kernel_by_doubled_operand(design.rows, design.rows, gamma)
+        assert gram.tobytes() == expected.tobytes()
