@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,9 @@ def model_from_json(doc: dict):
     if kind == "ridge":
         return _ridge_from_json(doc)
     if kind == "forest":
-        n_features = int(doc["n_features"])
+        n_features = doc["n_features"]
+        if not _is_count(n_features, 1):
+            raise ValueError(f"n_features must be a positive integer, got {n_features!r}")
         trees = [
             _Tree(**{name: np.asarray(t[name], dtype=dt) for name, dt in _TREE_ARRAYS.items()})
             for t in doc["trees"]
@@ -66,9 +69,14 @@ def model_from_json(doc: dict):
         for index, tree in enumerate(trees):
             _check_tree(tree, n_features, index)
         return ForestModel(
-            params=ForestParams(**doc["params"]), trees=trees, n_features=n_features
+            params=ForestParams(**doc["params"]), trees=trees, n_features=int(n_features)
         )
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def _is_count(value, minimum: int = 0) -> bool:
+    """True for a Python or numpy integer, not a bool, of at least `minimum`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 def _finite(name: str, value):
@@ -123,7 +131,7 @@ def _svr_from_json(doc: dict) -> SvrModel:
     if support_vectors.shape == (0,):
         support_vectors = support_vectors.reshape(0, width)
     dual_coefs = _finite("dual_coefs", np.asarray(doc["dual_coefs"], dtype=float))
-    support_indices = np.asarray(doc["support_indices"], dtype=int)
+    support_indices = np.asarray(doc["support_indices"])
     if support_vectors.ndim != 2 or support_vectors.shape[1] != width:
         raise ValueError(
             f"support vectors of shape {support_vectors.shape} do not match "
@@ -136,6 +144,12 @@ def _svr_from_json(doc: dict) -> SvrModel:
             f"{dual_coefs.shape} and {support_indices.size} support indices of shape "
             f"{support_indices.shape}: each needs one entry per support vector"
         )
+    indices = list(doc["support_indices"])
+    if not all(_is_count(i) for i in indices) or len(set(indices)) != n_support:
+        raise ValueError("support indices must be distinct non-negative integers")
+    n_iter = doc["n_iter"]
+    if not _is_count(n_iter):
+        raise ValueError(f"n_iter must be a non-negative integer, got {n_iter!r}")
     converged = doc["converged"]
     if not isinstance(converged, bool):
         raise ValueError(f"converged must be true or false, got {converged!r}")
@@ -151,9 +165,9 @@ def _svr_from_json(doc: dict) -> SvrModel:
         params=SvrParams(**doc["params"]),
         scaler=scaler,
         converged=converged,
-        n_iter=int(doc["n_iter"]),
+        n_iter=int(n_iter),
         kkt_gap=float(doc["kkt_gap"]),
-        support_indices=support_indices,
+        support_indices=support_indices.astype(int),
     )
 
 

@@ -7,16 +7,18 @@ whitespace-separated ``word v1 ... vd`` line per word, its width taken from
 the first line. One reader loads both: it skips blank lines, lowercases words,
 and raises `ResourceFormatError` naming ``path:line`` for a repeated word, a
 row of another width or a non-finite value. `Lexicon` and `EmbeddingTable`
-check their words and widths when built in code. The bundled sample suite
-under ``resources/`` is declared by a manifest listing each lexicon slot, its
-dimensions, the rule scorer's valence lexicon, and two embedding tables.
+check their words and widths when built, and pack their vectors into one
+read-only float matrix, whose rows the entries then hold (`vectors`). The
+bundled sample suite under ``resources/`` is declared by a manifest listing
+each lexicon slot, its dimensions, the rule scorer's valence lexicon, and two
+embedding tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable
@@ -41,7 +43,15 @@ class ResourceFormatError(ValueError):
     """Raised for malformed lexicon or embedding files."""
 
 
-def _check_entries(kind: str, name: str, entries: dict[str, np.ndarray], width: int) -> None:
+def _pack(
+    kind: str, name: str, entries: dict[str, np.ndarray], width: int
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """`entries` as rows of one read-only float matrix, and that matrix.
+
+    Raises unless every word is lowercase and every vector has `width`
+    values. The returned entries map each word to a view of its row, in the
+    order of `entries`.
+    """
     for word, vec in entries.items():
         if word != word.lower():
             raise ValueError(f"{kind} {name!r}: word {word!r} is not lowercase")
@@ -49,6 +59,9 @@ def _check_entries(kind: str, name: str, entries: dict[str, np.ndarray], width: 
             raise ValueError(
                 f"{kind} {name!r}: entry {word!r} has shape {vec.shape}, expected ({width},)"
             )
+    vectors = np.array(list(entries.values()), dtype=float).reshape(len(entries), width)
+    vectors.flags.writeable = False
+    return dict(zip(entries, vectors)), vectors
 
 
 @dataclass(frozen=True)
@@ -58,9 +71,13 @@ class Lexicon:
     name: str
     dims: tuple[str, ...]
     entries: dict[str, np.ndarray]
+    # Every vector, one row per word in `entries` order; the entries are views of its rows.
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_entries("lexicon", self.name, self.entries, self.width)
+        entries, vectors = _pack("lexicon", self.name, self.entries, self.width)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def width(self) -> int:
@@ -74,9 +91,13 @@ class EmbeddingTable:
     name: str
     dim: int
     entries: dict[str, np.ndarray]
+    # Every vector, one row per word in `entries` order; the entries are views of its rows.
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_entries("embedding table", self.name, self.entries, self.dim)
+        entries, vectors = _pack("embedding table", self.name, self.entries, self.dim)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def width(self) -> int:
@@ -111,10 +132,10 @@ def _read_table(
         if word in entries:
             raise ResourceFormatError(f"{path}:{lineno}: duplicate word {word!r}")
         try:
-            values = [float(v) for v in fields]
+            values = list(map(float, fields))
         except ValueError as exc:
             raise ResourceFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ResourceFormatError(f"{path}:{lineno}: non-finite value")
         entries[word] = np.asarray(values, dtype=float)
     return entries, width

@@ -3,12 +3,15 @@
 These deliberately take different algorithmic routes than the package:
 a dense projected-gradient QP solver for the SVR dual, explicit normal
 equations for ridge, a one-feature-at-a-time stable-sort scan for the
-forest's split search, and one row down one tree at a time for its prediction.
+forest's split search, one row down one tree at a time for its prediction,
+and a dict probe per word token and table for the text features' lookup rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from memfuse.text import lemmatize
 
 
 def project_box_hyperplane(v: np.ndarray, s: np.ndarray, c: float) -> np.ndarray:
@@ -171,3 +174,28 @@ def forest_by_tree_walks(model, X: np.ndarray) -> np.ndarray:
             total += value
         out.append(total / len(model.trees))
     return np.array(out)
+
+
+def token_means_by_probes(tokens, tables) -> tuple[np.ndarray, float]:
+    """Concatenated per-table means of the word tokens' vectors, and their coverage.
+
+    Each table's `entries` is probed for every word token, as itself and,
+    only when that misses, as its lemma; the hits' `np.mean` is the table's
+    block, zeros when nothing hits. Coverage is the fraction of word tokens
+    found in at least one table, 0.0 for none.
+    """
+    pairs = [(str(t), lemmatize(str(t))) for t in tokens if t.is_word()]
+    blocks = []
+    matched = [False] * len(pairs)
+    for table in tables:
+        hits = []
+        for i, (token, lemma) in enumerate(pairs):
+            vec = table.entries.get(token)
+            if vec is None:
+                vec = table.entries.get(lemma)
+            if vec is not None:
+                hits.append(vec)
+                matched[i] = True
+        blocks.append(np.mean(hits, axis=0) if hits else np.zeros(table.width))
+    coverage = (sum(matched) / len(pairs)) if pairs else 0.0
+    return np.concatenate(blocks), coverage

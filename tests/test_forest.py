@@ -186,6 +186,15 @@ def test_model_from_json_rejects_a_forest_that_cannot_be_predicted(rng, case):
         model_from_json({**doc, "trees": trees})
 
 
+@pytest.mark.parametrize("n_features", [3.9, 3.0, True, "3", 0])
+def test_model_from_json_rejects_a_feature_count_that_is_not_a_positive_integer(rng, n_features):
+    X = rng.normal(size=(40, 3))
+    doc = model_to_json(fit_forest(X, X[:, 0], ForestParams(n_trees=1, min_leaf=2, seed=4)))
+    # int() would load 3.9 as 3 features.
+    with pytest.raises(ValueError, match="^n_features must be a positive integer"):
+        model_from_json({**doc, "n_features": n_features})
+
+
 def test_split_between_adjacent_floats_separates_them():
     # 0.5 * (nextafter(1, 0) + 1) rounds to 1.0; a threshold of 1.0 would
     # send the x = 1.0 rows left with the others and lose the split.

@@ -173,6 +173,11 @@ def test_design_predictions_reject_a_model_of_another_design(rng):
         "support_indices_column",
         "converged_text",
         "converged_number",
+        "n_iter_fraction",
+        "n_iter_bool",
+        "support_indices_fraction",
+        "support_indices_negative",
+        "support_indices_repeated",
     ],
 )
 def test_model_from_json_rejects_an_inconsistent_document(rng, case):
@@ -209,6 +214,21 @@ def test_model_from_json_rejects_an_inconsistent_document(rng, case):
         ),
         "converged_text": ({"converged": "no"}, "^converged must be true or false, got 'no'"),
         "converged_number": ({"converged": 1}, "^converged must be true or false, got 1"),
+        # Counts and indices must be integers as stored: int() would truncate 2.7 to 2.
+        "n_iter_fraction": ({"n_iter": 2.7}, "^n_iter must be a non-negative integer, got 2.7"),
+        "n_iter_bool": ({"n_iter": True}, "^n_iter must be a non-negative integer, got True"),
+        "support_indices_fraction": (
+            {"support_indices": [i + 0.5 for i in doc["support_indices"]]},
+            "^support indices must be distinct non-negative integers",
+        ),
+        "support_indices_negative": (
+            {"support_indices": [-1 - i for i in range(len(doc["support_indices"]))]},
+            "^support indices must be distinct non-negative integers",
+        ),
+        "support_indices_repeated": (
+            {"support_indices": [doc["support_indices"][0]] * len(doc["support_indices"])},
+            "^support indices must be distinct non-negative integers",
+        ),
     }[case]
     with pytest.raises(ValueError, match=message):
         model_from_json({**doc, **change})

@@ -7,12 +7,18 @@ from memfuse.text import (
     ResourceFormatError,
     RuleScorer,
     TextFeatureExtractor,
+    TextResources,
     embed_features,
+    lemmatize,
     lexical_features,
     load_embedding_text,
     load_lexicon_tsv,
     load_resources,
+    preprocess,
+    tokenize,
 )
+
+from .oracles import token_means_by_probes
 
 
 @pytest.fixture
@@ -215,3 +221,147 @@ def test_embedding_repeated_word_names_second_line(tmp_path, second):
 def test_embedding_table_checks_words_and_width(entries, message):
     with pytest.raises(ValueError, match=message):
         EmbeddingTable(name="a", dim=2, entries=entries)
+
+
+def _assert_matches_the_probes(text, resources, extractor):
+    """`extract` and the two feature functions equal the probe oracle byte for byte."""
+    tokens = tokenize(preprocess(text))
+    lex_means, lex_cov = token_means_by_probes(tokens, resources.lexicons)
+    lexical = np.concatenate(
+        [lex_means, np.asarray(resources.scorer.score_tokens(tokens).as_tuple(), dtype=float)]
+    )
+    embedding, emb_cov = token_means_by_probes(tokens, resources.embeddings)
+    feats = extractor.extract(text)
+    got = [
+        (feats.lexical, feats.lexical_coverage),
+        lexical_features(text, resources.lexicons, resources.scorer),
+        (feats.embedding, feats.embedding_coverage),
+        embed_features(text, resources.embeddings),
+    ]
+    expected = [(lexical, lex_cov)] * 2 + [(embedding, emb_cov)] * 2
+    for (vec, cov), (want, want_cov) in zip(got, expected):
+        assert vec.dtype == want.dtype and vec.tobytes() == want.tobytes(), text
+        assert type(cov) is float and cov == want_cov, text
+
+
+def test_features_equal_the_probe_oracle_on_seeded_texts_of_the_bundled_vocabulary(rng):
+    resources = load_resources()
+    vocab = sorted({w for t in resources.lexicons + resources.embeddings for w in t.entries})
+    # Inflected forms found only through their lemma, and words no table holds.
+    lemma_only = sorted(
+        form
+        for w in vocab
+        for form in (w + "s", w + "ed", w + "ing", w + "es")
+        if form not in vocab and lemmatize(form) in vocab
+    )
+    unknown = ["zorblax", "quintessentially", "flurbs", "hmm", "0", "that"]
+    assert len(vocab) > 200 and len(lemma_only) > 20
+    pools = [vocab, lemma_only, unknown, [",", "!", ".", "?"]]
+    extractor = TextFeatureExtractor(resources)
+    for n in range(100):
+        words = [
+            pools[p][rng.integers(len(pools[p]))]
+            for p in rng.choice(4, size=rng.integers(1, 60), p=[0.55, 0.2, 0.15, 0.1])
+        ]
+        if n % 3 == 0:
+            words = [w.upper() if rng.random() < 0.2 else w for w in words]
+        _assert_matches_the_probes(" ".join(words), resources, extractor)
+
+
+def _hand_suite(rng):
+    """Tables that exercise each branch of the lookup rule.
+
+    `raw` holds "memories" and "memory", so the token "memories" hits its own
+    row there and its lemma's row in `lemma`, which holds only "memory".
+    `never` holds no word the texts use. `single` is one value wide, so its
+    block is numpy's pairwise sum once eight or more tokens hit it.
+    """
+    words = ["memories", "memory", "happy", "danced", "dance", "summer", "beach"]
+    raw = Lexicon("raw", ("a", "b"), {w: rng.normal(size=2) for w in words})
+    lemma = Lexicon("lemma", ("c",), {"memory": rng.normal(size=1), "dance": rng.normal(size=1)})
+    never = Lexicon("never", ("d", "e", "f"), {"xylophone": rng.normal(size=3)})
+    # Values of mixed magnitude, so that summing in another order rounds differently.
+    values = {"happy": 0.1, "danced": 0.2, "dance": 0.3, "summer": 0.7, "beach": 1e8}
+    single = Lexicon("single", ("g",), {w: np.array([v]) for w, v in values.items()})
+    emb_a = EmbeddingTable("emb_a", 4, {w: rng.normal(size=4) for w in words[:4]})
+    emb_b = EmbeddingTable("emb_b", 3, {w: rng.normal(size=3) for w in ("summer", "memory")})
+    return TextResources(
+        lexicons=(raw, lemma, never, single),
+        scorer=RuleScorer(valences={"happy": 2.0}),
+        embeddings=(emb_a, emb_b),
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "memories",  # raw hit in `raw` and `emb_a`, lemma hit in `lemma` and `emb_b`
+        "Memories of summers on beaches, my memory danced!",  # lemma-only forms next to raw ones
+        "zorblax quux memories",  # out-of-vocabulary tokens count against coverage
+        "",
+        "!!! ... ?",
+        "happy dance summer beach happy danced summer beach happy happy beach",  # 11 hits
+    ],
+    ids=["raw_before_lemma", "lemma_only", "out_of_vocabulary", "empty", "punctuation",
+         "pairwise"],
+)
+def test_features_equal_the_probe_oracle_on_each_branch_of_the_lookup_rule(rng, text):
+    resources = _hand_suite(rng)
+    _assert_matches_the_probes(text, resources, TextFeatureExtractor(resources))
+
+
+def test_the_oracle_pin_tells_apart_summation_orders(rng):
+    # The width-1 `single` block of an 11-hit text is numpy's pairwise sum; a
+    # left-to-right sum of the same hits rounds differently, so the byte-for-byte
+    # comparisons above fail for a routine that sums in another order.
+    resources = _hand_suite(rng)
+    text = "happy dance summer beach happy danced summer beach happy happy beach"
+    single = resources.lexicons[3]
+    hits = [single.entries[w] for w in text.split() if w in single.entries]
+    assert len(hits) >= 8
+    total = 0.0
+    for vec in hits:
+        total += vec[0]
+    feats = TextFeatureExtractor(resources).extract(text)
+    block = feats.lexical[2 + 1 + 3]
+    assert block == np.mean(hits, axis=0)[0]
+    assert block != total / len(hits)
+
+
+def test_table_vectors_are_read_only_once_built():
+    given = np.array([1.0])
+    lexicon = Lexicon("l", ("v",), {"good": given})
+    table = EmbeddingTable("e", 2, {"good": np.array([1.0, 2.0])})
+    extractor = TextFeatureExtractor(
+        TextResources(lexicons=(lexicon,), scorer=RuleScorer(valences={}), embeddings=(table,))
+    )
+    loaded = load_resources().embeddings[0]
+    for vec in (lexicon.entries["good"], table.entries["good"], loaded.entries["the"]):
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 5.0
+    given[0] = 5.0  # the table holds its own copy
+    feats = extractor.extract("good")
+    assert feats.lexical[0] == 1.0 and list(feats.embedding) == [1.0, 2.0]
+    assert all(np.shares_memory(vec, loaded.vectors) for vec in loaded.entries.values())
+
+
+def test_extractor_index_does_not_grow_with_the_texts_it_reads(rng):
+    extractor = TextFeatureExtractor(load_resources())
+    index = extractor._index
+
+    def size():
+        return (
+            sorted(vars(extractor)),
+            sorted(vars(index)),
+            len(index.rows),
+            len(index.own),
+            [m.shape for m in index.matrices],
+        )
+
+    before = size()
+    letters = np.array(list("bcdfghjklmnpqrstvwxz"))
+    for n in range(1000):
+        words = ["".join(rng.choice(letters, size=7)) + "ings" for _ in range(8)]
+        feats = extractor.extract(f"{n} " + " ".join(words))
+        assert feats.lexical_coverage == feats.embedding_coverage == 0.0
+    assert size() == before
