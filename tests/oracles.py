@@ -4,13 +4,15 @@ These deliberately take different algorithmic routes than the package:
 a dense projected-gradient QP solver for the SVR dual, explicit normal
 equations for ridge, a one-feature-at-a-time stable-sort scan for the
 forest's split search, one row down one tree at a time for its prediction,
-and a dict probe per word token and table for the text features' lookup rule.
+a dict probe per word token and table for the text features' lookup rule,
+and one `np.array` conversion per line for the AV feature-file reader.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from memfuse.av import FeatureFormatError
 from memfuse.text import lemmatize
 
 
@@ -199,3 +201,38 @@ def token_means_by_probes(tokens, tables) -> tuple[np.ndarray, float]:
         blocks.append(np.mean(hits, axis=0) if hits else np.zeros(table.width))
     coverage = (sum(matched) / len(pairs)) if pairs else 0.0
     return np.concatenate(blocks), coverage
+
+
+def feature_rows_by_lines(path, expected_dim: int) -> np.ndarray:
+    """A feature CSV's rows as an (n_rows, expected_dim) matrix, one line at a time.
+
+    Each line that is not blank is split on commas and converted by
+    `np.array(parts, dtype=float)`, and its values are checked to be finite
+    before the next line is read; the ragged-row and width checks run once
+    every line has been read. A file without rows gives (0, expected_dim).
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            try:
+                values = np.array(parts, dtype=float)
+            except ValueError as exc:
+                raise FeatureFormatError(f"{path}:{lineno}: {exc}") from exc
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise FeatureFormatError(
+                    f"{path}: non-finite value at row {lineno}, column {bad[0] + 1}"
+                )
+            rows.append(values)
+    if not rows:
+        return np.empty((0, expected_dim))
+    widths = {row.shape[0] for row in rows}
+    if len(widths) > 1:
+        raise FeatureFormatError(f"{path}: ragged rows with widths {sorted(widths)}")
+    width = widths.pop()
+    if width != expected_dim:
+        raise FeatureFormatError(f"{path}: expected {expected_dim} columns, got {width}")
+    return np.vstack(rows)

@@ -10,6 +10,11 @@ and bytes. The inputs are made anew rather than taken from `bench/_data`,
 whose sets are keyed on `generate.py` alone and so can predate a change to the
 dataset or feature writers or to the bundled resources that they use.
 
+Next it prints ``av <digest>``, a digest of the bytes of every audio vector and
+pooled visual vector that `memfuse.av.load_video_features` loads from those
+inputs, in sorted video-id order. Two checkouts whose ``av`` digests match
+read the same feature files into the same arrays, bit for bit.
+
 Then, for each workload in `bench/workloads.py`, it sets the workload up on
 those inputs, runs one round of its operations and prints ``<workload>
 <digest>``, a digest of `json.dumps(outputs, sort_keys=True)`. Each digest is
@@ -41,6 +46,17 @@ def _files_digest(directory: Path) -> str:
     return digest.hexdigest()[:16]
 
 
+def _av_digest(data_dir: Path) -> str:
+    from memfuse import av
+
+    features = av.load_video_features(av.load_manifest(data_dir / "av" / "manifest.json"))
+    digest = hashlib.sha256()
+    for video_id in sorted(features):
+        digest.update(features[video_id]["audio"].tobytes())
+        digest.update(features[video_id]["visual"].tobytes())
+    return digest.hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -61,6 +77,7 @@ def main(argv=None) -> int:
             check=True,
         )
         print(f"inputs {_files_digest(data_dir)}", flush=True)
+        print(f"av {_av_digest(data_dir)}", flush=True)
         for name, workload_cls in workloads.WORKLOADS.items():
             workload = workload_cls(data_dir, args.seed)
             _, outputs, _ = run.run_round(workload.operations(workload.setup()))
