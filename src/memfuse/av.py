@@ -34,8 +34,9 @@ fails raises `FeatureFormatError`:
 Manifest format: one JSON object, UTF-8, with
 
 - ``videos`` (required): an object mapping each video id to an object with
-  string ``audio`` and ``frames`` paths, relative to the manifest's folder
-  (an absolute path is rejected);
+  string ``audio`` and ``frames`` paths, relative to the manifest's folder.
+  An absolute path is rejected, and so is a path that leaves the folder once
+  ``..`` and symbolic links are resolved;
 - ``audio_dim`` and ``frame_dim`` (optional, default 1582 and 8709): the
   width of every audio and frame row, each a positive JSON integer.
 """
@@ -192,6 +193,7 @@ def load_manifest(path: str | Path) -> AvManifest:
     for key, dim in dims.items():
         if not (isinstance(dim, int) and not isinstance(dim, bool) and dim > 0):
             raise FeatureFormatError(f"{path}: {key!r} must be a positive integer, got {dim!r}")
+    root = path.parent.resolve()
     for video_id, files in doc["videos"].items():
         if not isinstance(files, dict) or not all(
             isinstance(files.get(key), str) for key in ("audio", "frames")
@@ -204,6 +206,11 @@ def load_manifest(path: str | Path) -> AvManifest:
                 raise FeatureFormatError(
                     f"{path}: video {video_id!r} has an absolute {key!r} path {files[key]!r};"
                     " paths are relative to the manifest's folder"
+                )
+            if not (root / files[key]).resolve().is_relative_to(root):
+                raise FeatureFormatError(
+                    f"{path}: video {video_id!r} has a {key!r} path {files[key]!r}"
+                    " that leaves the manifest's folder"
                 )
     videos = {str(k): dict(v) for k, v in doc["videos"].items()}
     return AvManifest(root=path.parent, videos=videos, **dims)

@@ -23,12 +23,21 @@ squared norms, so `predict_svr` does not recompute them on every call.
 `SvrDesign.predictions` is the predict side of the same sharing: the models
 fitted on one design share its scaler, so it checks and standardizes a block
 of query rows, and computes their squared norms, once for all of them. Each
-model's kernel is still built on its own support vectors, with the same
-operands as in `predict_svr`, so the predictions are bit-equal to it. Slicing
-one kernel of every design row against the queries would be cheaper, but a
-BLAS product of a row subset is not always bit-equal to the same rows of the
-full product: OpenBLAS takes other code paths for small products and numpy
-for a single row.
+model's kernel is built as in `predict_svr`, so the predictions are bit-equal
+to it.
+
+A model builds its kernel on its distinct support vectors only. A video's
+audio and visual vectors repeat once per viewer, so an AV model holds many
+copies of few rows: 170-176 support vectors and 24 distinct rows on the
+benchmark's 24 videos. When the model is built, rows of equal squared norm
+are compared by value, and equal rows share one kernel row, which is
+gathered back into support-vector order before `dual_coefs @ K`. When every
+row is distinct the kernel is built on the support vectors themselves, so
+the predictions are those of a kernel on all of them, bit for bit. When rows
+repeat, the kernel rows come from a smaller BLAS product, which may round
+differently from the same rows of the full product (OpenBLAS takes other
+code paths for small products, and numpy for a single row), so predictions
+may differ from the full kernel's in their last bits.
 
 `rbf_kernel_matrix` doubles the product `A @ B.T` in place rather than an
 operand. Doubling is exact in binary floating point, so the kernel is bit-equal
@@ -43,7 +52,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -93,16 +102,60 @@ class SvrModel:
     sv_sq_norms: np.ndarray | None = field(
         default=None, repr=False, compare=False, metadata={"saved": False}
     )
+    # The distinct support vectors that predictions build the kernel on;
+    # derived from the two fields above, and never serialized.
+    sv_distinct: _DistinctRows = field(
+        init=False, repr=False, compare=False, metadata={"saved": False}
+    )
 
     def __post_init__(self) -> None:
         if self.sv_sq_norms is None:
             self.sv_sq_norms = _sq_norms(self.support_vectors)
+        self.sv_distinct = _distinct_rows(self.support_vectors, self.sv_sq_norms)
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
     # Each row's sum depends on that row alone, so the norms of a row subset
     # equal the same subset of the norms, bit for bit.
     return (A * A).sum(axis=1)
+
+
+class _DistinctRows(NamedTuple):
+    rows: np.ndarray             # the distinct rows, in order of first occurrence
+    sq_norms: np.ndarray         # their squared norms
+    index: np.ndarray | None     # row i equals rows[index[i]]; None when all are distinct
+
+
+def _distinct_rows(A: np.ndarray, sq_norms: np.ndarray) -> _DistinctRows:
+    """The distinct rows of A, given `sq_norms = _sq_norms(A)`.
+
+    Equal rows have equal norms, so a row is compared only with rows whose
+    norm ties with its own, and by value: rows are never merged on their norms
+    alone. When no two norms tie, as for rows that hold memory features, no
+    row is compared. Otherwise each row of a tie is compared with the distinct
+    rows found before it in its tie, which is one comparison when all rows of
+    the tie are equal. Comparing row views reads each row once; comparing a
+    gathered block of a tie at once also copies it, which measured slower.
+    """
+    order = np.argsort(sq_norms, kind="stable")  # a tie's rows stay in row order
+    ties = sq_norms[order[1:]] == sq_norms[order[:-1]]
+    if not ties.any():
+        return _DistinctRows(A, sq_norms, None)
+    first = np.arange(A.shape[0])  # the first row equal to each row
+    heads: list[int] = []  # the distinct rows so far of the current tie
+    for i, tied in zip(order.tolist(), [False, *ties.tolist()]):
+        if not tied:
+            heads = []
+        for head in heads:
+            if (A[i] == A[head]).all():
+                first[i] = head
+                break
+        else:
+            heads.append(i)
+    kept = np.flatnonzero(first == np.arange(A.shape[0]))
+    if kept.size == A.shape[0]:
+        return _DistinctRows(A, sq_norms, None)
+    return _DistinctRows(A[kept], sq_norms[kept], np.searchsorted(kept, first))
 
 
 def rbf_kernel_matrix(
@@ -355,9 +408,10 @@ def _decision_values(model: SvrModel, rows: np.ndarray, row_sq_norms: np.ndarray
     """The model's predictions on rows that `_queries` returned for its scaler."""
     if model.support_vectors.shape[0] == 0:
         return np.full(rows.shape[0], model.bias)
-    K = rbf_kernel_matrix(
-        model.support_vectors, rows, model.params.gamma, model.sv_sq_norms, row_sq_norms
-    )
+    distinct = model.sv_distinct
+    K = rbf_kernel_matrix(distinct.rows, rows, model.params.gamma, distinct.sq_norms, row_sq_norms)
+    if distinct.index is not None:
+        K = K.take(distinct.index, axis=0)
     return model.dual_coefs @ K + model.bias
 
 

@@ -5,7 +5,8 @@ a dense projected-gradient QP solver for the SVR dual, explicit normal
 equations for ridge, a one-feature-at-a-time stable-sort scan for the
 forest's split search, one row down one tree at a time for its prediction,
 a dict probe per word token and table for the text features' lookup rule,
-and one `np.array` conversion per line for the AV feature-file reader.
+one `np.array` conversion per line for the AV feature-file reader, and one
+RBF kernel row per support vector, repeated or not, for SVR prediction.
 """
 
 from __future__ import annotations
@@ -236,3 +237,19 @@ def feature_rows_by_lines(path, expected_dim: int) -> np.ndarray:
     if width != expected_dim:
         raise FeatureFormatError(f"{path}: expected {expected_dim} columns, got {width}")
     return np.vstack(rows)
+
+
+def svr_predictions_by_full_kernel(model, X: np.ndarray) -> np.ndarray:
+    """An SVR's predictions on X from a kernel with one row per support vector.
+
+    Equal support vectors each get their own kernel row. The kernel is
+    exp(-gamma * max(|s|^2 + |x|^2 - (2 s) . x, 0)), with the operand doubled
+    before the product, which `rbf_kernel_matrix` matches byte for byte.
+    """
+    rows = model.scaler.transform(np.atleast_2d(np.asarray(X, dtype=float)))
+    sv = model.support_vectors
+    if sv.shape[0] == 0:
+        return np.full(rows.shape[0], model.bias)
+    sq = (sv * sv).sum(axis=1)[:, None] + (rows * rows).sum(axis=1)[None, :] - (2.0 * sv) @ rows.T
+    kernel = np.exp(-model.params.gamma * np.maximum(sq, 0.0))
+    return model.dual_coefs @ kernel + model.bias

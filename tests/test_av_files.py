@@ -1,6 +1,7 @@
 """The AV feature-file reader against its line-at-a-time oracle; writer and manifest checks."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from memfuse.av import (
     _parse_rows,
     load_audio_features,
     load_manifest,
+    load_video_features,
     save_feature_csv,
 )
 
@@ -185,3 +187,42 @@ def test_manifest_rejects_an_absolute_feature_path(tmp_path, key):
     path.write_text(json.dumps({"videos": {"v1": files}}), encoding="utf-8")
     with pytest.raises(FeatureFormatError, match=rf"video 'v1' has an absolute '{key}' path"):
         load_manifest(path)
+
+
+def _manifest_in_subfolder(tmp_path, files):
+    folder = tmp_path / "features"
+    folder.mkdir()
+    save_feature_csv(folder / "a.csv", np.zeros((1, 2)))
+    save_feature_csv(folder / "f.csv", np.zeros((3, 2)))
+    path = folder / "manifest.json"
+    doc = {"audio_dim": 2, "frame_dim": 2, "videos": {"v1": files}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("key", ["audio", "frames"])
+@pytest.mark.parametrize(
+    "escape", ["../outside.csv", "sub/../../outside.csv", "./../features/../outside.csv"]
+)
+def test_manifest_rejects_a_feature_path_that_leaves_its_folder(tmp_path, key, escape):
+    save_feature_csv(tmp_path / "outside.csv", np.zeros((1, 2)))
+    path = _manifest_in_subfolder(tmp_path, {"audio": "a.csv", "frames": "f.csv", key: escape})
+    message = f"video 'v1' has a '{key}' path '{escape}' that leaves the manifest's folder"
+    with pytest.raises(FeatureFormatError, match=re.escape(message)):
+        load_manifest(path)
+
+
+def test_manifest_rejects_a_symlink_that_leads_out_of_its_folder(tmp_path):
+    save_feature_csv(tmp_path / "outside.csv", np.zeros((1, 2)))
+    path = _manifest_in_subfolder(tmp_path, {"audio": "link.csv", "frames": "f.csv"})
+    (path.parent / "link.csv").symlink_to(tmp_path / "outside.csv")
+    with pytest.raises(FeatureFormatError, match="'audio' path 'link.csv' that leaves"):
+        load_manifest(path)
+
+
+def test_manifest_accepts_a_dotted_path_that_stays_in_its_folder(tmp_path):
+    path = _manifest_in_subfolder(tmp_path, {"audio": "sub/../a.csv", "frames": "./f.csv"})
+    (path.parent / "sub").mkdir()
+    features = load_video_features(load_manifest(path))
+    assert features["v1"]["audio"].tolist() == [0.0, 0.0]
+    assert features["v1"]["visual"].tolist() == [0.0, 0.0]

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,12 +11,20 @@ from memfuse.regressors import (
     fit_svr,
     model_from_json,
     model_to_json,
+    load_model,
     predict_svr,
     rbf_kernel_matrix,
+    save_model,
 )
 from memfuse.regressors import svr as svr_module
+from memfuse.regressors.scaler import Scaler
 
-from .oracles import qp_oracle_svr_dual, svr_bias_from_beta, svr_dual_objective
+from .oracles import (
+    qp_oracle_svr_dual,
+    svr_bias_from_beta,
+    svr_dual_objective,
+    svr_predictions_by_full_kernel,
+)
 
 
 def _full_beta(model, n):
@@ -401,3 +411,133 @@ def test_gram_is_byte_equal_to_doubling_an_operand(rng):
         gamma, gram = design.gram(SvrParams())
         expected = _kernel_by_doubled_operand(design.rows, design.rows, gamma)
         assert gram.tobytes() == expected.tobytes()
+
+
+def _fit_on_repeated_rows(rng, n_distinct=6, repeats=8, d=5):
+    """A fit on rows that repeat `n_distinct` vectors, as AV rows repeat per viewer."""
+    base = rng.normal(size=(n_distinct, d))
+    X = base[np.tile(np.arange(n_distinct), repeats)]
+    y = X[:, 0] + rng.normal(size=X.shape[0])  # one vector, many targets: many support vectors
+    return X, fit_svr(X, y, SvrParams(c=2.0, epsilon=0.05))
+
+
+def test_distinct_support_vectors_predict_bit_equal_to_the_full_kernel(rng):
+    X = rng.normal(size=(40, 6))
+    model = fit_svr(X, np.sin(X[:, 0]) + 0.1 * rng.normal(size=40), SvrParams(c=3.0))
+    distinct = model.sv_distinct
+    assert distinct.index is None
+    assert distinct.rows is model.support_vectors and distinct.sq_norms is model.sv_sq_norms
+    queries = rng.normal(size=(9, 6))
+    for block in (queries, queries[:1], queries[4]):
+        want = svr_predictions_by_full_kernel(model, block)
+        assert predict_svr(model, block).tobytes() == want.tobytes()
+
+
+def test_repeated_support_vectors_share_one_kernel_row(rng, monkeypatch):
+    X, model = _fit_on_repeated_rows(rng)
+    sv, distinct = model.support_vectors, model.sv_distinct
+    assert sv.shape[0] > 6 and distinct.rows.shape[0] == 6
+    assert distinct.index.dtype == np.intp
+    assert distinct.rows[distinct.index].tobytes() == sv.tobytes()
+    assert np.array_equal(distinct.sq_norms, (distinct.rows * distinct.rows).sum(axis=1))
+    # Distinct rows in order of first occurrence, and equal rows on one index.
+    first_seen = [distinct.index.tolist().index(k) for k in range(6)]
+    assert first_seen == sorted(first_seen)
+    for i in range(sv.shape[0]):
+        for j in range(sv.shape[0]):
+            assert (distinct.index[i] == distinct.index[j]) == np.array_equal(sv[i], sv[j])
+
+    kernels = []
+    kernel = svr_module.rbf_kernel_matrix
+
+    def recording(A, B, gamma, A_sq_norms=None, B_sq_norms=None):
+        kernels.append(A.shape)
+        return kernel(A, B, gamma, A_sq_norms, B_sq_norms)
+
+    monkeypatch.setattr(svr_module, "rbf_kernel_matrix", recording)
+    queries = np.concatenate([X[:3], rng.normal(size=(20, 5))])
+    for block in (queries, queries[:1], queries[7]):
+        want = svr_predictions_by_full_kernel(model, block)
+        assert np.max(np.abs(predict_svr(model, block) - want)) <= 1e-12
+    assert kernels == [(6, 5)] * 3  # the module-level kernel, on the distinct rows only
+
+
+def test_rows_of_equal_norm_but_other_values_are_not_merged():
+    A = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [3.0, 4.0, 0.0], [4.0, 0.0, 3.0],
+                  [0.0, 3.0, 4.0], [5.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    norms = (A * A).sum(axis=1)
+    distinct = svr_module._distinct_rows(A, norms)
+    assert distinct.rows.tolist() == [[3, 4, 0], [0, 3, 4], [4, 0, 3], [5, 0, 0], [1, 1, 1]]
+    assert distinct.index.tolist() == [0, 1, 0, 2, 1, 3, 4]
+    assert distinct.sq_norms.tolist() == [25.0] * 4 + [3.0]
+    assert svr_module._distinct_rows(A[[0, 1, 3, 5]], norms[[0, 1, 3, 5]]).index is None
+
+    model = svr_module.SvrModel(
+        support_vectors=A,
+        dual_coefs=np.array([0.5, -0.25, 0.125, 1.0, -2.0, 0.75, -0.125]),
+        bias=0.3,
+        params=SvrParams(gamma=0.02),
+        scaler=Scaler(np.zeros(3), np.ones(3)),
+        converged=True,
+        n_iter=0,
+        kkt_gap=0.0,
+        support_indices=np.arange(7),
+    )
+    queries = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [1.0, 2.0, 3.0]])
+    want = svr_predictions_by_full_kernel(model, queries)
+    assert np.max(np.abs(predict_svr(model, queries) - want)) <= 1e-12
+
+
+def test_models_with_no_and_with_one_support_vector(rng):
+    X = rng.normal(size=(12, 4))
+    y = 0.1 * rng.normal(size=12)
+    none = fit_svr(X, y, SvrParams(epsilon=10.0))
+    assert none.support_vectors.shape == (0, 4)
+    assert none.sv_distinct.rows.shape == (0, 4) and none.sv_distinct.index is None
+    two = fit_svr(X, y, SvrParams(epsilon=0.0))
+    one = dataclasses.replace(
+        two,
+        support_vectors=two.support_vectors[:1],
+        dual_coefs=two.dual_coefs[:1],
+        support_indices=two.support_indices[:1],
+        sv_sq_norms=None,
+    )
+    assert one.sv_distinct.rows.shape == (1, 4) and one.sv_distinct.index is None
+    queries = rng.normal(size=(5, 4))
+    loaded = [model_from_json(model_to_json(model)) for model in (none, one)]
+    for model in (none, one, *loaded):
+        for block in (queries, queries[0]):
+            want = svr_predictions_by_full_kernel(model, block)
+            assert predict_svr(model, block).tobytes() == want.tobytes()
+
+
+def test_saved_and_loaded_models_predict_bit_equal_and_do_not_write_distinct_rows(rng, tmp_path):
+    X, repeated = _fit_on_repeated_rows(rng)
+    distinct = fit_svr(X + rng.normal(size=X.shape), X[:, 0], SvrParams(c=2.0))
+    queries = rng.normal(size=(11, 5))
+    for name, fitted in (("repeated", repeated), ("distinct", distinct)):
+        path = tmp_path / f"{name}.json"
+        save_model(fitted, path)
+        assert "sv_distinct" not in json.loads(path.read_text(encoding="utf-8"))
+        loaded = load_model(path)
+        assert loaded.sv_distinct.rows.tobytes() == fitted.sv_distinct.rows.tobytes()
+        assert np.array_equal(loaded.sv_distinct.index, fitted.sv_distinct.index)
+        for block in (queries, queries[2]):
+            assert predict_svr(loaded, block).tobytes() == predict_svr(fitted, block).tobytes()
+
+
+def test_design_predictions_equal_predict_svr_on_repeated_rows(rng):
+    X, _ = _fit_on_repeated_rows(rng)
+    y = X[:, 1] + rng.normal(size=X.shape[0])
+    design = SvrDesign(X)
+    models = [
+        fit_svr(X, y, SvrParams(c=c, epsilon=eps), design=design)
+        for c in (0.5, 4.0)
+        for eps in (0.0, 0.1)
+    ]
+    assert all(m.sv_distinct.index is not None for m in models)
+    queries = np.concatenate([X[:4], rng.normal(size=(9, 5))])
+    for block in (queries, queries[:1]):
+        preds = design.predictions(models, block)
+        for model, pred in zip(models, preds):
+            assert pred.tobytes() == predict_svr(model, block).tobytes()
