@@ -49,6 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import is_count
+
 AUDIO_DIM = 1582
 FRAME_DIM = 8709  # 271 theory-inspired + 4096 deep + 4342 visual-sentiment
 
@@ -191,7 +193,7 @@ def load_manifest(path: str | Path) -> AvManifest:
     defaults = {"audio_dim": AUDIO_DIM, "frame_dim": FRAME_DIM}
     dims = {key: doc.get(key, default) for key, default in defaults.items()}
     for key, dim in dims.items():
-        if not (isinstance(dim, int) and not isinstance(dim, bool) and dim > 0):
+        if not is_count(dim, 1):
             raise FeatureFormatError(f"{path}: {key!r} must be a positive integer, got {dim!r}")
     root = path.parent.resolve()
     for video_id, files in doc["videos"].items():

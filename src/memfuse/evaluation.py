@@ -1,19 +1,20 @@
 """Nested leave-persons-out evaluation of the fusion pipelines.
 
-One straight loop runs over dimension, condition, strategy and outer fold.
-The outer folds partition participants; inside each, an exhaustive grid
-search re-tunes the hyperparameters on participant-grouped inner folds, and
-late fusion stacks on grouped folds of its own. All three levels come from
-`folds.group_splits`, which raises if a participant leaks across a split.
+A run builds one `fusion.FeatureTable`, extracting each memory text once: a
+memory row per response, an audio and a visual row per video. Each condition
+selects its modalities from it; every outer, inner and stacking fold takes
+samples by index, and features are copied only when a block is stacked. One
+loop runs over dimension, condition, strategy and outer fold. Outer folds
+partition participants; inside each, a grid search re-tunes on
+participant-grouped inner folds, and late fusion stacks on grouped folds of
+its own, all from `folds.group_splits`, which raises if a participant leaks.
 Every fit draws its seed from `child_seed(seed, dim, condition, strategy,
 fold)`, so the loop order cannot change a result. One routine fits a fold's
-training rows and predicts its test rows at a list of grid points: the grid
-search calls it once per inner fold with every point, and each outer fold
-calls it once with the selected point; `memfuse.fusion` describes how the
-points share fits. Reported numbers are per-fold test R-squared values and
-their mean ("AvgR2"). The AV-dagger baseline, scored in the same fold loop,
-predicts each video's training-fold mean rating, the ceiling of a
-context-free model on the same data.
+training samples and predicts its test samples at a list of grid points: once
+per inner fold with every point, once per outer fold with the selected one.
+Reported numbers are per-fold test R² and their mean ("AvgR2"). The AV-dagger
+baseline, scored in the same fold loop, predicts each video's training-fold
+mean rating: the ceiling of a context-free model.
 
 A grid maps hyperparameter keys ("svr.c", "forest.n_trees", "ridge.alpha",
 ...) to candidate values. Each cell searches only the keys its learners read:
@@ -38,8 +39,8 @@ from ._seeds import child_seed
 from .folds import assign_group_folds, check_fold_count, group_splits
 from .fusion import (
     BASES,
+    FeatureTable,
     LateFusionParams,
-    ModalityBundle,
     early_fusion_predict_grid,
     late_fusion_bases,
     late_fusion_fit_grid,
@@ -209,13 +210,12 @@ def validate_grid(grid: Mapping[str, Sequence]) -> None:
                 _learner_params(name.partition(".")[0], {name: value})
 
 
-def _searched_keys(strategy: str, bundles: list[ModalityBundle]) -> tuple[str, ...]:
-    """The grid keys read by the learners that `strategy` fits on `bundles`."""
+def _searched_keys(strategy: str, table: FeatureTable) -> tuple[str, ...]:
+    """The grid keys read by the learners that `strategy` fits on `table`."""
     if strategy == "early":
         learners = {"svr"}
     elif strategy == "late":
-        active = bundles[0].active() if bundles else ()
-        learners = {BASES[base][0] for base in late_fusion_bases(active)} | {"stack"}
+        learners = {BASES[base][0] for base in late_fusion_bases(table.modalities)} | {"stack"}
     else:
         raise ValueError(f"unknown fusion strategy {strategy!r}")
     return tuple(
@@ -239,25 +239,20 @@ def _late_point(hyper: Mapping) -> tuple[LateFusionParams, float, int]:
 
 
 def _fold_predictions(
-    strategy: str, bundles, y, groups, train_rows, test_rows, combos: list[dict], seed: int
+    strategy: str, table, y, groups, train_rows, test_rows, combos: list[dict], seed: int
 ) -> list[np.ndarray]:
     """Per combo, in order: the test-row predictions of a fit on the training rows.
 
     Only late fusion draws from `seed`; an SVR fit is deterministic.
     """
-    train_bundles = [bundles[r] for r in train_rows]
-    test_bundles = [bundles[r] for r in test_rows]
+    train, test = table.rows(train_rows), table.rows(test_rows)
     if strategy == "early":
         points = [_learner_params("svr", combo) for combo in combos]
-        return early_fusion_predict_grid(train_bundles, y[train_rows], points, test_bundles)
-    models = late_fusion_fit_grid(
-        train_bundles,
-        y[train_rows],
-        [_late_point(combo) for combo in combos],
-        groups=[groups[r] for r in train_rows],
-        seed=seed,
-    )
-    return late_fusion_predict_grid(models, test_bundles)
+        return early_fusion_predict_grid(train, y[train_rows], points, test)
+    points = [_late_point(combo) for combo in combos]
+    train_groups = [groups[r] for r in train_rows]
+    models = late_fusion_fit_grid(train, y[train_rows], points, groups=train_groups, seed=seed)
+    return late_fusion_predict_grid(models, test)
 
 
 def _sort_key(values: tuple) -> tuple:
@@ -265,7 +260,7 @@ def _sort_key(values: tuple) -> tuple:
 
 
 def grid_search(
-    bundles: list[ModalityBundle],
+    table: FeatureTable,
     y: np.ndarray,
     groups: Sequence[str],
     grid: Mapping[str, Sequence],
@@ -275,26 +270,26 @@ def grid_search(
 ) -> tuple[dict, list[dict]]:
     """Exhaustive hyperparameter search scored by mean inner-fold test R2.
 
-    Only the keys read by the learners that `strategy` fits on these bundles
-    are searched (see the module docstring); the other keys are ignored, and
-    a key that no learner has raises `ValueError`. Inner folds are
-    participant-grouped. Ties break to the lexicographically smallest
+    Only the keys read by the learners that `strategy` fits on the table's
+    modalities are searched (see the module docstring); the other keys are
+    ignored, and a key that no learner has raises `ValueError`. Inner folds
+    are participant-grouped. Ties break to the lexicographically smallest
     hyperparameter value tuple. A single-point grid, or one whose keys no
     learner here reads, short-circuits without fitting anything; its one
     point leaves the unset parameters at their defaults.
 
     Each inner fold is fitted and scored once for all grid points, and each
     point's scores equal those of fitting and predicting it alone with
-    `late_fusion_fit` or `early_fusion_fit` and `fusion_predict`. `bundles`,
-    `y` and `groups` must have the same length.
+    `late_fusion_fit` or `early_fusion_fit` and `fusion_predict` on the
+    table's bundles. `table`, `y` and `groups` must have the same length.
     """
     validate_grid(grid)
     y = np.asarray(y, dtype=float)
-    if not len(bundles) == len(y) == len(groups):
+    if not table.n == len(y) == len(groups):
         raise ValueError(
-            f"{len(bundles)} bundles, {len(y)} targets and {len(groups)} groups differ in length"
+            f"{table.n} bundles, {len(y)} targets and {len(groups)} groups differ in length"
         )
-    keys = tuple(k for k in _searched_keys(strategy, bundles) if k in grid)
+    keys = tuple(k for k in _searched_keys(strategy, table) if k in grid)
     combos = [
         dict(zip(keys, values))
         for values in itertools.product(*(grid[k] for k in keys))
@@ -306,7 +301,7 @@ def grid_search(
     fold_scores: list[list[float]] = [[] for _ in combos]
     for fold, (train_rows, test_rows) in enumerate(splits):
         preds = _fold_predictions(
-            strategy, bundles, y, groups, train_rows, test_rows, combos,
+            strategy, table, y, groups, train_rows, test_rows, combos,
             child_seed(seed, "inner-fit", fold),
         )
         for scores, pred in zip(fold_scores, preds, strict=True):
@@ -415,27 +410,25 @@ class ExperimentReport:
 # Experiment runners
 
 
-# Each modality's vector for a row, from the row, the features of its memory
-# text and the AV features of every video.
-_MODALITY_SOURCE = {
-    "audio": lambda row, text, av: av[row.video_id]["audio"],
-    "visual": lambda row, text, av: av[row.video_id]["visual"],
-    "mem_lexical": lambda row, text, av: text.lexical,
-    "mem_embedding": lambda row, text, av: text.embedding,
-}
-
-
-def _make_bundles(
-    rows,
-    modalities: tuple[str, ...],
-    text_feats: list,
-    av_features: Mapping[str, Mapping[str, np.ndarray]] | None,
-) -> list[ModalityBundle]:
-    """One bundle per row; `text_feats` holds each row's text features, or None."""
-    return [
-        ModalityBundle(**{m: _MODALITY_SOURCE[m](row, text, av_features) for m in modalities})
-        for row, text in zip(rows, text_feats)
-    ]
+def _feature_table(rows, read: set[str], extractor, av_features) -> FeatureTable:
+    """The table of `rows` over the modalities in `read`: AV per video, memory per row."""
+    vectors, index = {}, {}
+    if read & {"audio", "visual"}:
+        missing = {r.video_id for r in rows} - set(av_features)
+        if missing:
+            raise ValueError(f"AV features missing for videos: {sorted(missing)}")
+        videos, at = np.unique([r.video_id for r in rows], return_inverse=True)
+        for name in ("audio", "visual"):
+            vectors[name] = np.vstack([av_features[v][name] for v in videos], dtype=float)
+            index[name] = at
+    if read & {"mem_lexical", "mem_embedding"}:
+        if extractor is None:
+            extractor = TextFeatureExtractor(load_resources())
+        feats = [extractor.extract(r.memories[0].text) for r in rows]
+        vectors["mem_lexical"] = np.vstack([f.lexical for f in feats], dtype=float)
+        vectors["mem_embedding"] = np.vstack([f.embedding for f in feats], dtype=float)
+        index["mem_lexical"] = index["mem_embedding"] = None
+    return FeatureTable(vectors, index, len(rows))
 
 
 def _check_choices(kind: str, given: tuple, allowed: tuple) -> None:
@@ -470,22 +463,8 @@ def _run(
     if len(sub) == 0:
         raise ValueError("dataset has no responses with memories")
     rows = list(sub.responses)
-    modalities = {c: _CONDITION_MODALITIES[c] for c in conditions}
-    read = {m for mods in modalities.values() for m in mods}
-    text_feats = [None] * len(rows)
-    if read & {"mem_lexical", "mem_embedding"}:
-        if extractor is None:
-            extractor = TextFeatureExtractor(load_resources())
-        text_feats = [extractor.extract(r.memories[0].text) for r in rows]
-    if read & {"audio", "visual"}:
-        missing = {r.video_id for r in rows} - set(av_features)
-        if missing:
-            raise ValueError(f"AV features missing for videos: {sorted(missing)}")
-    bundles_by_condition = {
-        cond: _make_bundles(rows, mods, text_feats, av_features)
-        for cond, mods in modalities.items()
-        if mods
-    }
+    read = {m for c in conditions for m in _CONDITION_MODALITIES[c]}
+    table = _feature_table(rows, read, extractor, av_features)
 
     participants = [r.participant_id for r in rows]
     videos = [r.video_id for r in rows]
@@ -494,12 +473,13 @@ def _run(
     for dim in dims:
         y = np.array([getattr(r.induced, dim) for r in rows])
         for cond in conditions:
-            # AV† has no bundles: it reports the same oracle under every strategy column.
-            bundles = bundles_by_condition.get(cond)
+            # AV† reads no features: it reports the same oracle under every strategy column.
+            reads = _CONDITION_MODALITIES[cond]
+            features = table.select(reads) if reads else None
             for strat in strategies:
                 scores, params = [], []
                 for fold, (train_rows, test_rows) in enumerate(splits):
-                    if bundles is None:
+                    if features is None:
                         pred = av_dagger_baseline(
                             [videos[r] for r in train_rows],
                             y[train_rows],
@@ -508,7 +488,7 @@ def _run(
                     else:
                         fold_seed = child_seed(seed, dim, cond, strat, fold)
                         best, _ = grid_search(
-                            [bundles[r] for r in train_rows],
+                            features.rows(train_rows),
                             y[train_rows],
                             [participants[r] for r in train_rows],
                             grid,
@@ -517,13 +497,13 @@ def _run(
                             seed=fold_seed,
                         )
                         (pred,) = _fold_predictions(
-                            strat, bundles, y, participants, train_rows, test_rows, [best],
+                            strat, features, y, participants, train_rows, test_rows, [best],
                             child_seed(fold_seed, "final"),
                         )
                         params.append(best)
                     scores.append(r2_score(y[test_rows], pred))
                 cells[(dim, cond, strat)] = CellResult(
-                    fold_r2=tuple(scores), params=None if bundles is None else tuple(params)
+                    fold_r2=tuple(scores), params=None if features is None else tuple(params)
                 )
     return ExperimentReport(
         experiment=experiment,

@@ -9,17 +9,18 @@ from `group_splits`.
 
 from __future__ import annotations
 
-import numbers
 from typing import Hashable, Sequence
 
 import numpy as np
+
+from ._checks import is_count
 
 __all__ = ["assign_group_folds", "check_fold_count", "group_splits"]
 
 
 def check_fold_count(k: int) -> None:
-    """Raise unless k, a Python or numpy integer, is at least 1."""
-    if not (isinstance(k, numbers.Integral) and k >= 1):
+    """Raise unless k, a Python or numpy integer and not a bool, is at least 1."""
+    if not is_count(k, 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
 
 

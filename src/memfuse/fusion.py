@@ -1,35 +1,23 @@
 """Early and late multimodal fusion for one regression target.
 
-Early fusion concatenates the active modality vectors in a fixed order and
-fits a single RBF-kernel SVR. Late fusion stacks: an SVR per audiovisual
-modality and a random forest on the memory-description features (lexical ++
-embedding), combined by a ridge meta-regressor. The meta-regressor trains on
+Samples come in a `FeatureTable`; the nested CV's table holds one audio and
+one visual row per video and one memory row per response. `feature_table` is
+the one check of a `ModalityBundle` list: `early_fusion_fit`,
+`late_fusion_fit` and `fusion_predict` take such a list and convert it once,
+and the other entry points take a table.
+
+Early fusion fits one RBF-kernel SVR on the stacked modalities. Late fusion
+combines an SVR per audiovisual modality and a random forest on the memory
+features (lexical ++ embedding) by a ridge meta-regressor. The ridge trains on
 out-of-fold base predictions over participant-grouped folds of the training
-set (`folds.group_splits`), so no base model ever scores a sample it was
-trained on.
+set (`folds.group_splits`), so no base model scores a sample it was trained
+on. A model serves one affective dimension (P, A or D).
 
-`late_fusion_fit_grid` fits late fusion at many hyperparameter points on the
-same rows, as a grid search does. A base model's out-of-fold column depends
-only on (base, its own params, `k_inner`) and its final fit only on (base,
-its own params), since the fit seeds are the same at every point; each is
-computed once per distinct key and shared, so the base fits grow as the sum
-of the distinct base settings, not their product with the other axes.
-`late_fusion_fit` is its one-point case. `late_fusion_predict_grid` predicts
-with many late-fusion models, running each distinct base-model object on the
-given rows once; `fusion_predict` is its one-model case.
-
-`early_fusion_predict_grid` does the same for early fusion, fitting and
-predicting in one pass. The concatenated features, their standardization and
-the RBF Gram read neither the targets nor C nor epsilon, so the SVR of every
-point is solved on one `SvrDesign`, whose Gram is built once per distinct
-gamma setting. The test rows are concatenated, checked and standardized once
-for all points (`SvrDesign.predictions`), and each point's kernel is built on
-its own support vectors, as `fusion_predict` builds it. `early_fusion_fit`
-fits one SVR on the concatenated features.
-
-A full experiment fits one model per affective dimension (P, A, D); these
-fits are independent and this module is agnostic about which dimension it is
-given.
+The `*_grid` functions serve a grid search. Each fits or predicts at many
+hyperparameter points on the same samples and computes every base fit, Gram
+and base prediction once per distinct input, so fits grow as the sum of the
+distinct settings, not their product. `late_fusion_fit` and `fusion_predict`
+are their one-point cases.
 """
 
 from __future__ import annotations
@@ -38,10 +26,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._checks import is_count
 from ._seeds import child_seed
 from .folds import group_splits
 from .regressors import (
@@ -54,9 +43,11 @@ from .regressors import (
     fit_forest,
     fit_ridge,
     fit_svr,
+    load_model,
     predict_forest,
     predict_ridge,
     predict_svr,
+    save_model,
 )
 
 MODALITY_ORDER = ("audio", "visual", "mem_lexical", "mem_embedding")
@@ -72,6 +63,8 @@ __all__ = [
     "MODALITY_ORDER",
     "BASES",
     "ModalityBundle",
+    "FeatureTable",
+    "feature_table",
     "EarlyFusionModel",
     "LateFusionModel",
     "LateFusionParams",
@@ -104,37 +97,65 @@ class ModalityBundle:
         return tuple(name for name in MODALITY_ORDER if getattr(self, name) is not None)
 
 
-def _widths(bundles: list[ModalityBundle], fitted: dict[str, int] | None = None) -> dict[str, int]:
-    """The width of each modality of `bundles`, in `MODALITY_ORDER`.
+@dataclass(frozen=True)
+class FeatureTable:
+    """The features of `n` samples, each distinct vector stored once.
 
-    The list must be non-empty, with the same modalities in every bundle; given
-    a fitted early model's `dims`, exactly those modalities at those widths.
+    `vectors[m]` holds modality m's distinct vectors as rows, in `MODALITY_ORDER`,
+    and `index[m]` each sample's row, or None when sample i reads row i. `rows`
+    and `select` copy only indices; `stack` copies rows into a feature matrix.
     """
+
+    vectors: Mapping[str, np.ndarray]
+    index: Mapping[str, np.ndarray | None]
+    n: int
+
+    @property
+    def modalities(self) -> tuple[str, ...]:
+        return tuple(self.vectors)
+
+    @property
+    def dims(self) -> dict[str, int]:
+        return {name: block.shape[1] for name, block in self.vectors.items()}
+
+    def rows(self, idx) -> FeatureTable:
+        idx = np.asarray(idx, dtype=np.intp)
+        index = {name: idx if at is None else at[idx] for name, at in self.index.items()}
+        return FeatureTable(self.vectors, index, len(idx))
+
+    def select(self, modalities: Sequence[str]) -> FeatureTable:
+        return FeatureTable(
+            {m: self.vectors[m] for m in modalities}, {m: self.index[m] for m in modalities}, self.n
+        )
+
+    def stack(self, modalities: Sequence[str]) -> np.ndarray:
+        """The samples' rows of `modalities`, side by side; a lone unindexed block is not copied."""
+        blocks = []
+        for m in modalities:
+            at = self.index[m]
+            blocks.append(self.vectors[m] if at is None else self.vectors[m].take(at, axis=0))
+        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+
+
+def feature_table(bundles: Sequence[ModalityBundle]) -> FeatureTable:
+    """The table of a non-empty list of bundles that all carry the same modalities."""
     if not bundles:
         raise ValueError("no bundles")
     active = bundles[0].active()
     for i, bundle in enumerate(bundles):
         if bundle.active() != active:
-            raise ValueError(
-                f"bundle {i} has modalities {bundle.active()}, expected {active}"
-            )
-    widths = {name: np.asarray(getattr(bundles[0], name)).shape[-1] for name in active}
-    if fitted is not None:
-        if active != tuple(fitted):
-            raise ValueError(f"modalities {active} do not match fit-time {tuple(fitted)}")
-        for name, width in widths.items():
-            if width != fitted[name]:
-                raise ValueError(f"{name} dimension {width} does not match fit-time {fitted[name]}")
-    return widths
+            raise ValueError(f"bundle {i} has modalities {bundle.active()}, expected {active}")
+    vectors = {name: np.vstack([getattr(b, name) for b in bundles], dtype=float) for name in active}
+    return FeatureTable(vectors, dict.fromkeys(active), len(bundles))
 
 
-def _stack_modality(bundles: list[ModalityBundle], name: str) -> np.ndarray:
-    return np.vstack([np.asarray(getattr(b, name), dtype=float) for b in bundles])
-
-
-def _concat_features(bundles: list[ModalityBundle], modalities: tuple[str, ...]) -> np.ndarray:
-    blocks = [_stack_modality(bundles, name) for name in modalities]
-    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+def _check_fit_time(table: FeatureTable, fitted: dict[str, int]) -> None:
+    """Raise unless `table` has exactly the modalities of `fitted`, at its widths."""
+    if table.modalities != tuple(fitted):
+        raise ValueError(f"modalities {table.modalities} do not match fit-time {tuple(fitted)}")
+    for name, width in table.dims.items():
+        if width != fitted[name]:
+            raise ValueError(f"{name} dimension {width} does not match fit-time {fitted[name]}")
 
 
 @dataclass
@@ -166,36 +187,28 @@ class LateFusionModel:
 
 
 def early_fusion_predict_grid(
-    train_bundles: list[ModalityBundle],
-    y: np.ndarray,
-    svr_params_list: Sequence[SvrParams],
-    test_bundles: list[ModalityBundle],
+    train: FeatureTable, y: np.ndarray, svr_params_list: Sequence[SvrParams], test: FeatureTable
 ) -> list[np.ndarray]:
-    """Fit early fusion at each of `svr_params_list` and predict `test_bundles` with it.
+    """Per params, bit for bit: `early_fusion_fit` on `train` then `fusion_predict` on `test`.
 
-    Returns `fusion_predict(early_fusion_fit(train_bundles, y, params),
-    test_bundles)`, bit for bit, for each params, in order. The training
-    features are concatenated and standardized once, the Gram is built once
-    per distinct (gamma, gamma_scale) on one `SvrDesign`, and the test
-    features are concatenated, checked and standardized once for all points
-    (`SvrDesign.predictions`). The raw training block is dropped once the
-    design holds its standardized rows, and one model is fitted and held at
-    a time.
+    One `SvrDesign` standardizes the stacked training block, which is then
+    dropped, and builds one Gram per distinct (gamma, gamma_scale); the test
+    block is stacked, checked and standardized once for all points
+    (`SvrDesign.predictions`). One model is fitted and held at a time.
     """
-    dims = _widths(train_bundles)
-    _widths(test_bundles, dims)
-    design = SvrDesign(_concat_features(train_bundles, tuple(dims)))
+    _check_fit_time(test, train.dims)
+    design = SvrDesign(train.stack(train.modalities))
     y = np.asarray(y, dtype=float)
     svrs = (fit_svr(design.rows, y, params, design=design) for params in svr_params_list)
-    return design.predictions(svrs, _concat_features(test_bundles, tuple(dims)))
+    return design.predictions(svrs, test.stack(train.modalities))
 
 
 def early_fusion_fit(
     bundles: list[ModalityBundle], y: np.ndarray, svr_params: SvrParams
 ) -> EarlyFusionModel:
-    """One SVR on the concatenated features of the active modalities."""
-    dims = _widths(bundles)
-    return EarlyFusionModel(dims, fit_svr(_concat_features(bundles, tuple(dims)), y, svr_params))
+    """One SVR on the stacked features of the active modalities."""
+    table = feature_table(bundles)
+    return EarlyFusionModel(table.dims, fit_svr(table.stack(table.modalities), y, svr_params))
 
 
 def late_fusion_bases(modalities: tuple[str, ...]) -> tuple[str, ...]:
@@ -205,12 +218,10 @@ def late_fusion_bases(modalities: tuple[str, ...]) -> tuple[str, ...]:
     )
 
 
-def _base_inputs(
-    bundles: list[ModalityBundle], active: tuple[str, ...]
-) -> dict[str, np.ndarray]:
+def _base_inputs(table: FeatureTable) -> dict[str, np.ndarray]:
     return {
-        name: _concat_features(bundles, tuple(m for m in BASES[name][1] if m in active))
-        for name in late_fusion_bases(active)
+        name: table.stack([m for m in BASES[name][1] if m in table.modalities])
+        for name in late_fusion_bases(table.modalities)
     }
 
 
@@ -277,7 +288,7 @@ def _oof_columns(
 
 
 def late_fusion_fit_grid(
-    bundles: list[ModalityBundle],
+    table: FeatureTable,
     y: np.ndarray,
     points: Sequence[tuple[LateFusionParams, float, int]],
     groups: list | None = None,
@@ -285,18 +296,15 @@ def late_fusion_fit_grid(
 ) -> list[LateFusionModel]:
     """One late-fusion model per (base_params, meta_alpha, k_inner) point.
 
-    Each model equals `late_fusion_fit` at its point, but the points share
-    work. The stacking splits and their fold log depend only on `k_inner`,
-    so they are built once per distinct `k_inner`. A base model's out-of-fold
-    column depends only on the base, its own params (`base_params.audio`,
-    `.visual` or `.memory`) and `k_inner`; its final fit on all rows only on
-    the base and its own params. Each is computed once per distinct key,
-    compared by value, so only the ridge meta-learner is fitted per point.
-    Models of points with equal keys share their fold log and base models.
+    Each model equals `late_fusion_fit` at its point on the table's bundles.
+    The stacking splits and fold log depend only on `k_inner`; a base model's
+    out-of-fold column only on the base, its own params (`base_params.audio`,
+    `.visual` or `.memory`) and `k_inner`; its final fit only on the base and
+    its own params. Each is computed once per distinct key, compared by value,
+    and shared, so only the ridge is fitted per point.
     """
     y = np.asarray(y, dtype=float)
-    active = tuple(_widths(bundles))
-    n = len(bundles)
+    n = table.n
     if groups is None:
         groups = list(range(n))
     if not len(y) == len(groups) == n:
@@ -304,8 +312,8 @@ def late_fusion_fit_grid(
     for _, _, k_inner in points:
         if n < 2 * k_inner:
             raise ValueError(f"need at least {2 * k_inner} samples for {k_inner} stacking folds")
-    inputs = _base_inputs(bundles, active)
-    base_order = late_fusion_bases(active)
+    inputs = _base_inputs(table)
+    base_order = late_fusion_bases(table.modalities)
 
     stacking: dict[int, tuple] = {}  # k_inner -> (splits, fold_log)
     oof: dict[tuple, np.ndarray] = {}  # (base, its params, k_inner) -> out-of-fold column
@@ -350,35 +358,35 @@ def late_fusion_fit(
 ) -> LateFusionModel:
     """Stacked late fusion at one point: `late_fusion_fit_grid` of one point."""
     return late_fusion_fit_grid(
-        bundles, y, [(base_params, meta_alpha, k_inner)], groups=groups, seed=seed
+        feature_table(bundles), y, [(base_params, meta_alpha, k_inner)], groups=groups, seed=seed
     )[0]
 
 
 def fusion_predict(
     model: EarlyFusionModel | LateFusionModel, bundles: list[ModalityBundle]
 ) -> np.ndarray:
+    table = feature_table(bundles)
     if isinstance(model, EarlyFusionModel):
-        _widths(bundles, model.dims)
-        return predict_svr(model.svr, _concat_features(bundles, model.modalities))
-    return late_fusion_predict_grid([model], bundles)[0]
+        _check_fit_time(table, model.dims)
+        return predict_svr(model.svr, table.stack(model.modalities))
+    return late_fusion_predict_grid([model], table)[0]
 
 
 def late_fusion_predict_grid(
-    models: Sequence[LateFusionModel], bundles: list[ModalityBundle]
+    models: Sequence[LateFusionModel], table: FeatureTable
 ) -> list[np.ndarray]:
-    """`fusion_predict(model, bundles)` for each of `models`, in order.
+    """`fusion_predict(model, bundles)` per model, in order, for the table of `bundles`.
 
-    Each distinct base-model object runs on `bundles` once, and only the
+    Each distinct base-model object runs on the table once, and only the
     ridge is applied per model. Models of one `late_fusion_fit_grid` call
     whose points share a base setting share that base-model object, and so
     its column; models fitted apart never do.
     """
-    active = tuple(_widths(bundles))
-    base_order = late_fusion_bases(active)
+    base_order = late_fusion_bases(table.modalities)
     for model in models:
         if model.base_order != base_order:
             raise ValueError(f"base models {base_order} do not match fit-time {model.base_order}")
-    inputs = _base_inputs(bundles, active)
+    inputs = _base_inputs(table)
     # Keyed by object identity, which is unique while `models` holds every base model.
     columns: dict[tuple[str, int], np.ndarray] = {}
     preds = []
@@ -394,8 +402,6 @@ def late_fusion_predict_grid(
 
 def save_fusion_model(model: EarlyFusionModel | LateFusionModel, directory: str | Path) -> None:
     """Serialize a fusion model to a directory: manifest plus per-model files."""
-    from .regressors import save_model
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if isinstance(model, EarlyFusionModel):
@@ -422,23 +428,32 @@ def save_fusion_model(model: EarlyFusionModel | LateFusionModel, directory: str 
         fh.write("\n")
 
 
-def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionModel:
-    from .regressors import load_model
+def _names(manifest: dict, key: str, order) -> list[str]:
+    """`manifest[key]`, which must list distinct names of `order`, in that order."""
+    names = manifest[key]
+    if not (isinstance(names, list) and names and names == [n for n in order if n in names]):
+        raise ValueError(f"{key} must list distinct names of {list(order)} in order, got {names!r}")
+    return names
 
+
+def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionModel:
     directory = Path(directory)
     with open(directory / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest["kind"] == "early":
         # The manifest is written with sorted keys; "modalities" keeps the concatenation order.
-        return EarlyFusionModel(
-            dims={name: int(manifest["dims"][name]) for name in manifest["modalities"]},
-            svr=load_model(directory / manifest["models"]["svr"]),
-        )
+        names = _names(manifest, "modalities", MODALITY_ORDER)
+        dims = {name: manifest["dims"][name] for name in names}
+        svr = load_model(directory / manifest["models"]["svr"])
+        width = svr.scaler.means.shape[0]
+        if not (all(is_count(d, 1) for d in dims.values()) and sum(dims.values()) == width):
+            raise ValueError(f"dims {dims} must be positive integers that sum to the SVR's {width}")
+        return EarlyFusionModel(dims=dims, svr=svr)
     if manifest["kind"] == "late":
         return LateFusionModel(
             base_models={
                 name: load_model(directory / manifest["models"][name])
-                for name in manifest["base_order"]
+                for name in _names(manifest, "base_order", BASES)
             },
             meta=load_model(directory / manifest["meta"]),
             fold_log=manifest.get("fold_log", []),

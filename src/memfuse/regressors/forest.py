@@ -25,11 +25,11 @@ the (rows, trees) block would not be, as it adds a row's values pairwise.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._checks import is_count
 from .._seeds import child_rng
 
 __all__ = ["ForestParams", "ForestModel", "fit_forest", "predict_forest"]
@@ -45,12 +45,10 @@ class ForestParams:
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it: every comparison with NaN is false.
-        # Counts must be Python or numpy integers: 2.5 trees or a 2.5-row leaf mean nothing.
+        # Counts must be Python or numpy integers, not bools: 2.5 or True trees mean nothing.
         for name in ("n_trees", "min_leaf", "max_depth"):
             value = getattr(self, name)
-            if name == "max_depth" and value is None:
-                continue
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if not (is_count(value, 1) or (name == "max_depth" and value is None)):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.max_features <= 1.0:
             raise ValueError(f"max_features must be in (0, 1], got {self.max_features}")

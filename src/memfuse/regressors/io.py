@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from pathlib import Path
 
 import numpy as np
 
+from .._checks import is_count
 from .forest import ForestModel, ForestParams, _Tree
 from .ridge import RidgeModel, check_alpha
 from .scaler import Scaler
@@ -58,7 +58,7 @@ def model_from_json(doc: dict):
         return _ridge_from_json(doc)
     if kind == "forest":
         n_features = doc["n_features"]
-        if not _is_count(n_features, 1):
+        if not is_count(n_features, 1):
             raise ValueError(f"n_features must be a positive integer, got {n_features!r}")
         trees = [
             _Tree(**{name: np.asarray(t[name], dtype=dt) for name, dt in _TREE_ARRAYS.items()})
@@ -72,11 +72,6 @@ def model_from_json(doc: dict):
             params=ForestParams(**doc["params"]), trees=trees, n_features=int(n_features)
         )
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _is_count(value, minimum: int = 0) -> bool:
-    """True for a Python or numpy integer, not a bool, of at least `minimum`."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 def _finite(name: str, value):
@@ -145,10 +140,10 @@ def _svr_from_json(doc: dict) -> SvrModel:
             f"{support_indices.shape}: each needs one entry per support vector"
         )
     indices = list(doc["support_indices"])
-    if not all(_is_count(i) for i in indices) or len(set(indices)) != n_support:
+    if not all(is_count(i) for i in indices) or len(set(indices)) != n_support:
         raise ValueError("support indices must be distinct non-negative integers")
     n_iter = doc["n_iter"]
-    if not _is_count(n_iter):
+    if not is_count(n_iter):
         raise ValueError(f"n_iter must be a non-negative integer, got {n_iter!r}")
     converged = doc["converged"]
     if not isinstance(converged, bool):

@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .._checks import is_count
 from .scaler import Scaler
 
 __all__ = ["SvrParams", "SvrModel", "SvrDesign", "rbf_kernel_matrix", "fit_svr", "predict_svr"]
@@ -82,7 +82,7 @@ class SvrParams:
             raise ValueError(f"gamma_scale must be positive and finite, got {self.gamma_scale}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not (isinstance(self.max_passes, numbers.Integral) and self.max_passes >= 1):
+        if not is_count(self.max_passes, 1):
             raise ValueError(f"max_passes must be a positive integer, got {self.max_passes!r}")
 
 

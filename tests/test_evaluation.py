@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memfuse import fusion
+from memfuse import evaluation, fusion
 from memfuse._seeds import child_seed
 from memfuse.evaluation import (
     AgreementTable,
@@ -34,9 +34,11 @@ from memfuse.evaluation import (
 )
 from memfuse.folds import group_splits
 from memfuse.fusion import (
+    FeatureTable,
     LateFusionParams,
     ModalityBundle,
     early_fusion_fit,
+    feature_table,
     fusion_predict,
     late_fusion_fit,
 )
@@ -169,7 +171,7 @@ def test_group_splits_follow_the_outer_fold_plan():
         assert {groups[r] for r in test_rows} == {p for p, f in plan.assignments.items() if f == fold}
 
 
-@pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", True])
 def test_group_splits_reject_a_non_integer_fold_count(k):
     with pytest.raises(ValueError, match="^k must be a positive integer"):
         group_splits([f"p{i % 7}" for i in range(30)], k, seed=4)
@@ -189,7 +191,7 @@ def test_grid_search_rejects_a_non_integer_stacking_fold_count(extractor):
     grid = {"ridge.alpha": [1.0], "stack.k_inner": [2, 2.5]}
     with pytest.raises(ValueError, match="^k must be a positive integer"):
         grid_search(
-            bundles, np.array([r.induced.p for r in ds.responses]),
+            feature_table(bundles), np.array([r.induced.p for r in ds.responses]),
             [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
         )
 
@@ -200,7 +202,9 @@ def test_grid_search_rejects_targets_or_groups_of_another_length(extractor, n_ta
     bundles = _memory_bundles(extractor, ds)
     groups = [f"p{i % 10}" for i in range(n_groups)]
     with pytest.raises(ValueError, match=f"^40 bundles, {n_targets} targets and {n_groups} groups"):
-        grid_search(bundles, np.linspace(-1, 1, n_targets), groups, GRID, "late", k_inner=2)
+        grid_search(
+            feature_table(bundles), np.linspace(-1, 1, n_targets), groups, GRID, "late", k_inner=2
+        )
 
 
 class _NoWork:
@@ -246,6 +250,8 @@ def test_run_experiment1_rejects_a_bad_grid_value_before_any_work():
         ({"forest.max_features": [0.0]}, "max_features must be in"),
         ({"ridge.alpha": [-1.0]}, "alpha must be non-negative and finite, got -1.0"),
         ({"stack.k_inner": [0]}, "k must be a positive integer, got 0"),
+        ({"stack.k_inner": [True]}, "k must be a positive integer, got True"),
+        ({"forest.n_trees": [True]}, "n_trees must be a positive integer, got True"),
     ],
 )
 def test_validate_grid_runs_each_value_through_its_learner_check(grid, message):
@@ -283,7 +289,7 @@ def test_grid_tie_breaks_to_smallest_value_with_none_last(extractor, depths):
     y = np.array([r.induced.p for r in ds.responses])
     grid = {"forest.max_depth": depths, "forest.n_trees": [2], "stack.k_inner": [2]}
     best, results = grid_search(
-        _memory_bundles(extractor, ds), y, [r.participant_id for r in ds.responses],
+        feature_table(_memory_bundles(extractor, ds)), y, [r.participant_id for r in ds.responses],
         grid, "late", k_inner=2, seed=SEED,
     )
     assert len(results) == 2
@@ -295,7 +301,7 @@ def test_grid_prefers_higher_score_over_tie_break(extractor):
     ds, _ = _dataset()
     y = np.array([r.induced.p for r in ds.responses])
     best, results = grid_search(
-        _memory_bundles(extractor, ds), y, [r.participant_id for r in ds.responses],
+        feature_table(_memory_bundles(extractor, ds)), y, [r.participant_id for r in ds.responses],
         {"svr.c": [0.001, 1.0]}, "early", k_inner=2, seed=SEED,
     )
     by_c = {r["hyper"]["svr.c"]: r["mean_r2"] for r in results}
@@ -324,7 +330,7 @@ def test_late_search_skips_keys_of_learners_it_does_not_fit(extractor, condition
     ds, av_features = _dataset(people=9)
     bundles = _memory_bundles(extractor, ds) if condition == "M" else _av_bundles(ds, av_features)
     best, results = grid_search(
-        bundles, np.array([r.induced.p for r in ds.responses]),
+        feature_table(bundles), np.array([r.induced.p for r in ds.responses]),
         [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
     )
     assert len(results) == 2
@@ -343,7 +349,9 @@ def test_late_grid_search_equals_a_brute_force_loop_of_late_fusion_fit(extractor
         "ridge.alpha": [0.1, 10.0],
         "stack.k_inner": [2, 3],
     }
-    best, results = grid_search(bundles, y, groups, grid, "late", k_inner=2, seed=SEED)
+    best, results = grid_search(
+        feature_table(bundles), y, groups, grid, "late", k_inner=2, seed=SEED
+    )
 
     splits = group_splits(groups, 2, child_seed(SEED, "inner-folds"))
     expected = []
@@ -398,8 +406,9 @@ def test_late_grid_search_fits_each_base_model_once_per_inner_fold(extractor, mo
         "stack.k_inner": [2],
     }
     _, results = grid_search(
-        _avm_bundles(extractor, ds, av_features), np.array([r.induced.p for r in ds.responses]),
-        [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
+        feature_table(_avm_bundles(extractor, ds, av_features)),
+        np.array([r.induced.p for r in ds.responses]), [r.participant_id for r in ds.responses],
+        grid, "late", k_inner=2, seed=SEED,
     )
     assert len(results) == 8
     # Per inner fold: 2 SVR settings x (audio, visual) x (2 stacking folds + 1
@@ -426,7 +435,9 @@ def test_early_grid_search_equals_a_brute_force_loop_of_early_fusion_fit(extract
     # An epsilon wider than the targets' range leaves no support vector.
     wide = float(np.ptp(y)) + 1.0
     grid = {**EARLY_GRID, "svr.epsilon": [*EARLY_GRID["svr.epsilon"], wide]}
-    best, results = grid_search(bundles, y, groups, grid, "early", k_inner=2, seed=SEED)
+    best, results = grid_search(
+        feature_table(bundles), y, groups, grid, "early", k_inner=2, seed=SEED
+    )
 
     splits = group_splits(groups, 2, child_seed(SEED, "inner-folds"))
     expected = []
@@ -478,8 +489,9 @@ def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
     monkeypatch.setattr(svr_module, "rbf_kernel_matrix", counted_kernel)
     ds, av_features = _dataset(people=9)
     _, results = grid_search(
-        _avm_bundles(extractor, ds, av_features), np.array([r.induced.p for r in ds.responses]),
-        [r.participant_id for r in ds.responses], EARLY_GRID, "early", k_inner=2, seed=SEED,
+        feature_table(_avm_bundles(extractor, ds, av_features)),
+        np.array([r.induced.p for r in ds.responses]), [r.participant_id for r in ds.responses],
+        EARLY_GRID, "early", k_inner=2, seed=SEED,
     )
     assert len(results) == 8
     # Per inner fold: one Gram per gamma_scale value, one SMO solve and one
@@ -489,13 +501,47 @@ def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
     assert len(test_blocks) == 2
 
 
+def test_run_holds_one_audio_and_one_visual_row_per_video_and_one_memory_row_per_response(
+    extractor, monkeypatch
+):
+    tables = []
+    build = evaluation._feature_table
+
+    def recording(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(evaluation, "_feature_table", recording)
+    ds, av_features = _dataset(people=6)
+    one_point = {"svr.c": [1.0]}
+    run_experiment2(
+        ds, av_features, one_point, SEED, extractor=extractor, conditions=("AV", "AVM"),
+        strategies=("early",), k_outer=2, dims=("p",),
+    )
+    (table,) = tables
+    n = len(ds.responses)
+    assert table.n == n
+    assert table.modalities == ("audio", "visual", "mem_lexical", "mem_embedding")
+    assert {name: block.shape[0] for name, block in table.vectors.items()} == {
+        "audio": len(VIDEOS), "visual": len(VIDEOS), "mem_lexical": n, "mem_embedding": n,
+    }
+    for name in ("audio", "visual"):
+        expected = np.vstack([av_features[r.video_id][name] for r in ds.responses])
+        assert np.array_equal(table.stack([name]), expected)
+    feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
+    assert np.array_equal(table.stack(["mem_lexical"]), np.vstack([f.lexical for f in feats]))
+
+
+NO_SAMPLES = FeatureTable({}, {}, 0)
+
+
 def test_unknown_grid_key_raises():
     with pytest.raises(ValueError, match=r"unknown grid keys \['svr\.C'\]"):
-        grid_search([], np.array([]), [], {"svr.C": [1.0], "svr.c": [1.0]}, "early")
+        grid_search(NO_SAMPLES, np.array([]), [], {"svr.C": [1.0], "svr.c": [1.0]}, "early")
 
 
 def test_grid_without_a_read_key_runs_one_default_point():
-    best, results = grid_search([], np.array([]), [], {"ridge.alpha": [0.1, 1.0]}, "early")
+    best, results = grid_search(NO_SAMPLES, np.array([]), [], {"ridge.alpha": [0.1, 1.0]}, "early")
     assert best == {}
     assert results == [{"hyper": {}, "mean_r2": None, "fold_r2": []}]
 
@@ -508,7 +554,7 @@ def test_r2_of_constant_targets_raises(value):
 
 
 def test_single_point_grid_fits_nothing():
-    best, results = grid_search([], np.array([]), [], {"svr.c": [3.0]}, "early")
+    best, results = grid_search(NO_SAMPLES, np.array([]), [], {"svr.c": [3.0]}, "early")
     assert best == {"svr.c": 3.0}
     assert results == [{"hyper": {"svr.c": 3.0}, "mean_r2": None, "fold_r2": []}]
 

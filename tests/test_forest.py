@@ -89,7 +89,7 @@ def test_params_reject_nan(field):
 
 
 @pytest.mark.parametrize("field", ["n_trees", "min_leaf", "max_depth"])
-@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
 def test_params_reject_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
         ForestParams(**{field: value})
@@ -193,6 +193,13 @@ def test_model_from_json_rejects_a_feature_count_that_is_not_a_positive_integer(
     # int() would load 3.9 as 3 features.
     with pytest.raises(ValueError, match="^n_features must be a positive integer"):
         model_from_json({**doc, "n_features": n_features})
+
+
+def test_model_from_json_rejects_a_boolean_tree_count_as_it_rejects_a_boolean_feature_count(rng):
+    X = rng.normal(size=(40, 3))
+    doc = model_to_json(fit_forest(X, X[:, 0], ForestParams(n_trees=1, min_leaf=2, seed=4)))
+    with pytest.raises(ValueError, match="^n_trees must be a positive integer, got True"):
+        model_from_json({**doc, "params": {**doc["params"], "n_trees": True}})
 
 
 def test_split_between_adjacent_floats_separates_them():

@@ -1,3 +1,4 @@
+import json
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from memfuse.fusion import (
     ModalityBundle,
     early_fusion_fit,
     early_fusion_predict_grid,
+    feature_table,
     fusion_predict,
     late_fusion_fit,
     late_fusion_fit_grid,
@@ -244,7 +246,7 @@ def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
         for alpha in (0.1, 10.0)
         for k_inner in (2, 3)
     ]
-    models = late_fusion_fit_grid(bundles, y, points, groups=groups, seed=6)
+    models = late_fusion_fit_grid(feature_table(bundles), y, points, groups=groups, seed=6)
     assert len(models) == len(points)
     for (base_params, alpha, k_inner), model in zip(points, models):
         alone = late_fusion_fit(
@@ -280,7 +282,7 @@ def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng, monke
         return svr
 
     monkeypatch.setattr(fusion, "fit_svr", recording)
-    preds = early_fusion_predict_grid(bundles, y, points, bundles[:5])
+    preds = early_fusion_predict_grid(feature_table(bundles), y, points, feature_table(bundles[:5]))
     monkeypatch.setattr(fusion, "fit_svr", grid_fit)
     assert len(preds) == len(fitted) == len(points)
     for params, svr in zip(points, fitted):
@@ -310,7 +312,7 @@ def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
         for c in (0.5, 2.0)
         for eps in (0.0, 0.1, 100.0)  # 100 leaves no support vector
     ]
-    preds = early_fusion_predict_grid(train, y[:25], points, test)
+    preds = early_fusion_predict_grid(feature_table(train), y[:25], points, feature_table(test))
     assert len(preds) == len(points)
     for params, pred in zip(points, preds):
         model = early_fusion_fit(train, y[:25], params)
@@ -320,11 +322,13 @@ def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
         assert np.array_equal(pred, fusion_predict(model, test))
 
     with pytest.raises(ValueError, match="modalities"):
-        early_fusion_predict_grid(train, y[:25], points, _bundles(rng, 3, audio=audio[:3]))
+        early_fusion_predict_grid(
+            feature_table(train), y[:25], points, feature_table(_bundles(rng, 3, audio=audio[:3]))
+        )
     with pytest.raises(ValueError, match="dimension"):
         early_fusion_predict_grid(
-            train, y[:25], points,
-            _bundles(rng, 3, audio=rng.normal(size=(3, 5)), lexical=lexical[:3]),
+            feature_table(train), y[:25], points,
+            feature_table(_bundles(rng, 3, audio=rng.normal(size=(3, 5)), lexical=lexical[:3])),
         )
 
 
@@ -351,7 +355,9 @@ def test_early_fusion_predict_grid_drops_the_raw_training_block_before_predictin
     lexical = rng.normal(size=(30, 4))
     bundles = _bundles(rng, 30, audio=audio, lexical=lexical)
     points = [SvrParams(c=0.5), SvrParams(c=2.0)]
-    preds = early_fusion_predict_grid(bundles[:24], audio[:24, 0], points, bundles[24:])
+    preds = early_fusion_predict_grid(
+        feature_table(bundles[:24]), audio[:24, 0], points, feature_table(bundles[24:])
+    )
     assert len(preds) == 2
     assert len(raw_blocks) == 1
     assert live_at_fit == [False, False]
@@ -376,9 +382,11 @@ def test_late_fusion_predict_grid_equals_fusion_predict_and_shares_only_shared_b
         for c in (0.5, 2.0)
         for alpha in (0.1, 10.0)
     ]
-    grid = late_fusion_fit_grid(train, y[:30], points, groups=groups[:30], seed=6)
+    grid = late_fusion_fit_grid(feature_table(train), y[:30], points, groups=groups[:30], seed=6)
     # A second fit of the first point on other targets: equal params, other base models.
-    other = late_fusion_fit_grid(train, -y[:30], points[:1], groups=groups[:30], seed=6)
+    other = late_fusion_fit_grid(
+        feature_table(train), -y[:30], points[:1], groups=groups[:30], seed=6
+    )
     models = grid + other
 
     predicted = []  # the base model of every base prediction
@@ -389,7 +397,7 @@ def test_late_fusion_predict_grid_equals_fusion_predict_and_shares_only_shared_b
         return predict_base(model, X)
 
     monkeypatch.setattr(fusion, "_predict_base", counted)
-    preds = late_fusion_predict_grid(models, test)
+    preds = late_fusion_predict_grid(models, feature_table(test))
     # Two SVR settings and one forest in the grid, and two bases of the second fit.
     assert len(predicted) == 5
     assert len({id(model) for model in predicted}) == 5
@@ -400,4 +408,82 @@ def test_late_fusion_predict_grid_equals_fusion_predict_and_shares_only_shared_b
     assert not np.array_equal(preds[0], preds[-1])
 
     with pytest.raises(ValueError, match="base models"):
-        late_fusion_predict_grid(models, _bundles(rng, 3, audio=audio[:3]))
+        late_fusion_predict_grid(models, feature_table(_bundles(rng, 3, audio=audio[:3])))
+
+
+def test_feature_table_rows_and_select_share_the_vectors_and_compose(rng):
+    audio = rng.normal(size=(6, 3))
+    lexical = rng.normal(size=(6, 4))
+    table = feature_table(_bundles(rng, 6, audio=audio, lexical=lexical))
+    part = table.rows([4, 1, 2]).rows([2, 0])
+    audio_only = part.select(["audio"])
+    assert part.n == 2 and part.dims == {"audio": 3, "mem_lexical": 4}
+    assert audio_only.modalities == ("audio",)
+    for name in ("audio", "mem_lexical"):
+        assert np.shares_memory(part.vectors[name], table.vectors[name])
+    assert np.shares_memory(audio_only.vectors["audio"], table.vectors["audio"])
+    assert np.array_equal(part.stack(["audio", "mem_lexical"]), np.hstack([audio, lexical])[[2, 4]])
+    assert np.array_equal(audio_only.stack(["audio"]), audio[[2, 4]])
+
+
+def test_one_modality_of_a_bundle_table_is_stacked_without_a_second_copy(rng):
+    audio = rng.normal(size=(5, 3))
+    table = feature_table(_bundles(rng, 5, audio=audio, lexical=rng.normal(size=(5, 2))))
+    block = table.stack(["audio"])
+    assert block is table.vectors["audio"]
+    assert not np.shares_memory(block, audio) and np.array_equal(block, audio)
+    assert not np.shares_memory(table.rows([0, 1]).stack(["audio"]), block)
+
+
+def test_feature_table_rejects_an_empty_bundle_list():
+    with pytest.raises(ValueError, match="^no bundles$"):
+        feature_table([])
+
+
+def _saved_early_model(tmp_path, rng):
+    audio = rng.normal(size=(20, 3))
+    model = early_fusion_fit(_bundles(rng, 20, audio=audio), audio[:, 0], SvrParams())
+    save_fusion_model(model, tmp_path)
+    return json.loads((tmp_path / "manifest.json").read_text())
+
+
+def _write_manifest(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_load_fusion_model_rejects_a_fractional_dimension(tmp_path, rng):
+    manifest = _saved_early_model(tmp_path, rng)
+    _write_manifest(tmp_path, {**manifest, "dims": {"audio": 3.9}})
+    with pytest.raises(ValueError, match=r"^dims \{'audio': 3.9\} must be positive integers"):
+        load_fusion_model(tmp_path)
+
+
+def test_load_fusion_model_rejects_dimensions_the_svr_does_not_read(tmp_path, rng):
+    manifest = _saved_early_model(tmp_path, rng)
+    _write_manifest(tmp_path, {**manifest, "dims": {"audio": 2}})
+    with pytest.raises(ValueError, match="^dims .* that sum to the SVR's 3$"):
+        load_fusion_model(tmp_path)
+
+
+def test_load_fusion_model_rejects_an_unknown_modality(tmp_path, rng):
+    manifest = _saved_early_model(tmp_path, rng)
+    _write_manifest(tmp_path, {**manifest, "modalities": ["sound"], "dims": {"sound": 3}})
+    with pytest.raises(ValueError, match="^modalities must list distinct names of"):
+        load_fusion_model(tmp_path)
+
+
+def test_load_fusion_model_rejects_an_unknown_late_base(tmp_path, rng):
+    audio = rng.normal(size=(20, 3))
+    model = late_fusion_fit(_bundles(rng, 20, audio=audio), audio[:, 0], _late_params(), 1.0)
+    save_fusion_model(model, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    _write_manifest(
+        tmp_path,
+        {
+            **manifest,
+            "base_order": ["audio", "sound"],
+            "models": {**manifest["models"], "sound": manifest["models"]["audio"]},
+        },
+    )
+    with pytest.raises(ValueError, match="^base_order must list distinct names of"):
+        load_fusion_model(tmp_path)

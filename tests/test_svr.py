@@ -251,7 +251,7 @@ def test_max_passes_flag(rng):
     assert not model.converged
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
 def test_params_reject_a_non_integer_max_passes(value):
     with pytest.raises(ValueError, match="^max_passes must be a positive integer"):
         SvrParams(max_passes=value)
