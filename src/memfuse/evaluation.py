@@ -43,7 +43,6 @@ from .fusion import (
     LateFusionParams,
     early_fusion_predict_grid,
     late_fusion_bases,
-    late_fusion_fit_grid,
     late_fusion_predict_grid,
 )
 # Not called here; bench/tracer.py wraps these names where this module once looked them up.
@@ -232,7 +231,7 @@ def _learner_params(learner: str, hyper: Mapping):
 
 
 def _late_point(hyper: Mapping) -> tuple[LateFusionParams, float, int]:
-    """The (base_params, meta_alpha, k_inner) point of `late_fusion_fit_grid`."""
+    """The (base_params, meta_alpha, k_inner) point of `late_fusion_predict_grid`."""
     svr = _learner_params("svr", hyper)
     base_params = LateFusionParams(audio=svr, visual=svr, memory=_learner_params("forest", hyper))
     return base_params, hyper.get("ridge.alpha", 1.0), hyper.get("stack.k_inner", 4)
@@ -251,8 +250,7 @@ def _fold_predictions(
         return early_fusion_predict_grid(train, y[train_rows], points, test)
     points = [_late_point(combo) for combo in combos]
     train_groups = [groups[r] for r in train_rows]
-    models = late_fusion_fit_grid(train, y[train_rows], points, groups=train_groups, seed=seed)
-    return late_fusion_predict_grid(models, test)
+    return late_fusion_predict_grid(train, y[train_rows], points, test, train_groups, seed)
 
 
 def _sort_key(values: tuple) -> tuple:

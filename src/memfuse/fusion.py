@@ -4,7 +4,7 @@ Samples come in a `FeatureTable`; the nested CV's table holds one audio and
 one visual row per video and one memory row per response. `feature_table` is
 the one check of a `ModalityBundle` list: `early_fusion_fit`,
 `late_fusion_fit` and `fusion_predict` take such a list and convert it once,
-and the other entry points take a table.
+and the grids take tables.
 
 Early fusion fits one RBF-kernel SVR on the stacked modalities. Late fusion
 combines an SVR per audiovisual modality and a random forest on the memory
@@ -13,11 +13,12 @@ out-of-fold base predictions over participant-grouped folds of the training
 set (`folds.group_splits`), so no base model scores a sample it was trained
 on. A model serves one affective dimension (P, A or D).
 
-The `*_grid` functions serve a grid search. Each fits or predicts at many
-hyperparameter points on the same samples and computes every base fit, Gram
-and base prediction once per distinct input, so fits grow as the sum of the
-distinct settings, not their product. `late_fusion_fit` and `fusion_predict`
-are their one-point cases.
+Each strategy has a fit (`*_fit`), which returns a model for `fusion_predict`,
+and a CV grid (`*_predict_grid`) that fits a fold's training samples at many
+hyperparameter points and predicts its test samples, keeping no model. Its
+predictions equal those of the fit and `fusion_predict`, bit for bit. It
+computes each base fit, Gram and base prediction once per distinct setting,
+so fits grow as the sum of the distinct settings, not their product.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .regressors import (
     fit_forest,
     fit_ridge,
     fit_svr,
-    load_model,
+    model_from_json,
     predict_forest,
     predict_ridge,
     predict_svr,
@@ -72,7 +73,6 @@ __all__ = [
     "early_fusion_fit",
     "early_fusion_predict_grid",
     "late_fusion_fit",
-    "late_fusion_fit_grid",
     "late_fusion_predict_grid",
     "fusion_predict",
     "save_fusion_model",
@@ -138,13 +138,19 @@ class FeatureTable:
 
 
 def feature_table(bundles: Sequence[ModalityBundle]) -> FeatureTable:
-    """The table of a non-empty list of bundles that all carry the same modalities."""
+    """The table of a non-empty list of bundles that carry the same modalities, as 1-d vectors."""
     if not bundles:
         raise ValueError("no bundles")
     active = bundles[0].active()
     for i, bundle in enumerate(bundles):
         if bundle.active() != active:
             raise ValueError(f"bundle {i} has modalities {bundle.active()}, expected {active}")
+        for name in active:
+            shape, first = np.shape(getattr(bundle, name)), np.shape(getattr(bundles[0], name))
+            if len(shape) != 1:
+                raise ValueError(f"bundle {i} {name} has shape {shape}, not a 1-d vector")
+            if shape != first:
+                raise ValueError(f"bundle {i} {name} has width {shape[0]}, bundle 0 has {first[0]}")
     vectors = {name: np.vstack([getattr(b, name) for b in bundles], dtype=float) for name in active}
     return FeatureTable(vectors, dict.fromkeys(active), len(bundles))
 
@@ -170,6 +176,8 @@ class EarlyFusionModel:
 
 @dataclass(frozen=True)
 class LateFusionParams:
+    """Each base model's own params; `memory.seed` is not read (see `late_fusion_fit`)."""
+
     audio: SvrParams = field(default_factory=SvrParams)
     visual: SvrParams = field(default_factory=SvrParams)
     memory: ForestParams = field(default_factory=ForestParams)
@@ -218,11 +226,15 @@ def late_fusion_bases(modalities: tuple[str, ...]) -> tuple[str, ...]:
     )
 
 
-def _base_inputs(table: FeatureTable) -> dict[str, np.ndarray]:
-    return {
-        name: table.stack([m for m in BASES[name][1] if m in table.modalities])
-        for name in late_fusion_bases(table.modalities)
-    }
+def _check_bases(table: FeatureTable, fitted: tuple[str, ...]) -> None:
+    fed = late_fusion_bases(table.modalities)
+    if fed != fitted:
+        raise ValueError(f"base models {fed} do not match fit-time {fitted}")
+
+
+def _base_block(table: FeatureTable, name: str) -> np.ndarray:
+    """The input of base `name`: the table's rows of the modalities it reads."""
+    return table.stack([m for m in BASES[name][1] if m in table.modalities])
 
 
 def _fit_base(
@@ -238,24 +250,6 @@ def _predict_base(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, ForestModel):
         return predict_forest(model, X)
     return predict_svr(model, X)
-
-
-def _stacking_folds(
-    groups: list, k_inner: int, seed: int
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[dict]]:
-    """The stacking splits and their fold log."""
-    splits = group_splits(groups, k_inner, child_seed(seed, "stack-folds"))
-    fold_log = [
-        {
-            "fold": fold_idx,
-            "train_rows": train_rows.tolist(),
-            "train_groups": sorted({str(groups[r]) for r in train_rows}),
-            "predicted_rows": test_rows.tolist(),
-            "predicted_groups": sorted({str(groups[r]) for r in test_rows}),
-        }
-        for fold_idx, (train_rows, test_rows) in enumerate(splits)
-    ]
-    return splits, fold_log
 
 
 def _oof_columns(
@@ -287,64 +281,82 @@ def _oof_columns(
     return columns
 
 
-def late_fusion_fit_grid(
-    table: FeatureTable,
-    y: np.ndarray,
-    points: Sequence[tuple[LateFusionParams, float, int]],
-    groups: list | None = None,
-    seed: int = 0,
-) -> list[LateFusionModel]:
-    """One late-fusion model per (base_params, meta_alpha, k_inner) point.
-
-    Each model equals `late_fusion_fit` at its point on the table's bundles.
-    The stacking splits and fold log depend only on `k_inner`; a base model's
-    out-of-fold column only on the base, its own params (`base_params.audio`,
-    `.visual` or `.memory`) and `k_inner`; its final fit only on the base and
-    its own params. Each is computed once per distinct key, compared by value,
-    and shared, so only the ridge is fitted per point.
-    """
+def _stacking_targets(n: int, y: np.ndarray, groups: Sequence, points) -> np.ndarray:
+    """`y` as floats, once it and `groups` match `n` samples and each point's `k_inner` fits."""
     y = np.asarray(y, dtype=float)
-    n = table.n
-    if groups is None:
-        groups = list(range(n))
     if not len(y) == len(groups) == n:
         raise ValueError(f"{n} bundles, {len(y)} targets and {len(groups)} groups differ in length")
     for _, _, k_inner in points:
         if n < 2 * k_inner:
             raise ValueError(f"need at least {2 * k_inner} samples for {k_inner} stacking folds")
-    inputs = _base_inputs(table)
-    base_order = late_fusion_bases(table.modalities)
+    return y
 
-    stacking: dict[int, tuple] = {}  # k_inner -> (splits, fold_log)
+
+def _stacked_points(
+    inputs: dict[str, np.ndarray],
+    y: np.ndarray,
+    points: Sequence[tuple[LateFusionParams, float, int]],
+    groups: Sequence,
+    seed: int,
+) -> list[tuple[list, dict, RidgeModel]]:
+    """Per (base_params, meta_alpha, k_inner) point, in order: (splits, own params, ridge).
+
+    `inputs` holds each base's training block, in `BASES` order. The stacking
+    splits depend only on `k_inner`, and a base's out-of-fold column only on
+    the base, its own params (`base_params.audio`, `.visual` or `.memory`)
+    and `k_inner`; each is computed once per distinct key, compared by value.
+    Only the ridge is fitted per point.
+    """
+    stacking: dict[int, list] = {}  # k_inner -> splits
     oof: dict[tuple, np.ndarray] = {}  # (base, its params, k_inner) -> out-of-fold column
-    final: dict[tuple, SvrModel | ForestModel] = {}  # (base, its params) -> fit on all rows
-    models = []
+    fits = []
     for base_params, meta_alpha, k_inner in points:
         if k_inner not in stacking:
-            stacking[k_inner] = _stacking_folds(groups, k_inner, seed)
-        splits, fold_log = stacking[k_inner]
-        own = {name: getattr(base_params, name) for name in base_order}
-        missing = [name for name in base_order if (name, own[name], k_inner) not in oof]
+            stacking[k_inner] = group_splits(groups, k_inner, child_seed(seed, "stack-folds"))
+        splits = stacking[k_inner]
+        own = {name: getattr(base_params, name) for name in inputs}
+        missing = [name for name in inputs if (name, own[name], k_inner) not in oof]
         for name, column in _oof_columns(missing, inputs, y, own, splits, seed).items():
             oof[name, own[name], k_inner] = column
-        meta = fit_ridge(
-            np.column_stack([oof[name, own[name], k_inner] for name in base_order]),
-            y,
-            meta_alpha,
-        )
-        for name in base_order:
-            if (name, own[name]) not in final:
-                final[name, own[name]] = _fit_base(
-                    name, inputs[name], y, own[name], child_seed(seed, "final", name)
+        columns = np.column_stack([oof[name, own[name], k_inner] for name in inputs])
+        fits.append((splits, own, fit_ridge(columns, y, meta_alpha)))
+    return fits
+
+
+def late_fusion_predict_grid(
+    train: FeatureTable,
+    y: np.ndarray,
+    points: Sequence[tuple[LateFusionParams, float, int]],
+    test: FeatureTable,
+    groups: Sequence,
+    seed: int,
+) -> list[np.ndarray]:
+    """Per (base_params, meta_alpha, k_inner) point: the predictions for `test` of a fit on `train`.
+
+    They equal, bit for bit, `fusion_predict` on `test`'s bundles of
+    `late_fusion_fit` on `train`'s. Besides the stacking splits and
+    out-of-fold columns (`_stacked_points`), a base's final fit depends only
+    on the base and its own params. Each is fitted once per distinct key,
+    compared by value, scores the test block once and is dropped.
+    """
+    bases = late_fusion_bases(train.modalities)
+    _check_bases(test, bases)
+    y = _stacking_targets(train.n, y, groups, points)
+    inputs = {name: _base_block(train, name) for name in bases}
+    columns: dict[tuple, np.ndarray] = {}  # (base, its params) -> its final fit's test column
+    preds = []
+    for _, own, meta in _stacked_points(inputs, y, points, groups, seed):
+        for name in inputs:
+            if (name, own[name]) not in columns:
+                # The test block is stacked after its final fit: stacking it
+                # before the fits raised the CV's peak RSS by ~1%.
+                columns[name, own[name]] = _predict_base(
+                    _fit_base(name, inputs[name], y, own[name], child_seed(seed, "final", name)),
+                    _base_block(test, name),
                 )
-        models.append(
-            LateFusionModel(
-                base_models={name: final[name, own[name]] for name in base_order},
-                meta=meta,
-                fold_log=fold_log,
-            )
-        )
-    return models
+        stacked = np.column_stack([columns[name, own[name]] for name in inputs])
+        preds.append(predict_ridge(meta, stacked))
+    return preds
 
 
 def late_fusion_fit(
@@ -356,10 +368,34 @@ def late_fusion_fit(
     groups: list | None = None,
     seed: int = 0,
 ) -> LateFusionModel:
-    """Stacked late fusion at one point: `late_fusion_fit_grid` of one point."""
-    return late_fusion_fit_grid(
-        feature_table(bundles), y, [(base_params, meta_alpha, k_inner)], groups=groups, seed=seed
-    )[0]
+    """Stacked late fusion at one point; `groups` default to one per bundle.
+
+    Every seed derives from `seed`. Each forest's replaces
+    `base_params.memory.seed`: `child_seed(seed, "oof", fold, "memory")` in
+    stacking fold `fold`, `child_seed(seed, "final", "memory")` on all rows.
+    """
+    table = feature_table(bundles)
+    if groups is None:
+        groups = list(range(table.n))
+    point = (base_params, meta_alpha, k_inner)
+    y = _stacking_targets(table.n, y, groups, [point])
+    inputs = {name: _base_block(table, name) for name in late_fusion_bases(table.modalities)}
+    ((splits, own, meta),) = _stacked_points(inputs, y, [point], groups, seed)
+    base_models = {
+        name: _fit_base(name, inputs[name], y, own[name], child_seed(seed, "final", name))
+        for name in inputs
+    }
+    fold_log = [
+        {
+            "fold": fold_idx,
+            "train_rows": train_rows.tolist(),
+            "train_groups": sorted({str(groups[r]) for r in train_rows}),
+            "predicted_rows": test_rows.tolist(),
+            "predicted_groups": sorted({str(groups[r]) for r in test_rows}),
+        }
+        for fold_idx, (train_rows, test_rows) in enumerate(splits)
+    ]
+    return LateFusionModel(base_models, meta, fold_log)
 
 
 def fusion_predict(
@@ -369,35 +405,10 @@ def fusion_predict(
     if isinstance(model, EarlyFusionModel):
         _check_fit_time(table, model.dims)
         return predict_svr(model.svr, table.stack(model.modalities))
-    return late_fusion_predict_grid([model], table)[0]
-
-
-def late_fusion_predict_grid(
-    models: Sequence[LateFusionModel], table: FeatureTable
-) -> list[np.ndarray]:
-    """`fusion_predict(model, bundles)` per model, in order, for the table of `bundles`.
-
-    Each distinct base-model object runs on the table once, and only the
-    ridge is applied per model. Models of one `late_fusion_fit_grid` call
-    whose points share a base setting share that base-model object, and so
-    its column; models fitted apart never do.
-    """
-    base_order = late_fusion_bases(table.modalities)
-    for model in models:
-        if model.base_order != base_order:
-            raise ValueError(f"base models {base_order} do not match fit-time {model.base_order}")
-    inputs = _base_inputs(table)
-    # Keyed by object identity, which is unique while `models` holds every base model.
-    columns: dict[tuple[str, int], np.ndarray] = {}
-    preds = []
-    for model in models:
-        bases = [(name, model.base_models[name]) for name in base_order]
-        for name, base in bases:
-            if (name, id(base)) not in columns:
-                columns[name, id(base)] = _predict_base(base, inputs[name])
-        stacked = np.column_stack([columns[name, id(base)] for name, base in bases])
-        preds.append(predict_ridge(model.meta, stacked))
-    return preds
+    _check_bases(table, model.base_order)
+    inputs = {name: _base_block(table, name) for name in model.base_order}
+    columns = [_predict_base(model.base_models[name], inputs[name]) for name in inputs]
+    return predict_ridge(model.meta, np.column_stack(columns))
 
 
 def save_fusion_model(model: EarlyFusionModel | LateFusionModel, directory: str | Path) -> None:
@@ -436,6 +447,15 @@ def _names(manifest: dict, key: str, order) -> list[str]:
     return names
 
 
+def _load_learner(path: Path, key: str, learner: str):
+    """The model at `path`, which manifest entry `key` names and which must be a `learner`."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("kind") != learner:
+        raise ValueError(f"{key} holds a {doc.get('kind')!r} model, expected {learner!r}")
+    return model_from_json(doc)
+
+
 def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionModel:
     directory = Path(directory)
     with open(directory / "manifest.json", encoding="utf-8") as fh:
@@ -444,7 +464,7 @@ def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionMod
         # The manifest is written with sorted keys; "modalities" keeps the concatenation order.
         names = _names(manifest, "modalities", MODALITY_ORDER)
         dims = {name: manifest["dims"][name] for name in names}
-        svr = load_model(directory / manifest["models"]["svr"])
+        svr = _load_learner(directory / manifest["models"]["svr"], "models.svr", "svr")
         width = svr.scaler.means.shape[0]
         if not (all(is_count(d, 1) for d in dims.values()) and sum(dims.values()) == width):
             raise ValueError(f"dims {dims} must be positive integers that sum to the SVR's {width}")
@@ -452,10 +472,12 @@ def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionMod
     if manifest["kind"] == "late":
         return LateFusionModel(
             base_models={
-                name: load_model(directory / manifest["models"][name])
+                name: _load_learner(
+                    directory / manifest["models"][name], f"models.{name}", BASES[name][0]
+                )
                 for name in _names(manifest, "base_order", BASES)
             },
-            meta=load_model(directory / manifest["meta"]),
+            meta=_load_learner(directory / manifest["meta"], "meta", "ridge"),
             fold_log=manifest.get("fold_log", []),
         )
     raise ValueError(f"unknown fusion model kind {manifest['kind']!r}")

@@ -13,7 +13,6 @@ from memfuse.fusion import (
     feature_table,
     fusion_predict,
     late_fusion_fit,
-    late_fusion_fit_grid,
     late_fusion_predict_grid,
     load_fusion_model,
     save_fusion_model,
@@ -226,13 +225,14 @@ def test_late_fusion_rejects_targets_or_groups_of_another_length(rng, n_targets,
         late_fusion_fit(bundles, rng.normal(size=n_targets), _late_params(), 1.0, groups=groups)
 
 
-def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
-    n = 40
+def test_late_fusion_predict_grid_equals_late_fusion_fit_at_every_point(rng):
+    n = 50
     groups = [f"g{i % 10}" for i in range(n)]
     audio = rng.normal(size=(n, 3))
     lexical = rng.normal(size=(n, 4))
     y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
     bundles = _bundles(rng, n, audio=audio, lexical=lexical)
+    train, test = bundles[:40], bundles[40:]
     points = [
         (
             LateFusionParams(
@@ -246,17 +246,17 @@ def test_late_fusion_fit_grid_equals_late_fusion_fit_at_every_point(rng):
         for alpha in (0.1, 10.0)
         for k_inner in (2, 3)
     ]
-    models = late_fusion_fit_grid(feature_table(bundles), y, points, groups=groups, seed=6)
-    assert len(models) == len(points)
-    for (base_params, alpha, k_inner), model in zip(points, models):
+    preds = late_fusion_predict_grid(
+        feature_table(train), y[:40], points, feature_table(test), groups[:40], 6
+    )
+    assert len(preds) == len(points)
+    for (base_params, alpha, k_inner), pred in zip(points, preds):
         alone = late_fusion_fit(
-            bundles, y, base_params, alpha, k_inner=k_inner, groups=groups, seed=6
+            train, y[:40], base_params, alpha, k_inner=k_inner, groups=groups[:40], seed=6
         )
-        assert model.base_order == alone.base_order == ("audio", "memory")
-        for name in alone.base_order:
-            assert model_to_json(model.base_models[name]) == model_to_json(alone.base_models[name])
-        assert model_to_json(model.meta) == model_to_json(alone.meta)
-        assert model.fold_log == alone.fold_log
+        assert alone.base_order == ("audio", "memory")
+        assert np.array_equal(pred, fusion_predict(alone, test))
+    assert len({pred.tobytes() for pred in preds}) == len(points)
 
 
 def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng, monkeypatch):
@@ -363,16 +363,14 @@ def test_early_fusion_predict_grid_drops_the_raw_training_block_before_predictin
     assert live_at_fit == [False, False]
 
 
-def test_late_fusion_predict_grid_equals_fusion_predict_and_shares_only_shared_bases(
-    rng, monkeypatch
-):
+def _late_grid_case(rng):
+    """A 30-row training and 10-row test table, and 2 SVR x 1 forest x 2 ridge settings."""
     n = 40
     groups = [f"g{i % 10}" for i in range(n)]
     audio = rng.normal(size=(n, 3))
     lexical = rng.normal(size=(n, 4))
     y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
     bundles = _bundles(rng, n, audio=audio, lexical=lexical)
-    train, test = bundles[:30], bundles[30:]
     points = [
         (
             LateFusionParams(audio=SvrParams(c=c), memory=ForestParams(n_trees=3, min_leaf=2)),
@@ -382,33 +380,64 @@ def test_late_fusion_predict_grid_equals_fusion_predict_and_shares_only_shared_b
         for c in (0.5, 2.0)
         for alpha in (0.1, 10.0)
     ]
-    grid = late_fusion_fit_grid(feature_table(train), y[:30], points, groups=groups[:30], seed=6)
-    # A second fit of the first point on other targets: equal params, other base models.
-    other = late_fusion_fit_grid(
-        feature_table(train), -y[:30], points[:1], groups=groups[:30], seed=6
-    )
-    models = grid + other
+    return feature_table(bundles[:30]), y[:30], points, feature_table(bundles[30:]), groups[:30]
 
-    predicted = []  # the base model of every base prediction
-    predict_base = fusion._predict_base
 
-    def counted(model, X):
-        predicted.append(model)
+def test_late_fusion_predict_grid_fits_and_predicts_each_distinct_final_base_once(
+    rng, monkeypatch
+):
+    train, y, points, test, groups = _late_grid_case(rng)
+    final_fits = []  # (base, rows) of every fit on all training rows
+    test_predictions = []  # (base, rows) of every prediction of the test block
+    fit_base, predict_base = fusion._fit_base, fusion._predict_base
+
+    def counted_fit(name, X, *args):
+        if len(X) == train.n:
+            final_fits.append(name)
+        return fit_base(name, X, *args)
+
+    def counted_predict(model, X):
+        if len(X) == test.n:
+            test_predictions.append(type(model).__name__)
         return predict_base(model, X)
 
-    monkeypatch.setattr(fusion, "_predict_base", counted)
-    preds = late_fusion_predict_grid(models, feature_table(test))
-    # Two SVR settings and one forest in the grid, and two bases of the second fit.
-    assert len(predicted) == 5
-    assert len({id(model) for model in predicted}) == 5
-    monkeypatch.setattr(fusion, "_predict_base", predict_base)
-    assert len(preds) == len(models)
-    for model, pred in zip(models, preds):
-        assert np.array_equal(pred, fusion_predict(model, test))
-    assert not np.array_equal(preds[0], preds[-1])
+    monkeypatch.setattr(fusion, "_fit_base", counted_fit)
+    monkeypatch.setattr(fusion, "_predict_base", counted_predict)
+    preds = late_fusion_predict_grid(train, y, points, test, groups, 6)
+    # Two SVR settings and one forest setting; the stacking folds hold 15 rows each.
+    assert sorted(final_fits) == ["audio", "audio", "memory"]
+    assert sorted(test_predictions) == ["ForestModel", "SvrModel", "SvrModel"]
+    assert len(preds) == len(points)
 
     with pytest.raises(ValueError, match="base models"):
-        late_fusion_predict_grid(models, feature_table(_bundles(rng, 3, audio=audio[:3])))
+        late_fusion_predict_grid(train, y, points, train.select(["audio"]), groups, 6)
+
+
+def test_late_fusion_predict_grid_drops_each_final_base_once_it_has_scored_the_test_block(
+    rng, monkeypatch
+):
+    train, y, points, test, groups = _late_grid_case(rng)
+    finals = []  # weak references to the models fitted on all training rows
+    live = []  # per final fit and per ridge prediction: how many earlier finals are alive
+    fit_base, predict_ridge = fusion._fit_base, fusion.predict_ridge
+
+    def recording_fit(name, X, *args):
+        if len(X) == train.n:
+            live.append(sum(ref() is not None for ref in finals))
+        model = fit_base(name, X, *args)
+        if len(X) == train.n:
+            finals.append(weakref.ref(model))
+        return model
+
+    def recording_ridge(*args):
+        live.append(sum(ref() is not None for ref in finals))
+        return predict_ridge(*args)
+
+    monkeypatch.setattr(fusion, "_fit_base", recording_fit)
+    monkeypatch.setattr(fusion, "predict_ridge", recording_ridge)
+    late_fusion_predict_grid(train, y, points, test, groups, 6)
+    assert len(finals) == 3
+    assert live == [0] * (len(finals) + len(points))
 
 
 def test_feature_table_rows_and_select_share_the_vectors_and_compose(rng):
@@ -487,3 +516,74 @@ def test_load_fusion_model_rejects_an_unknown_late_base(tmp_path, rng):
     )
     with pytest.raises(ValueError, match="^base_order must list distinct names of"):
         load_fusion_model(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "source, target, message",
+    [
+        (
+            "base_memory.json",
+            "base_audio.json",
+            "models.audio holds a 'forest' model, expected 'svr'",
+        ),
+        ("base_audio.json", "meta.json", "meta holds a 'svr' model, expected 'ridge'"),
+    ],
+)
+def test_load_fusion_model_rejects_a_late_model_file_of_another_learner(
+    tmp_path, rng, source, target, message
+):
+    audio = rng.normal(size=(20, 3))
+    lexical = rng.normal(size=(20, 4))
+    bundles = _bundles(rng, 20, audio=audio, lexical=lexical)
+    save_fusion_model(late_fusion_fit(bundles, audio[:, 0], _late_params(), 1.0), tmp_path)
+    (tmp_path / target).write_bytes((tmp_path / source).read_bytes())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_fusion_model(tmp_path)
+
+
+def test_load_fusion_model_rejects_an_early_svr_file_that_holds_a_ridge(tmp_path, rng):
+    _saved_early_model(tmp_path, rng)
+    late = late_fusion_fit(
+        _bundles(rng, 20, audio=rng.normal(size=(20, 3))), rng.normal(size=20), _late_params(), 1.0
+    )
+    save_fusion_model(late, tmp_path / "late")
+    (tmp_path / "svr.json").write_bytes((tmp_path / "late" / "meta.json").read_bytes())
+    with pytest.raises(ValueError, match="^models.svr holds a 'ridge' model, expected 'svr'$"):
+        load_fusion_model(tmp_path)
+
+
+def test_feature_table_rejects_a_modality_entry_that_is_not_one_vector(rng):
+    bundle = ModalityBundle(audio=rng.normal(size=(2, 3)))
+    with pytest.raises(ValueError, match=r"^bundle 0 audio has shape \(2, 3\), not a 1-d vector$"):
+        feature_table([bundle])
+    audio = rng.normal(size=(8, 3))
+    model = early_fusion_fit(_bundles(rng, 8, audio=audio), np.arange(8.0), SvrParams())
+    with pytest.raises(ValueError, match="^bundle 0 audio has shape"):
+        fusion_predict(model, [bundle])  # once returned 2 predictions for 1 bundle
+
+
+def test_feature_table_rejects_bundles_of_different_widths_naming_the_bundle(rng):
+    bundles = _bundles(rng, 3, audio=rng.normal(size=(3, 3)), lexical=rng.normal(size=(3, 4)))
+    bundles[2] = ModalityBundle(audio=bundles[2].audio, mem_lexical=rng.normal(size=5))
+    with pytest.raises(ValueError, match="^bundle 2 mem_lexical has width 5, bundle 0 has 4$"):
+        feature_table(bundles)
+
+
+def test_late_fusion_fit_ignores_the_memory_params_seed(rng):
+    # Each forest's seed derives from late_fusion_fit's `seed`; honouring
+    # `memory.seed` would be a behaviour change.
+    lexical = rng.normal(size=(24, 4))
+    bundles = _bundles(rng, 24, lexical=lexical)
+    forests = [
+        late_fusion_fit(
+            bundles,
+            lexical[:, 0],
+            LateFusionParams(memory=ForestParams(n_trees=3, min_leaf=2, seed=memory_seed)),
+            1.0,
+            seed=7,
+        )
+        for memory_seed in (1, 999)
+    ]
+    first, second = (model_to_json(f.base_models["memory"]) for f in forests)
+    assert first == second
+    assert model_to_json(forests[0].meta) == model_to_json(forests[1].meta)
