@@ -1,13 +1,13 @@
 """Nested leave-persons-out evaluation of the fusion pipelines.
 
 A run builds one `fusion.FeatureTable`, extracting each memory text once: a
-memory row per response, an audio and a visual row per video. Each condition
-selects its modalities from it; every outer, inner and stacking fold takes
-samples by index, and features are copied only when a block is stacked. One
-loop runs over dimension, condition, strategy and outer fold. Outer folds
-partition participants; inside each, a grid search re-tunes on
-participant-grouped inner folds, and late fusion stacks on grouped folds of
-its own, all from `folds.group_splits`, which raises if a participant leaks.
+memory row per response, an audio and a visual row per video, and each
+response's participant as its group. Each condition selects its modalities
+from it; every fold takes samples and their groups by index. One loop runs
+over dimension, condition, strategy and outer fold. Outer folds partition the
+table's participants; inside each, a grid search re-tunes on inner folds of
+the training participants, and late fusion stacks on folds of its own, all
+from `folds.group_splits`; a participant on both sides of a fit raises.
 Every fit draws its seed from `child_seed(seed, dim, condition, strategy,
 fold)`, so the loop order cannot change a result. One routine fits a fold's
 training samples and predicts its test samples at a list of grid points: once
@@ -44,6 +44,7 @@ from .fusion import (
     early_fusion_predict_grid,
     late_fusion_bases,
     late_fusion_predict_grid,
+    vector_rows,
 )
 # Not called here; bench/tracer.py wraps these names where this module once looked them up.
 from .fusion import early_fusion_fit, fusion_predict, late_fusion_fit  # noqa: F401
@@ -238,7 +239,7 @@ def _late_point(hyper: Mapping) -> tuple[LateFusionParams, float, int]:
 
 
 def _fold_predictions(
-    strategy: str, table, y, groups, train_rows, test_rows, combos: list[dict], seed: int
+    strategy: str, table, y, train_rows, test_rows, combos: list[dict], seed: int
 ) -> list[np.ndarray]:
     """Per combo, in order: the test-row predictions of a fit on the training rows.
 
@@ -249,8 +250,7 @@ def _fold_predictions(
         points = [_learner_params("svr", combo) for combo in combos]
         return early_fusion_predict_grid(train, y[train_rows], points, test)
     points = [_late_point(combo) for combo in combos]
-    train_groups = [groups[r] for r in train_rows]
-    return late_fusion_predict_grid(train, y[train_rows], points, test, train_groups, seed)
+    return late_fusion_predict_grid(train, y[train_rows], points, test, seed)
 
 
 def _sort_key(values: tuple) -> tuple:
@@ -260,7 +260,6 @@ def _sort_key(values: tuple) -> tuple:
 def grid_search(
     table: FeatureTable,
     y: np.ndarray,
-    groups: Sequence[str],
     grid: Mapping[str, Sequence],
     strategy: str,
     k_inner: int = 4,
@@ -271,7 +270,7 @@ def grid_search(
     Only the keys read by the learners that `strategy` fits on the table's
     modalities are searched (see the module docstring); the other keys are
     ignored, and a key that no learner has raises `ValueError`. Inner folds
-    are participant-grouped. Ties break to the lexicographically smallest
+    split the table's groups. Ties break to the lexicographically smallest
     hyperparameter value tuple. A single-point grid, or one whose keys no
     learner here reads, short-circuits without fitting anything; its one
     point leaves the unset parameters at their defaults.
@@ -279,14 +278,12 @@ def grid_search(
     Each inner fold is fitted and scored once for all grid points, and each
     point's scores equal those of fitting and predicting it alone with
     `late_fusion_fit` or `early_fusion_fit` and `fusion_predict` on the
-    table's bundles. `table`, `y` and `groups` must have the same length.
+    table's bundles and groups.
     """
     validate_grid(grid)
     y = np.asarray(y, dtype=float)
-    if not table.n == len(y) == len(groups):
-        raise ValueError(
-            f"{table.n} bundles, {len(y)} targets and {len(groups)} groups differ in length"
-        )
+    if table.n != len(y):
+        raise ValueError(f"{table.n} samples and {len(y)} targets differ in length")
     keys = tuple(k for k in _searched_keys(strategy, table) if k in grid)
     combos = [
         dict(zip(keys, values))
@@ -295,12 +292,11 @@ def grid_search(
     if len(combos) == 1:
         return combos[0], [{"hyper": combos[0], "mean_r2": None, "fold_r2": []}]
 
-    splits = group_splits(groups, k_inner, child_seed(seed, "inner-folds"))
+    splits = group_splits(table.groups, k_inner, child_seed(seed, "inner-folds"))
     fold_scores: list[list[float]] = [[] for _ in combos]
     for fold, (train_rows, test_rows) in enumerate(splits):
         preds = _fold_predictions(
-            strategy, table, y, groups, train_rows, test_rows, combos,
-            child_seed(seed, "inner-fit", fold),
+            strategy, table, y, train_rows, test_rows, combos, child_seed(seed, "inner-fit", fold)
         )
         for scores, pred in zip(fold_scores, preds, strict=True):
             scores.append(r2_score(y[test_rows], pred))
@@ -409,16 +405,16 @@ class ExperimentReport:
 
 
 def _feature_table(rows, read: set[str], extractor, av_features) -> FeatureTable:
-    """The table of `rows` over the modalities in `read`: AV per video, memory per row."""
+    """The table of `rows` over the modalities in `read`: AV per video, memory and group per row."""
     vectors, index = {}, {}
     if read & {"audio", "visual"}:
         missing = {r.video_id for r in rows} - set(av_features)
         if missing:
             raise ValueError(f"AV features missing for videos: {sorted(missing)}")
         videos, at = np.unique([r.video_id for r in rows], return_inverse=True)
-        for name in ("audio", "visual"):
-            vectors[name] = np.vstack([av_features[v][name] for v in videos], dtype=float)
-            index[name] = at
+        for m in ("audio", "visual"):
+            vectors[m] = vector_rows([av_features[v][m] for v in videos], "video", videos, m)
+            index[m] = at
     if read & {"mem_lexical", "mem_embedding"}:
         if extractor is None:
             extractor = TextFeatureExtractor(load_resources())
@@ -426,7 +422,7 @@ def _feature_table(rows, read: set[str], extractor, av_features) -> FeatureTable
         vectors["mem_lexical"] = np.vstack([f.lexical for f in feats], dtype=float)
         vectors["mem_embedding"] = np.vstack([f.embedding for f in feats], dtype=float)
         index["mem_lexical"] = index["mem_embedding"] = None
-    return FeatureTable(vectors, index, len(rows))
+    return FeatureTable(vectors, index, len(rows), [r.participant_id for r in rows])
 
 
 def _check_choices(kind: str, given: tuple, allowed: tuple) -> None:
@@ -463,10 +459,8 @@ def _run(
     rows = list(sub.responses)
     read = {m for c in conditions for m in _CONDITION_MODALITIES[c]}
     table = _feature_table(rows, read, extractor, av_features)
-
-    participants = [r.participant_id for r in rows]
     videos = [r.video_id for r in rows]
-    splits = group_splits(participants, k_outer, child_seed(seed, "outer-folds"))
+    splits = group_splits(table.groups, k_outer, child_seed(seed, "outer-folds"))
     cells: dict[tuple[str, str, str], CellResult] = {}
     for dim in dims:
         y = np.array([getattr(r.induced, dim) for r in rows])
@@ -488,14 +482,13 @@ def _run(
                         best, _ = grid_search(
                             features.rows(train_rows),
                             y[train_rows],
-                            [participants[r] for r in train_rows],
                             grid,
                             strat,
                             k_inner=k_inner,
                             seed=fold_seed,
                         )
                         (pred,) = _fold_predictions(
-                            strat, features, y, participants, train_rows, test_rows, [best],
+                            strat, features, y, train_rows, test_rows, [best],
                             child_seed(fold_seed, "final"),
                         )
                         params.append(best)

@@ -3,8 +3,8 @@
 Folds partition *groups* (participants), never rows, so one person's
 responses always travel together. Assignment is a seeded shuffle of the
 sorted group ids followed by round-robin dealing, which keeps fold sizes
-within one group of each other. The outer, inner and stacking folds all come
-from `group_splits`.
+within one group of each other. `group_splits` splits a table's groups for
+the outer, inner and stacking folds; `check_disjoint` keeps the sides apart.
 """
 
 from __future__ import annotations
@@ -15,13 +15,22 @@ import numpy as np
 
 from ._checks import is_count
 
-__all__ = ["assign_group_folds", "check_fold_count", "group_splits"]
+__all__ = ["assign_group_folds", "check_disjoint", "check_fold_count", "group_splits"]
 
 
 def check_fold_count(k: int) -> None:
     """Raise unless k, a Python or numpy integer and not a bool, is at least 1."""
     if not is_count(k, 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
+
+
+def check_disjoint(train_groups: Sequence | None, test_groups: Sequence | None, where: str) -> None:
+    """Raise, also under `python -O`, if a group is on both sides; a side of None has none."""
+    if train_groups is None or test_groups is None:
+        return
+    leaked = set(train_groups) & set(test_groups)
+    if leaked:
+        raise RuntimeError(f"{where} share groups {sorted(leaked, key=str)}")
 
 
 def assign_group_folds(
@@ -42,18 +51,11 @@ def group_splits(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train_rows, test_rows) of each of k folds over the rows' `groups`.
 
-    Every row is tested in exactly one fold. A group on both sides of a split
-    would leak a participant into its own test block, so it raises, also
-    under `python -O`.
+    Every row is tested in exactly one fold, and a group's rows share a fold.
+    Each split's consumer checks its two sides with `check_disjoint`.
     """
+    if groups is None:
+        raise ValueError("no groups to split: build the table with each sample's group")
     assignment = assign_group_folds(groups, k, seed)
     labels = np.array([assignment[g] for g in groups])
-    splits = []
-    for fold in range(k):
-        in_test = labels == fold
-        train_rows, test_rows = np.flatnonzero(~in_test), np.flatnonzero(in_test)
-        leaked = {groups[r] for r in train_rows} & {groups[r] for r in test_rows}
-        if leaked:
-            raise RuntimeError(f"fold {fold} leaks groups {sorted(leaked, key=str)}")
-        splits.append((train_rows, test_rows))
-    return splits
+    return [(np.flatnonzero(labels != fold), np.flatnonzero(labels == fold)) for fold in range(k)]

@@ -1,24 +1,24 @@
 """Early and late multimodal fusion for one regression target.
 
 Samples come in a `FeatureTable`; the nested CV's table holds one audio and
-one visual row per video and one memory row per response. `feature_table` is
-the one check of a `ModalityBundle` list: `early_fusion_fit`,
-`late_fusion_fit` and `fusion_predict` take such a list and convert it once,
-and the grids take tables.
+one visual row per video, and one memory row and group (participant) per
+response. `feature_table` is the one check of a `ModalityBundle` list:
+`early_fusion_fit`, `late_fusion_fit` and `fusion_predict` take such a list
+and convert it once, and the grids take tables.
 
 Early fusion fits one RBF-kernel SVR on the stacked modalities. Late fusion
 combines an SVR per audiovisual modality and a random forest on the memory
 features (lexical ++ embedding) by a ridge meta-regressor. The ridge trains on
-out-of-fold base predictions over participant-grouped folds of the training
-set (`folds.group_splits`), so no base model scores a sample it was trained
-on. A model serves one affective dimension (P, A or D).
+out-of-fold base predictions over folds of the training table's groups
+(`folds.group_splits`), so no base model scores a sample, or a participant, it
+was trained on. A model serves one affective dimension (P, A or D).
 
 Each strategy has a fit (`*_fit`), which returns a model for `fusion_predict`,
 and a CV grid (`*_predict_grid`) that fits a fold's training samples at many
-hyperparameter points and predicts its test samples, keeping no model. Its
-predictions equal those of the fit and `fusion_predict`, bit for bit. It
-computes each base fit, Gram and base prediction once per distinct setting,
-so fits grow as the sum of the distinct settings, not their product.
+hyperparameter points and predicts its test samples, which share no group
+with them, keeping no model. Its predictions equal those of the fit and
+`fusion_predict`, bit for bit. It computes each base fit, Gram and base
+prediction once per distinct setting: fits grow as their sum, not product.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._checks import is_count
 from ._seeds import child_seed
-from .folds import group_splits
+from .folds import check_disjoint, group_splits
 from .regressors import (
     ForestModel,
     ForestParams,
@@ -66,6 +66,7 @@ __all__ = [
     "ModalityBundle",
     "FeatureTable",
     "feature_table",
+    "vector_rows",
     "EarlyFusionModel",
     "LateFusionModel",
     "LateFusionParams",
@@ -102,13 +103,18 @@ class FeatureTable:
     """The features of `n` samples, each distinct vector stored once.
 
     `vectors[m]` holds modality m's distinct vectors as rows, in `MODALITY_ORDER`,
-    and `index[m]` each sample's row, or None when sample i reads row i. `rows`
-    and `select` copy only indices; `stack` copies rows into a feature matrix.
+    `index[m]` each sample's row (None: sample i reads row i) and `groups` each
+    sample's group (participant), or None. `rows` and `select` copy no vector.
     """
 
     vectors: Mapping[str, np.ndarray]
     index: Mapping[str, np.ndarray | None]
     n: int
+    groups: Sequence | None = None
+
+    def __post_init__(self) -> None:
+        if self.groups is not None and len(self.groups) != self.n:
+            raise ValueError(f"{self.n} samples and {len(self.groups)} groups differ in length")
 
     @property
     def modalities(self) -> tuple[str, ...]:
@@ -121,12 +127,12 @@ class FeatureTable:
     def rows(self, idx) -> FeatureTable:
         idx = np.asarray(idx, dtype=np.intp)
         index = {name: idx if at is None else at[idx] for name, at in self.index.items()}
-        return FeatureTable(self.vectors, index, len(idx))
+        groups = None if self.groups is None else [self.groups[i] for i in idx]
+        return FeatureTable(self.vectors, index, len(idx), groups)
 
     def select(self, modalities: Sequence[str]) -> FeatureTable:
-        return FeatureTable(
-            {m: self.vectors[m] for m in modalities}, {m: self.index[m] for m in modalities}, self.n
-        )
+        vectors = {m: self.vectors[m] for m in modalities}
+        return FeatureTable(vectors, {m: self.index[m] for m in modalities}, self.n, self.groups)
 
     def stack(self, modalities: Sequence[str]) -> np.ndarray:
         """The samples' rows of `modalities`, side by side; a lone unindexed block is not copied."""
@@ -137,22 +143,32 @@ class FeatureTable:
         return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
-def feature_table(bundles: Sequence[ModalityBundle]) -> FeatureTable:
-    """The table of a non-empty list of bundles that carry the same modalities, as 1-d vectors."""
+def vector_rows(vectors: Sequence, kind: str, keys: Sequence, name: str) -> np.ndarray:
+    """Modality `name`'s 1-d `vectors` of one width as float rows; errors name `kind` and key."""
+    first = np.shape(vectors[0])
+    for key, vector in zip(keys, vectors):
+        shape = np.shape(vector)
+        if len(shape) != 1:
+            raise ValueError(f"{kind} {key} {name} has shape {shape}, not a 1-d vector")
+        if shape != first:
+            head = f"{kind} {keys[0]}"
+            raise ValueError(f"{kind} {key} {name} has width {shape[0]}, {head} has {first[0]}")
+    return np.vstack(vectors, dtype=float)
+
+
+def feature_table(bundles: Sequence[ModalityBundle], groups=None) -> FeatureTable:
+    """The table of non-empty `bundles` that carry the same modalities, and of their `groups`."""
     if not bundles:
         raise ValueError("no bundles")
     active = bundles[0].active()
     for i, bundle in enumerate(bundles):
         if bundle.active() != active:
             raise ValueError(f"bundle {i} has modalities {bundle.active()}, expected {active}")
-        for name in active:
-            shape, first = np.shape(getattr(bundle, name)), np.shape(getattr(bundles[0], name))
-            if len(shape) != 1:
-                raise ValueError(f"bundle {i} {name} has shape {shape}, not a 1-d vector")
-            if shape != first:
-                raise ValueError(f"bundle {i} {name} has width {shape[0]}, bundle 0 has {first[0]}")
-    vectors = {name: np.vstack([getattr(b, name) for b in bundles], dtype=float) for name in active}
-    return FeatureTable(vectors, dict.fromkeys(active), len(bundles))
+    vectors = {
+        name: vector_rows([getattr(b, name) for b in bundles], "bundle", range(len(bundles)), name)
+        for name in active
+    }
+    return FeatureTable(vectors, dict.fromkeys(active), len(bundles), groups)
 
 
 def _check_fit_time(table: FeatureTable, fitted: dict[str, int]) -> None:
@@ -205,6 +221,7 @@ def early_fusion_predict_grid(
     (`SvrDesign.predictions`). One model is fitted and held at a time.
     """
     _check_fit_time(test, train.dims)
+    check_disjoint(train.groups, test.groups, "the training and test tables")
     design = SvrDesign(train.stack(train.modalities))
     y = np.asarray(y, dtype=float)
     svrs = (fit_svr(design.rows, y, params, design=design) for params in svr_params_list)
@@ -281,11 +298,11 @@ def _oof_columns(
     return columns
 
 
-def _stacking_targets(n: int, y: np.ndarray, groups: Sequence, points) -> np.ndarray:
-    """`y` as floats, once it and `groups` match `n` samples and each point's `k_inner` fits."""
+def _stacking_targets(n: int, y: np.ndarray, points) -> np.ndarray:
+    """`y` as floats, once it matches `n` samples and each point's `k_inner` fits."""
     y = np.asarray(y, dtype=float)
-    if not len(y) == len(groups) == n:
-        raise ValueError(f"{n} bundles, {len(y)} targets and {len(groups)} groups differ in length")
+    if len(y) != n:
+        raise ValueError(f"{n} samples and {len(y)} targets differ in length")
     for _, _, k_inner in points:
         if n < 2 * k_inner:
             raise ValueError(f"need at least {2 * k_inner} samples for {k_inner} stacking folds")
@@ -302,10 +319,10 @@ def _stacked_points(
     """Per (base_params, meta_alpha, k_inner) point, in order: (splits, own params, ridge).
 
     `inputs` holds each base's training block, in `BASES` order. The stacking
-    splits depend only on `k_inner`, and a base's out-of-fold column only on
-    the base, its own params (`base_params.audio`, `.visual` or `.memory`)
-    and `k_inner`; each is computed once per distinct key, compared by value.
-    Only the ridge is fitted per point.
+    splits of `groups`, checked apart, depend only on `k_inner`, and a base's
+    out-of-fold column only on the base, its own params (`base_params.audio`,
+    `.visual` or `.memory`) and `k_inner`; each is computed once per distinct
+    key, compared by value. Only the ridge is fitted per point.
     """
     stacking: dict[int, list] = {}  # k_inner -> splits
     oof: dict[tuple, np.ndarray] = {}  # (base, its params, k_inner) -> out-of-fold column
@@ -313,6 +330,9 @@ def _stacked_points(
     for base_params, meta_alpha, k_inner in points:
         if k_inner not in stacking:
             stacking[k_inner] = group_splits(groups, k_inner, child_seed(seed, "stack-folds"))
+            for fold, (train_rows, test_rows) in enumerate(stacking[k_inner]):
+                sides = [groups[r] for r in train_rows], [groups[r] for r in test_rows]
+                check_disjoint(*sides, f"stacking fold {fold}'s two sides")
         splits = stacking[k_inner]
         own = {name: getattr(base_params, name) for name in inputs}
         missing = [name for name in inputs if (name, own[name], k_inner) not in oof]
@@ -328,24 +348,25 @@ def late_fusion_predict_grid(
     y: np.ndarray,
     points: Sequence[tuple[LateFusionParams, float, int]],
     test: FeatureTable,
-    groups: Sequence,
     seed: int,
 ) -> list[np.ndarray]:
     """Per (base_params, meta_alpha, k_inner) point: the predictions for `test` of a fit on `train`.
 
     They equal, bit for bit, `fusion_predict` on `test`'s bundles of
-    `late_fusion_fit` on `train`'s. Besides the stacking splits and
-    out-of-fold columns (`_stacked_points`), a base's final fit depends only
-    on the base and its own params. Each is fitted once per distinct key,
-    compared by value, scores the test block once and is dropped.
+    `late_fusion_fit` on `train`'s and `train.groups`, which must not meet
+    `test.groups`. Besides the stacking splits and out-of-fold columns
+    (`_stacked_points`), a base's final fit depends only on the base and its
+    own params. Each is fitted once per distinct key, compared by value,
+    scores the test block once and is dropped.
     """
     bases = late_fusion_bases(train.modalities)
     _check_bases(test, bases)
-    y = _stacking_targets(train.n, y, groups, points)
+    check_disjoint(train.groups, test.groups, "the training and test tables")
+    y = _stacking_targets(train.n, y, points)
     inputs = {name: _base_block(train, name) for name in bases}
     columns: dict[tuple, np.ndarray] = {}  # (base, its params) -> its final fit's test column
     preds = []
-    for _, own, meta in _stacked_points(inputs, y, points, groups, seed):
+    for _, own, meta in _stacked_points(inputs, y, points, train.groups, seed):
         for name in inputs:
             if (name, own[name]) not in columns:
                 # The test block is stacked after its final fit: stacking it
@@ -368,19 +389,18 @@ def late_fusion_fit(
     groups: list | None = None,
     seed: int = 0,
 ) -> LateFusionModel:
-    """Stacked late fusion at one point; `groups` default to one per bundle.
+    """Stacked late fusion at one point, on stacking folds of the bundles' `groups`.
 
-    Every seed derives from `seed`. Each forest's replaces
+    `groups` default to one per bundle, and the folds then split rows, not
+    participants. Every seed derives from `seed`. Each forest's replaces
     `base_params.memory.seed`: `child_seed(seed, "oof", fold, "memory")` in
     stacking fold `fold`, `child_seed(seed, "final", "memory")` on all rows.
     """
-    table = feature_table(bundles)
-    if groups is None:
-        groups = list(range(table.n))
+    table = feature_table(bundles, range(len(bundles)) if groups is None else groups)
     point = (base_params, meta_alpha, k_inner)
-    y = _stacking_targets(table.n, y, groups, [point])
+    y = _stacking_targets(table.n, y, [point])
     inputs = {name: _base_block(table, name) for name in late_fusion_bases(table.modalities)}
-    ((splits, own, meta),) = _stacked_points(inputs, y, [point], groups, seed)
+    ((splits, own, meta),) = _stacked_points(inputs, y, [point], table.groups, seed)
     base_models = {
         name: _fit_base(name, inputs[name], y, own[name], child_seed(seed, "final", name))
         for name in inputs
@@ -389,9 +409,9 @@ def late_fusion_fit(
         {
             "fold": fold_idx,
             "train_rows": train_rows.tolist(),
-            "train_groups": sorted({str(groups[r]) for r in train_rows}),
+            "train_groups": sorted({str(table.groups[r]) for r in train_rows}),
             "predicted_rows": test_rows.tolist(),
-            "predicted_groups": sorted({str(groups[r]) for r in test_rows}),
+            "predicted_groups": sorted({str(table.groups[r]) for r in test_rows}),
         }
         for fold_idx, (train_rows, test_rows) in enumerate(splits)
     ]

@@ -191,19 +191,21 @@ def test_grid_search_rejects_a_non_integer_stacking_fold_count(extractor):
     grid = {"ridge.alpha": [1.0], "stack.k_inner": [2, 2.5]}
     with pytest.raises(ValueError, match="^k must be a positive integer"):
         grid_search(
-            feature_table(bundles), np.array([r.induced.p for r in ds.responses]),
-            [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
+            _participant_table(bundles, ds), np.array([r.induced.p for r in ds.responses]), grid,
+            "late", k_inner=2, seed=SEED,
         )
 
 
 @pytest.mark.parametrize("n_targets, n_groups", [(40, 30), (40, 50), (50, 40)])
 def test_grid_search_rejects_targets_or_groups_of_another_length(extractor, n_targets, n_groups):
+    # The groups travel in the table, whose construction checks them.
     ds, _ = _dataset(people=10)
     bundles = _memory_bundles(extractor, ds)
     groups = [f"p{i % 10}" for i in range(n_groups)]
-    with pytest.raises(ValueError, match=f"^40 bundles, {n_targets} targets and {n_groups} groups"):
+    wrong = f"{n_groups} groups" if n_groups != 40 else f"{n_targets} targets"
+    with pytest.raises(ValueError, match=f"^40 samples and {wrong} differ in length$"):
         grid_search(
-            feature_table(bundles), np.linspace(-1, 1, n_targets), groups, GRID, "late", k_inner=2
+            feature_table(bundles, groups), np.linspace(-1, 1, n_targets), GRID, "late", k_inner=2
         )
 
 
@@ -263,6 +265,11 @@ def test_validate_grid_accepts_the_learners_own_unset_values():
     validate_grid({"svr.gamma": [None, 0.5], "forest.max_depth": [None, 3], "stack.k_inner": [2]})
 
 
+def _participant_table(bundles, ds):
+    """The table of `ds`'s bundles, grouped by participant as `_run` groups them."""
+    return feature_table(bundles, [r.participant_id for r in ds.responses])
+
+
 def _memory_bundles(extractor, ds):
     feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
     return [ModalityBundle(mem_lexical=f.lexical, mem_embedding=f.embedding) for f in feats]
@@ -288,10 +295,8 @@ def test_grid_tie_breaks_to_smallest_value_with_none_last(extractor, depths):
     ds, _ = _dataset(people=9)
     y = np.array([r.induced.p for r in ds.responses])
     grid = {"forest.max_depth": depths, "forest.n_trees": [2], "stack.k_inner": [2]}
-    best, results = grid_search(
-        feature_table(_memory_bundles(extractor, ds)), y, [r.participant_id for r in ds.responses],
-        grid, "late", k_inner=2, seed=SEED,
-    )
+    table = _participant_table(_memory_bundles(extractor, ds), ds)
+    best, results = grid_search(table, y, grid, "late", k_inner=2, seed=SEED)
     assert len(results) == 2
     assert results[0]["mean_r2"] == results[1]["mean_r2"]
     assert best["forest.max_depth"] == 50
@@ -301,8 +306,8 @@ def test_grid_prefers_higher_score_over_tie_break(extractor):
     ds, _ = _dataset()
     y = np.array([r.induced.p for r in ds.responses])
     best, results = grid_search(
-        feature_table(_memory_bundles(extractor, ds)), y, [r.participant_id for r in ds.responses],
-        {"svr.c": [0.001, 1.0]}, "early", k_inner=2, seed=SEED,
+        _participant_table(_memory_bundles(extractor, ds), ds), y, {"svr.c": [0.001, 1.0]},
+        "early", k_inner=2, seed=SEED,
     )
     by_c = {r["hyper"]["svr.c"]: r["mean_r2"] for r in results}
     assert by_c[1.0] > by_c[0.001]
@@ -330,8 +335,8 @@ def test_late_search_skips_keys_of_learners_it_does_not_fit(extractor, condition
     ds, av_features = _dataset(people=9)
     bundles = _memory_bundles(extractor, ds) if condition == "M" else _av_bundles(ds, av_features)
     best, results = grid_search(
-        feature_table(bundles), np.array([r.induced.p for r in ds.responses]),
-        [r.participant_id for r in ds.responses], grid, "late", k_inner=2, seed=SEED,
+        _participant_table(bundles, ds), np.array([r.induced.p for r in ds.responses]), grid,
+        "late", k_inner=2, seed=SEED,
     )
     assert len(results) == 2
     assert all(set(r["hyper"]) == searched and r["mean_r2"] is not None for r in results)
@@ -350,7 +355,7 @@ def test_late_grid_search_equals_a_brute_force_loop_of_late_fusion_fit(extractor
         "stack.k_inner": [2, 3],
     }
     best, results = grid_search(
-        feature_table(bundles), y, groups, grid, "late", k_inner=2, seed=SEED
+        feature_table(bundles, groups), y, grid, "late", k_inner=2, seed=SEED
     )
 
     splits = group_splits(groups, 2, child_seed(SEED, "inner-folds"))
@@ -406,9 +411,8 @@ def test_late_grid_search_fits_each_base_model_once_per_inner_fold(extractor, mo
         "stack.k_inner": [2],
     }
     _, results = grid_search(
-        feature_table(_avm_bundles(extractor, ds, av_features)),
-        np.array([r.induced.p for r in ds.responses]), [r.participant_id for r in ds.responses],
-        grid, "late", k_inner=2, seed=SEED,
+        _participant_table(_avm_bundles(extractor, ds, av_features), ds),
+        np.array([r.induced.p for r in ds.responses]), grid, "late", k_inner=2, seed=SEED,
     )
     assert len(results) == 8
     # Per inner fold: 2 SVR settings x (audio, visual) x (2 stacking folds + 1
@@ -436,7 +440,7 @@ def test_early_grid_search_equals_a_brute_force_loop_of_early_fusion_fit(extract
     wide = float(np.ptp(y)) + 1.0
     grid = {**EARLY_GRID, "svr.epsilon": [*EARLY_GRID["svr.epsilon"], wide]}
     best, results = grid_search(
-        feature_table(bundles), y, groups, grid, "early", k_inner=2, seed=SEED
+        feature_table(bundles, groups), y, grid, "early", k_inner=2, seed=SEED
     )
 
     splits = group_splits(groups, 2, child_seed(SEED, "inner-folds"))
@@ -489,9 +493,8 @@ def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
     monkeypatch.setattr(svr_module, "rbf_kernel_matrix", counted_kernel)
     ds, av_features = _dataset(people=9)
     _, results = grid_search(
-        feature_table(_avm_bundles(extractor, ds, av_features)),
-        np.array([r.induced.p for r in ds.responses]), [r.participant_id for r in ds.responses],
-        EARLY_GRID, "early", k_inner=2, seed=SEED,
+        _participant_table(_avm_bundles(extractor, ds, av_features), ds),
+        np.array([r.induced.p for r in ds.responses]), EARLY_GRID, "early", k_inner=2, seed=SEED,
     )
     assert len(results) == 8
     # Per inner fold: one Gram per gamma_scale value, one SMO solve and one
@@ -532,16 +535,105 @@ def test_run_holds_one_audio_and_one_visual_row_per_video_and_one_memory_row_per
     assert np.array_equal(table.stack(["mem_lexical"]), np.vstack([f.lexical for f in feats]))
 
 
+@pytest.mark.parametrize(
+    "video, name, entry, message",
+    [
+        ("v1", "audio", np.zeros((2, 6)), r"^video v1 audio has shape \(2, 6\), not a 1-d vector$"),
+        ("v3", "visual", np.zeros(4), "^video v3 visual has width 4, video v1 has 5$"),
+    ],
+    ids=["2-d", "width"],
+)
+def test_run_rejects_an_av_entry_that_is_not_one_vector_of_the_videos_width(
+    video, name, entry, message
+):
+    # A (2, 6) entry for v1 once gave the videos' block an extra row, which v2 then read.
+    ds, av_features = _dataset(people=6)
+    av_features[video][name] = entry
+    with pytest.raises(ValueError, match=message):
+        run_experiment2(
+            ds, av_features, {"svr.c": [1.0]}, SEED, extractor=_NoWork(), conditions=("AV",)
+        )
+
+
+def _canary(extractor):
+    """16 participants x 6 videos whose targets are a per-participant offset plus noise.
+
+    Each memory text draws its words from its participant's own word set, so
+    the features tell the participant and nothing else: only a model that has
+    seen a test participant's rows can score above zero.
+    """
+    rng = np.random.default_rng(SEED)
+    vocabulary = sorted(extractor.resources.embeddings[0].entries)
+    word_sets = rng.permutation(vocabulary)[: 16 * 4].reshape(16, 4)
+    offsets = rng.uniform(-0.9, 0.9, size=16)
+    rows = [
+        make_response(
+            f"p{person:02d}",
+            f"v{video}",
+            induced=(round(float(np.clip(offsets[person] + 0.05 * rng.normal(), -1, 1)), 4), 0, 0),
+            memories=[memory(" ".join(rng.choice(word_sets[person], size=8)))],
+        )
+        for person in range(16)
+        for video in range(6)
+    ]
+    return Dataset(responses=tuple(rows))
+
+
+def test_participant_canary_reads_below_zero_when_participants_stay_apart(extractor):
+    report = run_experiment1(_canary(extractor), GRID, SEED, extractor=extractor, dims=("p",))
+    for strat in ("early", "late"):
+        assert report.cells["p", "M", strat].mean_r2 < 0, strat
+
+
+def test_participant_canary_reads_above_zero_on_folds_that_split_rows(extractor):
+    # What the canary would read if the outer folds leaked participants.
+    ds = _canary(extractor)
+    bundles = _memory_bundles(extractor, ds)
+    y = np.array([r.induced.p for r in ds.responses])
+    scores = []
+    for fold in range(5):
+        tested = np.arange(len(y)) % 5 == fold
+        train = [b for b, t in zip(bundles, tested) if not t]
+        test = [b for b, t in zip(bundles, tested) if t]
+        pred = fusion_predict(early_fusion_fit(train, y[~tested], SvrParams()), test)
+        scores.append(r2_score(y[tested], pred))
+    assert np.mean(scores) > 0.3
+
+
+def test_an_outer_split_that_shares_a_participant_raises_naming_it(extractor, monkeypatch):
+    outer_seed = child_seed(SEED, "outer-folds")
+
+    def outer_row_blocks(groups, k, seed):
+        if seed != outer_seed:
+            return group_splits(groups, k, seed)
+        blocks = np.array_split(np.arange(len(groups)), k)
+        return [(np.setdiff1d(np.arange(len(groups)), block), block) for block in blocks]
+
+    monkeypatch.setattr(evaluation, "group_splits", outer_row_blocks)
+    # 96 rows in 5 blocks: p03's six rows (18-23) straddle the first block's end.
+    leak = r"^the training and test tables share groups \['p03'\]$"
+    with pytest.raises(RuntimeError, match=leak):
+        run_experiment1(_canary(extractor), GRID, SEED, extractor=extractor, dims=("p",))
+
+
 NO_SAMPLES = FeatureTable({}, {}, 0)
+
+
+def test_grid_search_on_a_table_without_groups_raises(extractor):
+    ds, _ = _dataset(people=6)
+    y = np.array([r.induced.p for r in ds.responses])
+    table = feature_table(_memory_bundles(extractor, ds))
+    with pytest.raises(ValueError, match="^no groups to split"):
+        grid_search(table, y, {"svr.c": [0.5, 2.0]}, "early")
 
 
 def test_unknown_grid_key_raises():
     with pytest.raises(ValueError, match=r"unknown grid keys \['svr\.C'\]"):
-        grid_search(NO_SAMPLES, np.array([]), [], {"svr.C": [1.0], "svr.c": [1.0]}, "early")
+        grid_search(NO_SAMPLES, np.array([]), {"svr.C": [1.0], "svr.c": [1.0]}, "early")
 
 
 def test_grid_without_a_read_key_runs_one_default_point():
-    best, results = grid_search(NO_SAMPLES, np.array([]), [], {"ridge.alpha": [0.1, 1.0]}, "early")
+    best, results = grid_search(NO_SAMPLES, np.array([]), {"ridge.alpha": [0.1, 1.0]}, "early")
     assert best == {}
     assert results == [{"hyper": {}, "mean_r2": None, "fold_r2": []}]
 
@@ -554,7 +646,7 @@ def test_r2_of_constant_targets_raises(value):
 
 
 def test_single_point_grid_fits_nothing():
-    best, results = grid_search(NO_SAMPLES, np.array([]), [], {"svr.c": [3.0]}, "early")
+    best, results = grid_search(NO_SAMPLES, np.array([]), {"svr.c": [3.0]}, "early")
     assert best == {"svr.c": 3.0}
     assert results == [{"hyper": {"svr.c": 3.0}, "mean_r2": None, "fold_r2": []}]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 
@@ -219,10 +220,15 @@ def test_early_model_keeps_a_non_alphabetical_modality_order_through_save_and_lo
 
 @pytest.mark.parametrize("n_targets, n_groups", [(40, 30), (40, 50), (30, 40), (50, 40)])
 def test_late_fusion_rejects_targets_or_groups_of_another_length(rng, n_targets, n_groups):
+    # The groups go into the bundles' table, whose construction checks them first.
     bundles = _bundles(rng, 40, audio=rng.normal(size=(40, 2)))
     groups = [f"g{i % 10}" for i in range(n_groups)]
-    with pytest.raises(ValueError, match=f"^40 bundles, {n_targets} targets and {n_groups} groups"):
+    wrong = f"{n_groups} groups" if n_groups != 40 else f"{n_targets} targets"
+    with pytest.raises(ValueError, match=f"^40 samples and {wrong} differ in length$"):
         late_fusion_fit(bundles, rng.normal(size=n_targets), _late_params(), 1.0, groups=groups)
+    if n_groups != 40:
+        with pytest.raises(ValueError, match=f"^40 samples and {wrong} differ in length$"):
+            feature_table(bundles, groups)
 
 
 def test_late_fusion_predict_grid_equals_late_fusion_fit_at_every_point(rng):
@@ -247,7 +253,7 @@ def test_late_fusion_predict_grid_equals_late_fusion_fit_at_every_point(rng):
         for k_inner in (2, 3)
     ]
     preds = late_fusion_predict_grid(
-        feature_table(train), y[:40], points, feature_table(test), groups[:40], 6
+        feature_table(train, groups[:40]), y[:40], points, feature_table(test), 6
     )
     assert len(preds) == len(points)
     for (base_params, alpha, k_inner), pred in zip(points, preds):
@@ -380,13 +386,13 @@ def _late_grid_case(rng):
         for c in (0.5, 2.0)
         for alpha in (0.1, 10.0)
     ]
-    return feature_table(bundles[:30]), y[:30], points, feature_table(bundles[30:]), groups[:30]
+    return feature_table(bundles[:30], groups[:30]), y[:30], points, feature_table(bundles[30:])
 
 
 def test_late_fusion_predict_grid_fits_and_predicts_each_distinct_final_base_once(
     rng, monkeypatch
 ):
-    train, y, points, test, groups = _late_grid_case(rng)
+    train, y, points, test = _late_grid_case(rng)
     final_fits = []  # (base, rows) of every fit on all training rows
     test_predictions = []  # (base, rows) of every prediction of the test block
     fit_base, predict_base = fusion._fit_base, fusion._predict_base
@@ -403,20 +409,20 @@ def test_late_fusion_predict_grid_fits_and_predicts_each_distinct_final_base_onc
 
     monkeypatch.setattr(fusion, "_fit_base", counted_fit)
     monkeypatch.setattr(fusion, "_predict_base", counted_predict)
-    preds = late_fusion_predict_grid(train, y, points, test, groups, 6)
+    preds = late_fusion_predict_grid(train, y, points, test, 6)
     # Two SVR settings and one forest setting; the stacking folds hold 15 rows each.
     assert sorted(final_fits) == ["audio", "audio", "memory"]
     assert sorted(test_predictions) == ["ForestModel", "SvrModel", "SvrModel"]
     assert len(preds) == len(points)
 
     with pytest.raises(ValueError, match="base models"):
-        late_fusion_predict_grid(train, y, points, train.select(["audio"]), groups, 6)
+        late_fusion_predict_grid(train, y, points, train.select(["audio"]), 6)
 
 
 def test_late_fusion_predict_grid_drops_each_final_base_once_it_has_scored_the_test_block(
     rng, monkeypatch
 ):
-    train, y, points, test, groups = _late_grid_case(rng)
+    train, y, points, test = _late_grid_case(rng)
     finals = []  # weak references to the models fitted on all training rows
     live = []  # per final fit and per ridge prediction: how many earlier finals are alive
     fit_base, predict_ridge = fusion._fit_base, fusion.predict_ridge
@@ -435,18 +441,61 @@ def test_late_fusion_predict_grid_drops_each_final_base_once_it_has_scored_the_t
 
     monkeypatch.setattr(fusion, "_fit_base", recording_fit)
     monkeypatch.setattr(fusion, "predict_ridge", recording_ridge)
-    late_fusion_predict_grid(train, y, points, test, groups, 6)
+    late_fusion_predict_grid(train, y, points, test, 6)
     assert len(finals) == 3
     assert live == [0] * (len(finals) + len(points))
+
+
+def _block_splits(groups, k, seed):
+    """k contiguous blocks of rows: folds that split rows, not groups."""
+    blocks = np.array_split(np.arange(len(groups)), k)
+    return [(np.setdiff1d(np.arange(len(groups)), block), block) for block in blocks]
+
+
+def test_a_grid_call_whose_tables_share_a_group_raises_naming_it(rng):
+    n = 20
+    groups = [f"g{i % 5}" for i in range(n)]
+    audio, lexical = rng.normal(size=(n, 3)), rng.normal(size=(n, 4))
+    table = feature_table(_bundles(rng, n, audio=audio, lexical=lexical), groups)
+    y = audio[:, 0] + 0.1 * rng.normal(size=n)
+    # Every row of g0-g3, and one row of g4, trains; the other g4 rows are tested.
+    kept = [i for i in range(n) if groups[i] != "g4"]
+    train_rows = kept + [4]
+    train, test = table.rows(train_rows), table.rows([9, 14, 19])
+    leak = r"^the training and test tables share groups \['g4'\]$"
+    with pytest.raises(RuntimeError, match=leak):
+        early_fusion_predict_grid(train, y[train_rows], [SvrParams()], test)
+    with pytest.raises(RuntimeError, match=leak):
+        late_fusion_predict_grid(train, y[train_rows], [(_late_params(2), 1.0, 2)], test, 0)
+    assert len(early_fusion_predict_grid(table.rows(kept), y[kept], [SvrParams()], test)) == 1
+
+
+def test_a_late_grid_on_a_training_table_without_groups_raises(rng):
+    train, y, points, test = _late_grid_case(rng)
+    with pytest.raises(ValueError, match="^no groups to split"):
+        late_fusion_predict_grid(dataclasses.replace(train, groups=None), y, points, test, 6)
+
+
+def test_a_stacking_split_that_shares_a_group_raises_naming_it(rng, monkeypatch):
+    monkeypatch.setattr(fusion, "group_splits", _block_splits)
+    train, y, points, test = _late_grid_case(rng)
+    # Rows 0-14 (g0-g9, then g0-g4) are stacking fold 0's test block; rows 15-29 train on them too.
+    leak = r"^stacking fold 0's two sides share groups \['g0', 'g1', 'g2', 'g3', 'g4'"
+    with pytest.raises(RuntimeError, match=leak):
+        late_fusion_predict_grid(train, y, points, test, 6)
+    bundles = _bundles(rng, 30, audio=rng.normal(size=(30, 3)))
+    with pytest.raises(RuntimeError, match=leak):
+        late_fusion_fit(bundles, y, _late_params(2), 1.0, k_inner=2, groups=list(train.groups))
 
 
 def test_feature_table_rows_and_select_share_the_vectors_and_compose(rng):
     audio = rng.normal(size=(6, 3))
     lexical = rng.normal(size=(6, 4))
-    table = feature_table(_bundles(rng, 6, audio=audio, lexical=lexical))
+    table = feature_table(_bundles(rng, 6, audio=audio, lexical=lexical), list("abcdef"))
     part = table.rows([4, 1, 2]).rows([2, 0])
     audio_only = part.select(["audio"])
     assert part.n == 2 and part.dims == {"audio": 3, "mem_lexical": 4}
+    assert part.groups == audio_only.groups == ["c", "e"]
     assert audio_only.modalities == ("audio",)
     for name in ("audio", "mem_lexical"):
         assert np.shares_memory(part.vectors[name], table.vectors[name])
