@@ -67,7 +67,7 @@ class SvrParams:
     epsilon: float = 0.1
     gamma: float | None = None  # None resolves to the scale heuristic at fit time
     gamma_scale: float = 1.0    # multiplier on the scale heuristic when gamma is None
-    tol: float = 1e-3
+    tol: float = 1e-7
     max_passes: int = 50_000
 
     def __post_init__(self) -> None:
