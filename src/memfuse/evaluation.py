@@ -516,9 +516,14 @@ def run_experiment1(
 ) -> ExperimentReport:
     """Predict induced emotion from memory descriptions alone.
 
-    The same seed gives a bit-for-bit equal report only at a fixed BLAS
-    thread count: a multi-threaded Gram product rounds differently, which can
-    move an SMO solve. The benchmark and CI pin one thread.
+    The same seed gives a bit-for-bit equal report at a fixed BLAS thread
+    count. Another thread count rounds a Gram product differently, which can
+    move an SMO solve, but only within the solver's KKT tolerance of 1e-7: on
+    the benchmark's seeds 1-3, one and two threads selected the same
+    hyperparameters and moved no fold R2 by more than 1e-7 (the measured
+    spread was below 6e-8). CI runs a reduced `run_experiment2` under both
+    and fails on a spread above 1e-6 or on any changed selection. The
+    benchmark pins one thread.
     """
     return _run(
         "experiment1", ds, None, grid, seed, extractor, ("M",), STRATEGIES, k_outer, k_inner, dims
@@ -540,7 +545,9 @@ def run_experiment2(
     """Ablate audiovisual-only against audiovisual-plus-memory conditions.
 
     As with `run_experiment1`, the same seed gives a bit-for-bit equal report
-    only at a fixed BLAS thread count.
+    at a fixed BLAS thread count, and under another thread count the same
+    selections with fold R2 within 1e-7 (measured on the benchmark's seeds
+    1-3; checked in CI at 1e-6).
     """
     return _run(
         "experiment2", ds, av_features, grid, seed, extractor,

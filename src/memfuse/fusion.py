@@ -4,7 +4,11 @@ Samples come in a `FeatureTable`; the nested CV's table holds one audio and
 one visual row per video, and one memory row and group (participant) per
 response. `feature_table` is the one check of a `ModalityBundle` list:
 `early_fusion_fit`, `late_fusion_fit` and `fusion_predict` take such a list
-and convert it once, and the grids take tables.
+and convert it once, storing equal vectors once (by value), and the grids
+take tables. Every SVR reads a table's modalities as blocks (`table.blocks`):
+its design is built per modality on the distinct vectors that the samples
+read, so a design over the AV rows of many viewers of few videos costs what
+the videos cost (see `regressors.svr`).
 
 Early fusion fits one RBF-kernel SVR on the stacked modalities. Late fusion
 combines an SVR per audiovisual modality and a random forest on the memory
@@ -35,12 +39,14 @@ from ._checks import is_count
 from ._seeds import child_seed
 from .folds import check_disjoint, group_splits
 from .regressors import (
+    Block,
     ForestModel,
     ForestParams,
     RidgeModel,
     SvrDesign,
     SvrModel,
     SvrParams,
+    distinct_rows,
     fit_forest,
     fit_ridge,
     fit_svr,
@@ -48,7 +54,9 @@ from .regressors import (
     predict_forest,
     predict_ridge,
     predict_svr,
+    rank_table,
     save_model,
+    support_blocks,
 )
 
 MODALITY_ORDER = ("audio", "visual", "mem_lexical", "mem_embedding")
@@ -104,7 +112,8 @@ class FeatureTable:
 
     `vectors[m]` holds modality m's distinct vectors as rows, in `MODALITY_ORDER`,
     `index[m]` each sample's row (None: sample i reads row i) and `groups` each
-    sample's group (participant), or None. `rows` and `select` copy no vector.
+    sample's group (participant), or None. `rows`, `select` and `blocks` copy
+    no vector; `len(table)` is `n`.
     """
 
     vectors: Mapping[str, np.ndarray]
@@ -115,6 +124,9 @@ class FeatureTable:
     def __post_init__(self) -> None:
         if self.groups is not None and len(self.groups) != self.n:
             raise ValueError(f"{self.n} samples and {len(self.groups)} groups differ in length")
+
+    def __len__(self) -> int:
+        return self.n
 
     @property
     def modalities(self) -> tuple[str, ...]:
@@ -142,6 +154,10 @@ class FeatureTable:
             blocks.append(self.vectors[m] if at is None else self.vectors[m].take(at, axis=0))
         return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
+    def blocks(self, modalities: Sequence[str]) -> list[Block]:
+        """The samples' columns of `modalities` as SVR blocks: each one's vectors and index."""
+        return [Block(self.vectors[m], self.index[m]) for m in modalities]
+
 
 def vector_rows(vectors: Sequence, kind: str, keys: Sequence, name: str) -> np.ndarray:
     """Modality `name`'s 1-d `vectors` of one width as float rows; errors name `kind` and key."""
@@ -164,11 +180,11 @@ def feature_table(bundles: Sequence[ModalityBundle], groups=None) -> FeatureTabl
     for i, bundle in enumerate(bundles):
         if bundle.active() != active:
             raise ValueError(f"bundle {i} has modalities {bundle.active()}, expected {active}")
-    vectors = {
-        name: vector_rows([getattr(b, name) for b in bundles], "bundle", range(len(bundles)), name)
-        for name in active
-    }
-    return FeatureTable(vectors, dict.fromkeys(active), len(bundles), groups)
+    vectors, index = {}, {}
+    for name in active:
+        rows = vector_rows([getattr(b, name) for b in bundles], "bundle", range(len(bundles)), name)
+        vectors[name], index[name] = distinct_rows(rows)
+    return FeatureTable(vectors, index, len(bundles), groups)
 
 
 def _check_fit_time(table: FeatureTable, fitted: dict[str, int]) -> None:
@@ -215,17 +231,19 @@ def early_fusion_predict_grid(
 ) -> list[np.ndarray]:
     """Per params, bit for bit: `early_fusion_fit` on `train` then `fusion_predict` on `test`.
 
-    One `SvrDesign` standardizes the stacked training block, which is then
-    dropped, and builds one Gram per distinct (gamma, gamma_scale); the test
-    block is stacked, checked and standardized once for all points
-    (`SvrDesign.predictions`). One model is fitted and held at a time.
+    One `SvrDesign` standardizes the training blocks' distinct rows and
+    builds one Gram per distinct (gamma, gamma_scale); no training block is
+    stacked. The test blocks' distinct rows are checked and standardized once
+    for all points (`SvrDesign.predictions`). One model is fitted and held at
+    a time, and none builds its full support-vector rows.
     """
     _check_fit_time(test, train.dims)
     check_disjoint(train.groups, test.groups, "the training and test tables")
-    design = SvrDesign(train.stack(train.modalities))
+    X = train.blocks(train.modalities)
+    design = SvrDesign(X)
     y = np.asarray(y, dtype=float)
-    svrs = (fit_svr(design.rows, y, params, design=design) for params in svr_params_list)
-    return design.predictions(svrs, test.stack(train.modalities))
+    svrs = (fit_svr(X, y, params, design=design) for params in svr_params_list)
+    return design.predictions(svrs, test.blocks(train.modalities))
 
 
 def early_fusion_fit(
@@ -233,7 +251,7 @@ def early_fusion_fit(
 ) -> EarlyFusionModel:
     """One SVR on the stacked features of the active modalities."""
     table = feature_table(bundles)
-    return EarlyFusionModel(table.dims, fit_svr(table.stack(table.modalities), y, svr_params))
+    return EarlyFusionModel(table.dims, fit_svr(table.blocks(table.modalities), y, svr_params))
 
 
 def late_fusion_bases(modalities: tuple[str, ...]) -> tuple[str, ...]:
@@ -250,17 +268,46 @@ def _check_bases(table: FeatureTable, fitted: tuple[str, ...]) -> None:
 
 
 def _base_block(table: FeatureTable, name: str) -> np.ndarray:
-    """The input of base `name`: the table's rows of the modalities it reads."""
+    """The rows that base `name` predicts on: the table's rows of the modalities it reads."""
     return table.stack([m for m in BASES[name][1] if m in table.modalities])
 
 
-def _fit_base(
-    name: str, X: np.ndarray, y: np.ndarray, params: SvrParams | ForestParams, seed: int
-):
-    """Fit base model `name` with its own params (`LateFusionParams.<name>`)."""
+def _base_table(table: FeatureTable, name: str) -> FeatureTable:
+    """The training input of base `name`: the table's modalities that it reads.
+
+    A forest reads whole rows, so its input holds them stacked once, as one
+    block named after the base; each fit then gathers its rows in one copy.
+    """
     if BASES[name][0] == "forest":
-        return fit_forest(X, y, dataclasses.replace(params, seed=seed))
-    return fit_svr(X, y, params)
+        return FeatureTable({name: _base_block(table, name)}, {name: None}, table.n)
+    return table.select([m for m in BASES[name][1] if m in table.modalities])
+
+
+def _rank_tables(inputs: dict[str, FeatureTable]) -> dict[str, np.ndarray | None]:
+    """Per base: the rank table of a forest's stacked input rows, None for an SVR's."""
+    return {
+        name: rank_table(X.stack(X.modalities)) if BASES[name][0] == "forest" else None
+        for name, X in inputs.items()
+    }
+
+
+def _fit_base(
+    name: str,
+    X: FeatureTable,
+    y: np.ndarray,
+    params: SvrParams | ForestParams,
+    seed: int,
+    ranks: np.ndarray | None,
+):
+    """Fit base model `name` with its own params (`LateFusionParams.<name>`).
+
+    A forest reads X's stacked rows and `ranks`, their columns of its input's
+    rank table; an SVR reads X's blocks.
+    """
+    if BASES[name][0] == "forest":
+        params = dataclasses.replace(params, seed=seed)
+        return fit_forest(X.stack(X.modalities), y, params, ranks=ranks)
+    return fit_svr(X.blocks(X.modalities), y, params)
 
 
 def _predict_base(model, X: np.ndarray) -> np.ndarray:
@@ -271,7 +318,8 @@ def _predict_base(model, X: np.ndarray) -> np.ndarray:
 
 def _oof_columns(
     bases: list[str],
-    inputs: dict[str, np.ndarray],
+    inputs: dict[str, FeatureTable],
+    ranks: dict[str, np.ndarray | None],
     y: np.ndarray,
     params: dict[str, SvrParams | ForestParams],
     splits,
@@ -289,12 +337,14 @@ def _oof_columns(
         for name in bases:
             model = _fit_base(
                 name,
-                inputs[name][train_rows],
+                inputs[name].rows(train_rows),
                 y[train_rows],
                 params[name],
                 child_seed(seed, "oof", fold_idx, name),
+                None if ranks[name] is None else ranks[name].take(train_rows, axis=1),
             )
-            columns[name][test_rows] = _predict_base(model, inputs[name][test_rows])
+            tested = inputs[name].rows(test_rows)
+            columns[name][test_rows] = _predict_base(model, tested.stack(tested.modalities))
     return columns
 
 
@@ -310,7 +360,8 @@ def _stacking_targets(n: int, y: np.ndarray, points) -> np.ndarray:
 
 
 def _stacked_points(
-    inputs: dict[str, np.ndarray],
+    inputs: dict[str, FeatureTable],
+    ranks: dict[str, np.ndarray | None],
     y: np.ndarray,
     points: Sequence[tuple[LateFusionParams, float, int]],
     groups: Sequence,
@@ -318,7 +369,8 @@ def _stacked_points(
 ) -> list[tuple[list, dict, RidgeModel]]:
     """Per (base_params, meta_alpha, k_inner) point, in order: (splits, own params, ridge).
 
-    `inputs` holds each base's training block, in `BASES` order. The stacking
+    `inputs` holds each base's training table, in `BASES` order, and `ranks`
+    each forest base's rank table (`_rank_tables`). The stacking
     splits of `groups`, checked apart, depend only on `k_inner`, and a base's
     out-of-fold column only on the base, its own params (`base_params.audio`,
     `.visual` or `.memory`) and `k_inner`; each is computed once per distinct
@@ -336,7 +388,7 @@ def _stacked_points(
         splits = stacking[k_inner]
         own = {name: getattr(base_params, name) for name in inputs}
         missing = [name for name in inputs if (name, own[name], k_inner) not in oof]
-        for name, column in _oof_columns(missing, inputs, y, own, splits, seed).items():
+        for name, column in _oof_columns(missing, inputs, ranks, y, own, splits, seed).items():
             oof[name, own[name], k_inner] = column
         columns = np.column_stack([oof[name, own[name], k_inner] for name in inputs])
         fits.append((splits, own, fit_ridge(columns, y, meta_alpha)))
@@ -357,22 +409,31 @@ def late_fusion_predict_grid(
     `test.groups`. Besides the stacking splits and out-of-fold columns
     (`_stacked_points`), a base's final fit depends only on the base and its
     own params. Each is fitted once per distinct key, compared by value,
-    scores the test block once and is dropped.
+    scores the test block once and is dropped. A forest base's input is
+    ranked once for every forest of the call.
     """
     bases = late_fusion_bases(train.modalities)
     _check_bases(test, bases)
     check_disjoint(train.groups, test.groups, "the training and test tables")
     y = _stacking_targets(train.n, y, points)
-    inputs = {name: _base_block(train, name) for name in bases}
+    inputs = {name: _base_table(train, name) for name in bases}
+    ranks = _rank_tables(inputs)
     columns: dict[tuple, np.ndarray] = {}  # (base, its params) -> its final fit's test column
     preds = []
-    for _, own, meta in _stacked_points(inputs, y, points, train.groups, seed):
+    for _, own, meta in _stacked_points(inputs, ranks, y, points, train.groups, seed):
         for name in inputs:
             if (name, own[name]) not in columns:
                 # The test block is stacked after its final fit: stacking it
                 # before the fits raised the CV's peak RSS by ~1%.
                 columns[name, own[name]] = _predict_base(
-                    _fit_base(name, inputs[name], y, own[name], child_seed(seed, "final", name)),
+                    _fit_base(
+                        name,
+                        inputs[name],
+                        y,
+                        own[name],
+                        child_seed(seed, "final", name),
+                        ranks[name],
+                    ),
                     _base_block(test, name),
                 )
         stacked = np.column_stack([columns[name, own[name]] for name in inputs])
@@ -399,10 +460,13 @@ def late_fusion_fit(
     table = feature_table(bundles, range(len(bundles)) if groups is None else groups)
     point = (base_params, meta_alpha, k_inner)
     y = _stacking_targets(table.n, y, [point])
-    inputs = {name: _base_block(table, name) for name in late_fusion_bases(table.modalities)}
-    ((splits, own, meta),) = _stacked_points(inputs, y, [point], table.groups, seed)
+    inputs = {name: _base_table(table, name) for name in late_fusion_bases(table.modalities)}
+    ranks = _rank_tables(inputs)
+    ((splits, own, meta),) = _stacked_points(inputs, ranks, y, [point], table.groups, seed)
     base_models = {
-        name: _fit_base(name, inputs[name], y, own[name], child_seed(seed, "final", name))
+        name: _fit_base(
+            name, inputs[name], y, own[name], child_seed(seed, "final", name), ranks[name]
+        )
         for name in inputs
     }
     fold_log = [
@@ -488,7 +552,9 @@ def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionMod
         width = svr.scaler.means.shape[0]
         if not (all(is_count(d, 1) for d in dims.values()) and sum(dims.values()) == width):
             raise ValueError(f"dims {dims} must be positive integers that sum to the SVR's {width}")
-        return EarlyFusionModel(dims=dims, svr=svr)
+        # Blocks per modality, as the fit built them, so it predicts as it did.
+        blocks = support_blocks(svr.support_vectors, list(dims.values()))
+        return EarlyFusionModel(dims=dims, svr=dataclasses.replace(svr, sv_blocks=blocks))
     if manifest["kind"] == "late":
         return LateFusionModel(
             base_models={

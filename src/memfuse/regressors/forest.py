@@ -14,6 +14,12 @@ above its row's position in the node. No two keys of a node are equal, so any
 sort puts them in the stable order of the values, and the prefix sums, the
 scores and the children match a search with a stable sort bit for bit.
 
+Ranks only order values, so the ranks of a larger block that holds X's rows
+order X's values as X's own ranks would. A caller that fits many forests on
+subsets of one block ranks the block once (`rank_table`) and passes each fit
+its rows' columns of that table (`fit_forest(..., ranks=...)`): the forests
+are the same, and no fit ranks anything.
+
 A fitted forest also holds its trees' nodes packed into one table.
 `predict_forest` steps every row down every tree at once, one level per step,
 until each walk sits on a leaf. It adds the leaf values tree by tree, in tree
@@ -32,7 +38,7 @@ import numpy as np
 from .._checks import is_count
 from .._seeds import child_rng
 
-__all__ = ["ForestParams", "ForestModel", "fit_forest", "predict_forest"]
+__all__ = ["ForestParams", "ForestModel", "fit_forest", "predict_forest", "rank_table"]
 
 
 @dataclass(frozen=True)
@@ -114,19 +120,21 @@ class ForestModel:
         self.nodes = _pack(self.trees)
 
 
-def _sorted_ranks(X: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's values in sorted order: their flat indices into X.T, and their ranks.
+def rank_table(X: np.ndarray) -> np.ndarray:
+    """Each value's rank among its feature's values, as a (features, rows) array.
 
     Ranks count the distinct values of a feature, from 0; equal values share one.
     """
-    XT = np.ascontiguousarray(X.T)
+    XT = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)).T)
     d, n = XT.shape
     order = XT.argsort(axis=1)
-    order += np.arange(0, d * n, n)[:, None]
+    order += np.arange(0, d * n, n)[:, None]  # flat indices into XT
     ordered = XT.ravel().take(order)
-    ranks = np.zeros((d, n), dtype=dtype)
+    ranks = np.zeros((d, n), dtype=np.int32 if n < 2**31 else np.int64)  # in sorted order
     np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
-    return order, ranks
+    table = np.empty_like(ranks)
+    table.ravel()[order] = ranks
+    return table
 
 
 class _SplitSearch:
@@ -137,20 +145,23 @@ class _SplitSearch:
     score `left**2 / k + right**2 / (m - k)` at every position that leaves
     `min_leaf` rows on each side and falls between distinct values, and the
     first maximum in (position, drawn feature) order. A node may hold at most
-    as many rows as X has, as a bootstrap sample does.
+    as many rows as X has, as a bootstrap sample does. `ranks` are X's columns
+    of a rank table (`rank_table(X)` when None).
     """
 
-    def __init__(self, X: np.ndarray, min_leaf: int, mtry: int):
+    def __init__(self, X: np.ndarray, min_leaf: int, mtry: int, ranks: np.ndarray | None = None):
         self.X = X
         n = X.shape[0]
+        if ranks is None:
+            ranks = rank_table(X)
         # A key holds the value's rank among its feature's values above `bits`
         # bits, which a node fills with each row's position.
         self.bits = n.bit_length()
-        dtype = np.int32 if 2 * self.bits < 32 else np.int64
-        order, ranks = _sorted_ranks(X, dtype)
-        ranks <<= self.bits
-        self.keys = np.empty_like(ranks)  # (d, n): a node's block is gathered row-wise
-        self.keys.ravel()[order] = ranks
+        width = int(ranks.max()).bit_length() + self.bits
+        # (d, n), C-contiguous: a node's block is gathered row-wise, which is
+        # about twice as slow from the strided columns of a larger table.
+        self.keys = ranks.astype(np.int32 if width < 32 else np.int64, order="C")
+        self.keys <<= self.bits
         self.min_leaf = min_leaf  # the fewest rows a child may have
         self.mtry = mtry
         self._sizes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -277,7 +288,14 @@ def _grow_tree(
     )
 
 
-def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestModel:
+def fit_forest(
+    X: np.ndarray, y: np.ndarray, params: ForestParams, *, ranks: np.ndarray | None = None
+) -> ForestModel:
+    """A forest on (X, y); `ranks`, when given, are X's rows' columns of a rank table.
+
+    That is `rank_table(X)`, or `rank_table(B)[:, rows]` for a block B whose
+    rows `rows` are X; the forest is the same either way.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0]:
@@ -288,10 +306,12 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestMode
         )
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in training data")
+    if ranks is not None and ranks.shape != X.shape[::-1]:
+        raise ValueError(f"ranks of shape {ranks.shape} for X of shape {X.shape}")
 
     n = X.shape[0]
     mtry = max(1, int(math.ceil(X.shape[1] * params.max_features)))
-    search = _SplitSearch(X, params.min_leaf, mtry)
+    search = _SplitSearch(X, params.min_leaf, mtry, ranks)
     trees = []
     for t in range(params.n_trees):
         rng = child_rng(params.seed, "tree", t)

@@ -16,7 +16,7 @@ from .._checks import is_count
 from .forest import ForestModel, ForestParams, _Tree
 from .ridge import RidgeModel, check_alpha
 from .scaler import Scaler
-from .svr import SvrModel, SvrParams
+from .svr import SvrModel, SvrParams, support_blocks
 
 FORMAT_VERSION = 1
 
@@ -44,7 +44,10 @@ def _to_json(value):
 def model_to_json(model) -> dict:
     if type(model) not in _KINDS:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    return {"format_version": FORMAT_VERSION, "kind": _KINDS[type(model)], **_to_json(model)}
+    doc = {"format_version": FORMAT_VERSION, "kind": _KINDS[type(model)], **_to_json(model)}
+    if isinstance(model, SvrModel):  # stored as full rows, not as the model's blocks
+        doc["support_vectors"] = model.support_vectors.tolist()
+    return doc
 
 
 def model_from_json(doc: dict):
@@ -154,7 +157,7 @@ def _svr_from_json(doc: dict) -> SvrModel:
     if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
         raise ValueError(f"gamma must be a number, got {gamma!r}")
     return SvrModel(
-        support_vectors=support_vectors,
+        sv_blocks=support_blocks(support_vectors),
         dual_coefs=dual_coefs,
         bias=_finite("bias", float(doc["bias"])),
         params=SvrParams(**doc["params"]),

@@ -18,15 +18,8 @@ class Scaler:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
-        X = np.asarray(X, dtype=float)
-        # Squares of values beyond ~1e154 overflow; the check below reports it, not numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = X.mean(axis=0)
-            stds = X.std(axis=0)
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
-            raise ValueError("columns too large to standardize: a mean or std is not finite")
-        stds = np.where(stds == 0.0, 1.0, stds)
-        return cls(means=means, stds=stds)
+        means, stds, _ = column_moments(np.asarray(X, dtype=float))
+        return cls(means=means, stds=np.where(stds == 0.0, 1.0, stds))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -53,3 +46,25 @@ class Scaler:
                 f"got shapes {means.shape} and {stds.shape}"
             )
         return cls(means=means, stds=stds)
+
+
+def column_moments(
+    X: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(means, stds, X - means) of X's columns, row i counted `counts[i]` times (once when None).
+
+    With every count one, the means and stds are `X.mean(axis=0)` and
+    `X.std(axis=0)` bit for bit: the same sums in the same order. Counts
+    give the moments of the rows repeated, from the distinct rows alone.
+    """
+    n = X.shape[0] if counts is None else int(counts.sum())
+    weights = None if counts is None else counts[:, None]
+    # Squares of values beyond ~1e154 overflow; the check below reports it, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = (X if weights is None else X * weights).sum(axis=0) / n
+        centered = X - means
+        squares = centered * centered
+        stds = np.sqrt((squares if weights is None else squares * weights).sum(axis=0) / n)
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
+        raise ValueError("columns too large to standardize: a mean or std is not finite")
+    return means, stds, centered

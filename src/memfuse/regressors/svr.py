@@ -11,33 +11,58 @@ subproblem exactly (the one-dimensional objective is piecewise quadratic).
 The bias is recovered from KKT-interior points. Features are standardized
 internally; the scaler is fit on training data only.
 
-A fit has two parts. The *design* (`SvrDesign`) holds what reads neither y,
-C nor epsilon: the scaler, the standardized rows, and per (gamma,
-gamma_scale) setting the resolved gamma and the RBF Gram of the rows. The
-SMO solve then runs on a design's Gram. `fit_svr` builds the design itself
-unless one is passed, so fits on the same rows at many C and epsilon values
-can share one design and build each Gram once, as LIBSVM's kernel cache
-shares kernel rows across solves. A fitted model keeps its support vectors'
-squared norms, so `predict_svr` does not recompute them on every call.
+Samples come in blocks of columns (`Block`): a matrix of feature vectors and
+each sample's row in it. A plain matrix X is one block whose row i is sample
+i. A video's audio and visual vectors repeat once per viewer who watched it,
+so an audiovisual block of 160 samples holds at most 24 distinct rows on the
+benchmark's 24 videos. Everything is computed per block on its distinct rows,
+which are found by value among the rows the samples read, in order of first
+occurrence, and gathered back to the samples only where a result needs them:
 
-`SvrDesign.predictions` is the predict side of the same sharing: the models
-fitted on one design share its scaler, so it checks and standardizes a block
-of query rows, and computes their squared norms, once for all of them. Each
-model's kernel is built as in `predict_svr`, so the predictions are bit-equal
-to it.
+- The scaler's means and stds are count-weighted sums over the distinct rows.
+  Each distinct row is standardized once; the squared norms that the kernels
+  read are those of the standardized distinct rows.
+- The RBF kernel factors over blocks: exp(-gamma ||a - b||^2) is the product,
+  over the blocks, of exp(-gamma ||a_k - b_k||^2), since the blocks' squared
+  distances sum to the rows'. So `rbf_kernel_matrix` builds each block's
+  kernel on its distinct rows (24 x 24 for the audiovisual blocks, row by row
+  for memory rows), which is gathered to the samples and multiplied into the
+  others. For a single unindexed block this is the kernel of its rows, bit
+  for bit.
+- gamma's scale heuristic, gamma_scale / (d * Var(Xs)) over every entry of
+  the standardized rows, takes its closed form: a standardized column has
+  variance 1 unless it is constant, so Var(Xs) = (non-constant columns) / d
+  and gamma = gamma_scale / (non-constant columns), or gamma_scale / d when
+  every column is constant. It equals the variance form up to rounding.
 
-A model builds its kernel on its distinct support vectors only. A video's
-audio and visual vectors repeat once per viewer, so an AV model holds many
-copies of few rows: 170-176 support vectors and 24 distinct rows on the
-benchmark's 24 videos. When the model is built, rows of equal squared norm
-are compared by value, and equal rows share one kernel row, which is
-gathered back into support-vector order before `dual_coefs @ K`. When every
-row is distinct the kernel is built on the support vectors themselves, so
-the predictions are those of a kernel on all of them, bit for bit. When rows
-repeat, the kernel rows come from a smaller BLAS product, which may round
-differently from the same rows of the full product (OpenBLAS takes other
-code paths for small products, and numpy for a single row), so predictions
-may differ from the full kernel's in their last bits.
+A fit has two parts. The *design* (`SvrDesign`) holds what reads neither y, C
+nor epsilon: the scaler, the blocks' standardized distinct rows, and per
+(gamma, gamma_scale) setting the resolved gamma and the RBF Gram of the
+samples. The SMO solve then runs on a design's Gram. `fit_svr` builds the
+design itself unless one is passed, so fits on the same samples at many C and
+epsilon values share one design and build each Gram once, as LIBSVM's kernel
+cache shares kernel rows across solves.
+
+A fitted model keeps its support vectors per block: the block's distinct
+support-vector rows, by value and in order of first occurrence, their squared
+norms, and each support vector's row. Full support-vector rows are built
+only when `support_vectors` is read, as a saved model does; a model that only
+predicts never builds them. A loaded model derives the same blocks from its
+rows (`support_blocks`), so it predicts bit-equal to the model that was
+saved, given its block widths.
+
+Predictions take query rows the same way: per block, the distinct query rows
+are standardized once, each prediction kernel pairs a block's distinct
+support-vector rows with its distinct query rows, and the products are
+gathered to the support vectors and queries before `dual_coefs @ K`.
+`SvrDesign.predictions` standardizes a block of queries once for all models
+fitted on the design; `predict_svr` takes a plain matrix, whose columns it
+splits at the model's block widths and whose equal rows it finds by value, so
+both predict bit-equal. A
+kernel row built from a smaller BLAS product may round differently from the
+same row of a larger one (OpenBLAS takes other code paths for small products,
+and numpy for a single row), so factored predictions may differ from those of
+one kernel on all rows in their last bits.
 
 `rbf_kernel_matrix` doubles the product `A @ B.T` in place rather than an
 operand. Doubling is exact in binary floating point, so the kernel is bit-equal
@@ -49,16 +74,27 @@ operand: numpy computes `A @ A.T` with syrk, which rounds differently.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .._checks import is_count
-from .scaler import Scaler
+from .scaler import Scaler, column_moments
 
-__all__ = ["SvrParams", "SvrModel", "SvrDesign", "rbf_kernel_matrix", "fit_svr", "predict_svr"]
+__all__ = [
+    "SvrParams",
+    "SvrModel",
+    "SvrDesign",
+    "Block",
+    "distinct_rows",
+    "support_blocks",
+    "rbf_kernel_matrix",
+    "fit_svr",
+    "predict_svr",
+]
 
 
 @dataclass(frozen=True)
@@ -86,9 +122,31 @@ class SvrParams:
             raise ValueError(f"max_passes must be a positive integer, got {self.max_passes!r}")
 
 
+class Block(NamedTuple):
+    """Columns of every sample: sample i reads row `index[i]` of `vectors` (row i when None)."""
+
+    vectors: np.ndarray
+    index: np.ndarray | None = None
+
+
+class _DistinctRows(NamedTuple):
+    rows: np.ndarray             # the distinct rows, in order of first occurrence
+    sq_norms: np.ndarray | None  # their squared norms, where known
+    index: np.ndarray | None     # sample i reads rows[index[i]]; None: rows[i]
+
+
+def _n_samples(rows: np.ndarray, index: np.ndarray | None) -> int:
+    return rows.shape[0] if index is None else index.shape[0]
+
+
 @dataclass
 class SvrModel:
-    support_vectors: np.ndarray  # standardized feature space
+    # Per block of columns, the distinct support-vector rows (standardized
+    # feature space) and each support vector's row; never serialized, as a
+    # saved model stores `support_vectors` instead.
+    sv_blocks: tuple[_DistinctRows, ...] = field(
+        repr=False, compare=False, metadata={"saved": False}
+    )
     dual_coefs: np.ndarray       # beta_i = alpha_i - alpha_i*
     bias: float
     params: SvrParams            # gamma resolved to its numeric value
@@ -97,21 +155,17 @@ class SvrModel:
     n_iter: int
     kkt_gap: float
     support_indices: np.ndarray  # positions of the SVs in the training set
-    # _sq_norms(support_vectors), kept so that predict_svr does not recompute
-    # it per call; computed here when not given, and never serialized.
-    sv_sq_norms: np.ndarray | None = field(
-        default=None, repr=False, compare=False, metadata={"saved": False}
-    )
-    # The distinct support vectors that predictions build the kernel on;
-    # derived from the two fields above, and never serialized.
-    sv_distinct: _DistinctRows = field(
-        init=False, repr=False, compare=False, metadata={"saved": False}
-    )
 
-    def __post_init__(self) -> None:
-        if self.sv_sq_norms is None:
-            self.sv_sq_norms = _sq_norms(self.support_vectors)
-        self.sv_distinct = _distinct_rows(self.support_vectors, self.sv_sq_norms)
+    @functools.cached_property
+    def support_vectors(self) -> np.ndarray:
+        """The support vectors' full rows in the standardized feature space, built on first read."""
+        parts = [b.rows if b.index is None else b.rows.take(b.index, 0) for b in self.sv_blocks]
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
+
+    @functools.cached_property
+    def widths(self) -> tuple[int, ...]:
+        """The widths of the blocks of columns, in column order."""
+        return tuple(b.rows.shape[1] for b in self.sv_blocks)
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
@@ -120,28 +174,23 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return (A * A).sum(axis=1)
 
 
-class _DistinctRows(NamedTuple):
-    rows: np.ndarray             # the distinct rows, in order of first occurrence
-    sq_norms: np.ndarray         # their squared norms
-    index: np.ndarray | None     # row i equals rows[index[i]]; None when all are distinct
+def _first_equal(A: np.ndarray, keys: np.ndarray) -> np.ndarray | None:
+    """The first row of A equal to each row, or None when all rows are distinct.
 
-
-def _distinct_rows(A: np.ndarray, sq_norms: np.ndarray) -> _DistinctRows:
-    """The distinct rows of A, given `sq_norms = _sq_norms(A)`.
-
-    Equal rows have equal norms, so a row is compared only with rows whose
-    norm ties with its own, and by value: rows are never merged on their norms
-    alone. When no two norms tie, as for rows that hold memory features, no
-    row is compared. Otherwise each row of a tie is compared with the distinct
-    rows found before it in its tie, which is one comparison when all rows of
-    the tie are equal. Comparing row views reads each row once; comparing a
-    gathered block of a tie at once also copies it, which measured slower.
+    `keys` hold a number per row that equal rows share, such as their squared
+    norms. A row is compared only with rows whose key ties with its own, and
+    by value: rows are never merged on their keys alone. When no two keys tie,
+    as for rows that hold memory features, no row is compared. Otherwise each
+    row of a tie is compared with the distinct rows found before it in its
+    tie, which is one comparison when all rows of the tie are equal. Comparing
+    row views reads each row once; comparing a gathered block of a tie at once
+    also copies it, which measured slower.
     """
-    order = np.argsort(sq_norms, kind="stable")  # a tie's rows stay in row order
-    ties = sq_norms[order[1:]] == sq_norms[order[:-1]]
+    order = np.argsort(keys, kind="stable")  # a tie's rows stay in row order
+    ties = keys[order[1:]] == keys[order[:-1]]
     if not ties.any():
-        return _DistinctRows(A, sq_norms, None)
-    first = np.arange(A.shape[0])  # the first row equal to each row
+        return None
+    first = np.arange(A.shape[0])
     heads: list[int] = []  # the distinct rows so far of the current tie
     for i, tied in zip(order.tolist(), [False, *ties.tolist()]):
         if not tied:
@@ -152,10 +201,75 @@ def _distinct_rows(A: np.ndarray, sq_norms: np.ndarray) -> _DistinctRows:
                 break
         else:
             heads.append(i)
-    kept = np.flatnonzero(first == np.arange(A.shape[0]))
-    if kept.size == A.shape[0]:
-        return _DistinctRows(A, sq_norms, None)
-    return _DistinctRows(A[kept], sq_norms[kept], np.searchsorted(kept, first))
+    return None if (first == np.arange(A.shape[0])).all() else first
+
+
+def _distinct(
+    vectors: np.ndarray, index: np.ndarray | None, sq_norms: np.ndarray | None = None
+) -> _DistinctRows:
+    """The distinct rows, by value, among the rows of `vectors` that `index` reads.
+
+    They come in order of first occurrence among the samples, with each
+    sample's row. `sq_norms`, when given, must be `_sq_norms(vectors)`, and
+    the result carries the distinct rows' norms; else its norms are None.
+    Rows that no sample reads are not looked at.
+    """
+    if index is not None:
+        used, first, inverse = np.unique(index, return_index=True, return_inverse=True)
+        if used.size == index.size:  # no two samples share a row: take them in sample order
+            vectors = vectors.take(index, axis=0)
+            sq_norms = None if sq_norms is None else sq_norms[index]
+            index = None
+        else:
+            order = np.argsort(first, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            index = rank[inverse]
+            if used.size < vectors.shape[0] or (order != np.arange(order.size)).any():
+                vectors = vectors.take(used[order], axis=0)
+                sq_norms = None if sq_norms is None else sq_norms[used[order]]
+    if vectors.shape[0] < 2:
+        return _DistinctRows(vectors, sq_norms, index)
+    if sq_norms is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # such a row is compared by value
+            keys = vectors.sum(axis=1)  # equal rows have equal sums; cheaper than norms
+    else:
+        keys = sq_norms
+    first = _first_equal(vectors, keys)
+    if first is None:
+        return _DistinctRows(vectors, sq_norms, index)
+    kept = np.flatnonzero(first == np.arange(first.size))
+    within = np.searchsorted(kept, first)
+    return _DistinctRows(
+        vectors[kept],
+        None if sq_norms is None else sq_norms[kept],
+        within if index is None else within[index],
+    )
+
+
+def distinct_rows(A: np.ndarray) -> Block:
+    """A's distinct rows, by value and in order of first occurrence, and each row's index in them.
+
+    The index is None when every row is distinct, and the rows are then A itself.
+    """
+    distinct = _distinct(A, None)
+    return Block(distinct.rows, distinct.index)
+
+
+def support_blocks(
+    support_vectors: np.ndarray, widths: Sequence[int] | None = None
+) -> tuple[_DistinctRows, ...]:
+    """A model's `sv_blocks` from its full support-vector rows, cut at `widths` (one when None).
+
+    They equal, bit for bit, the blocks that `fit_svr` builds for the same
+    support vectors on a design of blocks of these widths.
+    """
+    if widths is None or len(widths) == 1:
+        parts = [support_vectors]
+    else:
+        cuts = np.cumsum(widths)[:-1]
+        parts = [np.ascontiguousarray(p) for p in np.split(support_vectors, cuts, axis=1)]
+    return tuple(_distinct(part, None, _sq_norms(part)) for part in parts)
 
 
 def rbf_kernel_matrix(
@@ -190,60 +304,118 @@ def rbf_kernel_matrix(
     return np.exp(-gamma * sq)
 
 
-def _resolve_gamma(params: SvrParams, Xs: np.ndarray) -> float:
-    if params.gamma is not None:
-        return params.gamma
-    variance = float(Xs.var())
-    if variance <= 0.0:
-        variance = 1.0
-    return params.gamma_scale / (Xs.shape[1] * variance)
+def _kernel(
+    left: Sequence[_DistinctRows], right: Sequence[_DistinctRows], gamma: float
+) -> np.ndarray:
+    """The RBF kernel of `left`'s samples against `right`'s, block by block.
+
+    Each block's kernel is built on the two sides' distinct rows, gathered to
+    their samples and multiplied into the kernel of the blocks before it.
+    """
+    K = None
+    for a, b in zip(left, right, strict=True):
+        block = rbf_kernel_matrix(a.rows, b.rows, gamma, a.sq_norms, b.sq_norms)
+        if a.index is not None:
+            block = block.take(a.index, axis=0)
+        if b.index is not None:
+            block = block.take(b.index, axis=1)
+        if K is None:
+            K = block
+        else:
+            K *= block
+    return K
+
+
+def _is_blocks(X) -> bool:
+    return isinstance(X, (list, tuple)) and len(X) > 0 and all(isinstance(b, Block) for b in X)
+
+
+def _blocks(X) -> list[Block]:
+    """X as float blocks of one sample count: a list of `Block`s, or a matrix as one block."""
+    if _is_blocks(X):
+        blocks = [
+            Block(
+                np.atleast_2d(np.asarray(vectors, dtype=float)),
+                None if index is None else np.asarray(index, dtype=np.intp),
+            )
+            for vectors, index in X
+        ]
+    else:
+        blocks = [Block(np.atleast_2d(np.asarray(X, dtype=float)))]
+    counts = {_n_samples(*block) for block in blocks}
+    if len(counts) != 1:
+        raise ValueError(f"blocks of {sorted(counts)} samples: each needs one row per sample")
+    return blocks
 
 
 class SvrDesign:
     """The part of an SVR fit on X that reads neither y, C nor epsilon.
 
-    It holds the scaler fitted on X, the standardized rows and their squared
-    norms, which the Gram build and the fitted models' support vectors share.
-    `gram(params)` resolves gamma and builds the RBF Gram of the rows once per
-    distinct (gamma, gamma_scale), compared by value, and returns the same
-    pair on every later call, so fits at many C and epsilon values on one
-    design share one Gram per gamma setting.
+    X is a matrix of training rows or a list of `Block`s. The design holds the
+    scaler fitted on the samples, and per block the standardized distinct
+    rows, their squared norms and each sample's row; no raw row outlives the
+    constructor. `gram(params)` resolves gamma and builds the RBF Gram of the
+    samples once per distinct (gamma, gamma_scale), compared by value, and
+    returns the same pair on every later call, so fits at many C and epsilon
+    values on one design share one Gram per gamma setting.
     """
 
-    def __init__(self, X: np.ndarray) -> None:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not np.all(np.isfinite(X)):
-            raise ValueError("non-finite values in training data")
-        self.scaler = Scaler.fit(X)
-        self.rows = self.scaler.transform(X)
-        self.row_sq_norms = _sq_norms(self.rows)
+    def __init__(self, X) -> None:
+        blocks = _blocks(X)
+        self.n = _n_samples(*blocks[0])
+        means, stds, standardized = [], [], []
+        self.n_varying = 0  # columns of non-zero std
+        for vectors, index in blocks:
+            raw = _distinct(vectors, index)
+            if not np.all(np.isfinite(raw.rows)):
+                raise ValueError("non-finite values in training data")
+            counts = None if raw.index is None else np.bincount(raw.index, minlength=len(raw.rows))
+            mean, std, rows = column_moments(raw.rows, counts)
+            self.n_varying += int(np.count_nonzero(std))
+            std = np.where(std == 0.0, 1.0, std)
+            rows /= std  # rows held the centered distinct rows
+            means.append(mean)
+            stds.append(std)
+            standardized.append(_DistinctRows(rows, _sq_norms(rows), raw.index))
+        self.scaler = Scaler(means=np.concatenate(means), stds=np.concatenate(stds))
+        self.blocks = tuple(standardized)
+        self.widths = tuple(block.rows.shape[1] for block in self.blocks)
         self._grams: dict[tuple, tuple[float, np.ndarray]] = {}
 
     def gram(self, params: SvrParams) -> tuple[float, np.ndarray]:
-        """(resolved gamma, RBF Gram of the standardized rows) for `params`."""
+        """(resolved gamma, RBF Gram of the samples) for `params`."""
         key = (params.gamma, params.gamma_scale)
         if key not in self._grams:
-            gamma = _resolve_gamma(params, self.rows)
-            self._grams[key] = gamma, rbf_kernel_matrix(
-                self.rows, self.rows, gamma, self.row_sq_norms, self.row_sq_norms
-            )
+            gamma = params.gamma
+            if gamma is None:
+                gamma = params.gamma_scale / (self.n_varying or sum(self.widths))
+            self._grams[key] = gamma, _kernel(self.blocks, self.blocks, gamma)
         return self._grams[key]
 
-    def predictions(self, models: Iterable[SvrModel], X: np.ndarray) -> list[np.ndarray]:
-        """`predict_svr(model, X)` for each of `models`, in order, bit for bit.
+    def sv_blocks(self, support: np.ndarray) -> tuple[_DistinctRows, ...]:
+        """A model's `sv_blocks` for the samples at positions `support`, in order."""
+        return tuple(
+            _distinct(b.rows, support if b.index is None else b.index[support], b.sq_norms)
+            for b in self.blocks
+        )
 
-        Every model must have been fitted on this design. X is checked and
-        standardized by the design's scaler once, and its rows' squared norms
-        computed once, for all of them. Models are read one at a time, so a
-        generator of fits holds one model at a time.
+    def predictions(self, models: Iterable[SvrModel], X) -> list[np.ndarray]:
+        """`predict_svr(model, X)` for each of `models`, in order.
+
+        X is a matrix of query rows or a list of `Block`s of the design's
+        widths. Every model must have been fitted on this design. Each block's
+        distinct query rows are checked, standardized and normed once for all
+        models. Models are read one at a time, so a generator of fits holds
+        one model at a time. The predictions equal `predict_svr`'s on the
+        samples' full rows, bit for bit: both find the same distinct rows.
         """
-        rows, row_sq_norms = _queries(self.scaler, X)
+        queries = _queries(self.scaler, _query_blocks(X, self.widths))
         del X  # not read again; freed now unless the caller holds it
         preds = []
         for model in models:
             if model.scaler is not self.scaler:
                 raise ValueError("model was not fitted on this design")
-            preds.append(_decision_values(model, rows, row_sq_norms))
+            preds.append(_decision_values(model, queries))
         return preds
 
 
@@ -290,34 +462,36 @@ def _pair_step(
     return best_t, best_gain
 
 
-def fit_svr(
-    X: np.ndarray, y: np.ndarray, params: SvrParams, design: SvrDesign | None = None
-) -> SvrModel:
-    """Fit an SVR on (X, y).
+def fit_svr(X, y: np.ndarray, params: SvrParams, design: SvrDesign | None = None) -> SvrModel:
+    """Fit an SVR on (X, y); X is a matrix of training rows or a list of `Block`s.
 
-    `design`, when given, must be `SvrDesign(X)` of the training rows; the
-    fit then reuses its standardization and its Gram for the gamma setting of
-    `params`, and reads X only for its shape. A caller may therefore pass
-    `design.rows` as X and drop the raw rows once the design is built.
+    `design`, when given, must be `SvrDesign(X)`; the fit then reuses its
+    standardization and its Gram for the gamma setting of `params`, and reads
+    X only for its shape.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    if X.shape[0] < 2:
+    blocks = _blocks(X)
+    n = _n_samples(*blocks[0])
+    if n != y.shape[0]:
+        raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
+    if n < 2:
         raise ValueError("need at least two training rows")
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite values in training data")
+    widths = tuple(block.vectors.shape[1] for block in blocks)
     if design is None:
-        design = SvrDesign(X)
-    elif design.rows.shape != X.shape:
-        raise ValueError(f"design has rows of shape {design.rows.shape}, X has {X.shape}")
+        design = SvrDesign(blocks)
+    elif (design.n, design.widths) != (n, widths):
+        raise ValueError(
+            f"design has rows of widths {design.widths} for {design.n} samples, "
+            f"X has {widths} for {n}"
+        )
 
     gamma, K = design.gram(params)
     beta, bias, converged, n_iter, gap = _solve(K, y, params)
-    support = np.abs(beta) > 1e-10 * params.c
+    support = np.flatnonzero(np.abs(beta) > 1e-10 * params.c)
     return SvrModel(
-        support_vectors=design.rows[support],
+        sv_blocks=design.sv_blocks(support),
         dual_coefs=beta[support],
         bias=bias,
         params=dataclasses.replace(params, gamma=gamma),
@@ -325,8 +499,7 @@ def fit_svr(
         converged=converged,
         n_iter=n_iter,
         kkt_gap=gap,
-        support_indices=np.flatnonzero(support),
-        sv_sq_norms=design.row_sq_norms[support],
+        support_indices=support,
     )
 
 
@@ -337,83 +510,108 @@ def _solve(
     c, eps, tol = params.c, params.epsilon, params.tol
     n = K.shape[0]
     diag = np.diagonal(K).copy()
+    # Column i of K, and twice it, as contiguous rows: the values of K[:, i]
+    # and 2.0 * K[:, i], read without a stride and doubled once per solve.
+    columns = np.ascontiguousarray(K.T)
+    doubled = 2.0 * columns
 
     beta = np.zeros(n)
     grad = y.astype(float).copy()  # grad_i = y_i - (K beta)_i
-    sig_up = np.full(n, eps)       # eps * right-derivative sign of |beta_i|
-    sig_dn = np.full(n, -eps)      # eps * left-derivative sign of |beta_i|
-    up_ok = np.ones(n, dtype=bool)   # beta_i < C
-    dn_ok = np.ones(n, dtype=bool)   # beta_i > -C
+    # eps times the right- and left-derivative sign of |beta_i|, or an infinity
+    # where beta_i may not move that way (beta_i = C, beta_i = -C), so that
+    # grad - up_off and grad - dn_off are the KKT values with the bound rows
+    # already at -inf and +inf.
+    up_off = np.full(n, eps)
+    dn_off = np.full(n, -eps)
 
     n_iter = 0
     converged = False
     gap = np.inf
     while n_iter < params.max_passes:
-        d_up = np.where(up_ok, grad - sig_up, -np.inf)
+        d_up = grad - up_off
         i = int(np.argmax(d_up))
-        m = d_up[i]
-        d_dn = np.where(dn_ok, grad - sig_dn, np.inf)
+        m = d_up.item(i)
+        d_dn = grad - dn_off
         big_m = d_dn.min()
         gap = m - big_m
         if gap <= tol:
             converged = True
             break
 
+        # A bound row's d_dn is +inf, so its violation is -inf and never scores.
         violation = m - d_dn
-        eta_vec = diag[i] + diag - 2.0 * K[:, i]
+        eta_vec = diag[i] + diag - doubled[i]
         np.maximum(eta_vec, 1e-12, out=eta_vec)
-        score = np.where(dn_ok & (violation > 0.0), violation * violation / eta_vec, -np.inf)
+        score = np.where(violation > 0.0, violation * violation / eta_vec, -np.inf)
         score[i] = -np.inf
         j = int(np.argmax(score))
-        if not np.isfinite(score[j]):
+        if not math.isfinite(score.item(j)):
             converged = True  # no admissible partner: violation is below tol noise
             break
 
-        t, step_gain = _pair_step(beta[i], beta[j], grad[i], grad[j], eta_vec[j], c, eps)
+        # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction of the cost.
+        t, step_gain = _pair_step(
+            beta.item(i), beta.item(j), grad.item(i), grad.item(j), eta_vec.item(j), c, eps
+        )
         if t <= 0.0 or step_gain <= 0.0:
             break  # numerical stall; bias recovery still valid
 
         beta[i] += t
         beta[j] -= t
-        grad -= t * (K[:, i] - K[:, j])
+        grad -= t * (columns[i] - columns[j])
         for idx in (i, j):
-            b_val = beta[idx]
-            sig_up[idx] = eps if b_val >= 0 else -eps
-            sig_dn[idx] = eps if b_val > 0 else -eps
-            up_ok[idx] = b_val < c
-            dn_ok[idx] = b_val > -c
+            b_val = beta.item(idx)
+            up_off[idx] = (eps if b_val >= 0 else -eps) if b_val < c else np.inf
+            dn_off[idx] = (eps if b_val > 0 else -eps) if b_val > -c else -np.inf
         n_iter += 1
 
     interior = (beta != 0.0) & (np.abs(beta) < c)
     if interior.any():
         bias = float(np.mean(grad[interior] - eps * np.sign(beta[interior])))
     else:
-        d_up = np.where(up_ok, grad - sig_up, -np.inf)
-        d_dn = np.where(dn_ok, grad - sig_dn, np.inf)
-        bias = float(0.5 * (d_up.max() + d_dn.min()))
+        bias = float(0.5 * ((grad - up_off).max() + (grad - dn_off).min()))
 
     return beta, bias, converged, n_iter, float(gap)
 
 
-def _queries(scaler: Scaler, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction rows X, checked and standardized by `scaler`, and their squared norms."""
+def _query_blocks(X, widths: tuple[int, ...]) -> list[Block]:
+    """Query samples as blocks of `widths`: `Block`s as given, or a matrix cut at the widths."""
+    if _is_blocks(X):
+        blocks = _blocks(X)
+        got = tuple(block.vectors.shape[1] for block in blocks)
+        if got != widths:
+            raise ValueError(f"feature dimension mismatch: expected block widths {widths}, got {got}")
+        return blocks
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite values in prediction input")
-    rows = scaler.transform(X)
-    return rows, _sq_norms(rows)
+    if X.shape[1] != sum(widths):
+        width = X.shape[1]
+        raise ValueError(f"feature dimension mismatch: expected {sum(widths)}, got {width}")
+    if len(widths) == 1:
+        return [Block(X)]
+    return [Block(part) for part in np.split(X, np.cumsum(widths)[:-1], axis=1)]
 
 
-def _decision_values(model: SvrModel, rows: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
-    """The model's predictions on rows that `_queries` returned for its scaler."""
-    if model.support_vectors.shape[0] == 0:
-        return np.full(rows.shape[0], model.bias)
-    distinct = model.sv_distinct
-    K = rbf_kernel_matrix(distinct.rows, rows, model.params.gamma, distinct.sq_norms, row_sq_norms)
-    if distinct.index is not None:
-        K = K.take(distinct.index, axis=0)
-    return model.dual_coefs @ K + model.bias
+def _queries(scaler: Scaler, blocks: list[Block]) -> list[_DistinctRows]:
+    """Per block of query rows: its distinct rows, checked and standardized by `scaler`."""
+    queries, start = [], 0
+    for vectors, index in blocks:
+        stop = start + vectors.shape[1]
+        raw = _distinct(vectors, index)
+        if not np.all(np.isfinite(raw.rows)):
+            raise ValueError("non-finite values in prediction input")
+        rows = (raw.rows - scaler.means[start:stop]) / scaler.stds[start:stop]
+        queries.append(_DistinctRows(rows, _sq_norms(rows), raw.index))
+        start = stop
+    return queries
+
+
+def _decision_values(model: SvrModel, queries: list[_DistinctRows]) -> np.ndarray:
+    """The model's predictions on query blocks that `_queries` returned for its scaler."""
+    if model.dual_coefs.size == 0:
+        return np.full(_n_samples(queries[0].rows, queries[0].index), model.bias)
+    return model.dual_coefs @ _kernel(model.sv_blocks, queries, model.params.gamma) + model.bias
 
 
 def predict_svr(model: SvrModel, X: np.ndarray) -> np.ndarray:
-    return _decision_values(model, *_queries(model.scaler, X))
+    """The model's predictions on the rows of X, cut into its blocks of columns."""
+    return _decision_values(model, _queries(model.scaler, _query_blocks(X, model.widths)))

@@ -468,6 +468,7 @@ def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
 ):
     calls = {"fit_svr": 0, "predict_svr": 0, "training_gram": 0, "prediction_kernel": 0}
     test_blocks = []  # the standardized test rows each prediction kernel reads
+    gram_rows = []  # the distinct rows each training Gram is built on
     fit_svr, predict_svr = fusion.fit_svr, fusion.predict_svr
     kernel = svr_module.rbf_kernel_matrix
 
@@ -482,6 +483,7 @@ def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
     def counted_kernel(A, B, *args, **kwargs):
         if A is B:
             calls["training_gram"] += 1
+            gram_rows.append(A.shape[0])
         else:  # a prediction kernel pairs one model's SVs with test rows
             calls["prediction_kernel"] += 1
             if not any(B is block for block in test_blocks):
@@ -497,11 +499,25 @@ def test_early_grid_search_builds_one_gram_per_inner_fold_and_gamma_setting(
         np.array([r.induced.p for r in ds.responses]), EARLY_GRID, "early", k_inner=2, seed=SEED,
     )
     assert len(results) == 8
-    # Per inner fold: one Gram per gamma_scale value, one SMO solve and one
-    # prediction kernel per point, and the fold's test rows standardized once
-    # for all 4 points of the fold (`SvrDesign.predictions`, not `predict_svr`).
-    assert calls == {"fit_svr": 16, "predict_svr": 0, "training_gram": 4, "prediction_kernel": 16}
-    assert len(test_blocks) == 2
+    # Per inner fold and block (audio, visual, mem_lexical, mem_embedding): one
+    # Gram per gamma_scale value, one SMO solve and one prediction kernel per
+    # point, and the fold's test rows standardized once for all 4 points of
+    # the fold (`SvrDesign.predictions`, not `predict_svr`).
+    blocks = 4
+    assert calls == {
+        "fit_svr": 16,
+        "predict_svr": 0,
+        "training_gram": 4 * blocks,
+        "prediction_kernel": 16 * blocks,
+    }
+    assert len(test_blocks) == 2 * blocks
+    # An AV Gram is built on one row per video, a memory Gram on every training response.
+    n_train = [len(ds.responses) - len(test) for _, test in group_splits(
+        [r.participant_id for r in ds.responses], 2, child_seed(SEED, "inner-folds")
+    )]
+    assert sorted(gram_rows) == sorted(
+        [len(VIDEOS)] * 8 + [n for n in n_train for _ in range(4)]
+    )
 
 
 def test_run_holds_one_audio_and_one_visual_row_per_video_and_one_memory_row_per_response(

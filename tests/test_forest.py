@@ -13,7 +13,7 @@ from memfuse.regressors import (
     predict_forest,
     save_model,
 )
-from memfuse.regressors.forest import _SplitSearch
+from memfuse.regressors.forest import _SplitSearch, rank_table
 
 from .oracles import forest_by_tree_walks, stable_sort_best_split, tree_leaf_values
 
@@ -328,8 +328,8 @@ def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
         assert left_ys.tobytes() == y[left_ids].tobytes()
         assert right_ys.tobytes() == y[right_ids].tobytes()
 
-    # From 2**15 rows on, keys are 64-bit; a rank and a position of 2**16
-    # rows would overflow 32 bits.
+    # Keys are 64-bit here: a rank of the normal column and a position among
+    # 2**16 rows would overflow 32 bits.
     X = np.column_stack([rng.normal(size=2**16), rng.integers(0, 3, size=2**16)])
     y = np.round(rng.normal(size=2**16), 1)
     ids, feats = rng.integers(0, 2**16, size=50), np.array([1, 0])
@@ -338,3 +338,36 @@ def test_split_search_equals_a_stable_sort_scan_on_tied_and_repeated_rows():
     assert got[:2] == expected[:2]
     np.testing.assert_array_equal(got[2], expected[2])
     np.testing.assert_array_equal(got[4], expected[3])
+
+
+def test_a_fit_on_a_larger_blocks_rank_columns_equals_a_fit_on_its_own_ranks():
+    rng = np.random.default_rng(21)
+    n, d = 90, 6
+    block = np.where(
+        np.arange(d) % 2 == 0,
+        rng.integers(0, 4, size=(n, d)).astype(float),
+        rng.normal(size=(n, d)),
+    )
+    targets = np.round(rng.normal(size=n), 1)
+    table = rank_table(block)
+    assert table.shape == (d, n)
+    params = ForestParams(n_trees=4, max_features=0.5, min_leaf=2, seed=3)
+    for rows in (rng.choice(n, 50, replace=False), np.arange(0, n, 3), rng.permutation(n)):
+        X, y = block[rows], targets[rows]
+        want = model_to_json(fit_forest(X, y, params))
+        ranks = table[:, rows]  # a gather of columns: not C-contiguous
+        assert not ranks.flags.c_contiguous
+        assert model_to_json(fit_forest(X, y, params, ranks=ranks)) == want
+    with pytest.raises(ValueError, match=r"^ranks of shape \(6, 90\) for X of shape \(50, 6\)$"):
+        fit_forest(block[:50], targets[:50], params, ranks=table)
+
+
+def test_split_search_keys_are_c_contiguous_and_sized_by_rank_range_and_positions():
+    n = 200  # positions take 8 bits
+    base = np.tile(np.arange(n), (3, 1))
+    X = base.T.astype(float)
+    for shift, dtype in ((15, np.int32), (16, np.int64)):  # ranks of 23 and 24 bits
+        ranks = np.asfortranarray(base << shift)
+        keys = _SplitSearch(X, 1, 3, ranks).keys
+        assert keys.dtype == dtype and keys.flags.c_contiguous
+        assert np.array_equal(keys >> 8, base << shift)

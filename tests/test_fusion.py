@@ -26,6 +26,7 @@ from memfuse.regressors import (
     model_to_json,
     predict_svr,
 )
+from memfuse.regressors import svr as svr_module
 
 
 def _bundles(rng, n, audio=None, visual=None, lexical=None, embedding=None):
@@ -341,31 +342,45 @@ def test_early_fusion_predict_grid_equals_fusion_predict_at_every_point(rng):
 def test_early_fusion_predict_grid_drops_the_raw_training_block_before_predicting(
     rng, monkeypatch
 ):
-    raw_blocks = []  # weak references to the features each design standardizes
-    live_at_fit = []  # per fit_svr call: is the raw training block still alive?
+    raw_rows = []  # weak references to the raw distinct rows each design gathers
+    live_at_fit = []  # per fit_svr call: is any of them still alive?
+    building = []
 
     class RecordingDesign(SvrDesign):
         def __init__(self, X):
-            raw_blocks.append(weakref.ref(X))
+            building.append(True)
             super().__init__(X)
+            building.pop()
+
+    distinct = svr_module._distinct
+
+    def recording_distinct(vectors, index, sq_norms=None):
+        found = distinct(vectors, index, sq_norms)
+        if building and not np.shares_memory(found.rows, vectors):
+            raw_rows.append(weakref.ref(found.rows))
+        return found
 
     grid_fit = fusion.fit_svr
 
     def recording_fit(*args, **kwargs):
-        live_at_fit.append(raw_blocks[0]() is not None)
+        live_at_fit.append(any(ref() is not None for ref in raw_rows))
         return grid_fit(*args, **kwargs)
 
     monkeypatch.setattr(fusion, "SvrDesign", RecordingDesign)
+    monkeypatch.setattr(svr_module, "_distinct", recording_distinct)
     monkeypatch.setattr(fusion, "fit_svr", recording_fit)
-    audio = rng.normal(size=(30, 3))
+    audio = rng.normal(size=(6, 3))
     lexical = rng.normal(size=(30, 4))
-    bundles = _bundles(rng, 30, audio=audio, lexical=lexical)
+    bundles = _bundles(rng, 30, audio=audio[np.arange(30) % 6], lexical=lexical)
+    table = feature_table(bundles)
+    # Rows out of order, so that the design gathers each block's distinct rows.
+    train_rows = np.r_[23:0:-1]
     points = [SvrParams(c=0.5), SvrParams(c=2.0)]
     preds = early_fusion_predict_grid(
-        feature_table(bundles[:24]), audio[:24, 0], points, feature_table(bundles[24:])
+        table.rows(train_rows), audio[train_rows % 6, 0], points, table.rows([0, 24, 25])
     )
     assert len(preds) == 2
-    assert len(raw_blocks) == 1
+    assert len(raw_rows) == 2  # audio and lexical
     assert live_at_fit == [False, False]
 
 
@@ -636,3 +651,77 @@ def test_late_fusion_fit_ignores_the_memory_params_seed(rng):
     first, second = (model_to_json(f.base_models["memory"]) for f in forests)
     assert first == second
     assert model_to_json(forests[0].meta) == model_to_json(forests[1].meta)
+
+
+def _repeated_av_bundles(rng, n=36, videos=6):
+    """Bundles whose audio and visual vectors repeat per video, as copies, and a memory row each."""
+    audio, visual = rng.normal(size=(videos, 3)), rng.normal(size=(videos, 4))
+    watched = np.arange(n) % videos
+    lexical = rng.normal(size=(n, 2))
+    bundles = [
+        ModalityBundle(audio=audio[v].copy(), visual=visual[v].copy(), mem_lexical=lexical[i])
+        for i, v in enumerate(watched)
+    ]
+    y = audio[watched, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
+    return bundles, y, watched
+
+
+def test_feature_table_stores_equal_vectors_once_by_value(rng):
+    bundles, _, watched = _repeated_av_bundles(rng)
+    table = feature_table(bundles)
+    assert {m: v.shape[0] for m, v in table.vectors.items()} == {
+        "audio": 6, "visual": 6, "mem_lexical": 36,
+    }
+    assert np.array_equal(table.index["audio"], watched) and table.index["mem_lexical"] is None
+    for name in table.modalities:
+        want = np.vstack([getattr(b, name) for b in bundles])
+        assert np.array_equal(table.stack([name]), want)
+
+
+def test_an_early_model_on_repeated_av_rows_predicts_bit_equal_after_save_and_load(
+    tmp_path, rng
+):
+    bundles, y, _ = _repeated_av_bundles(rng)
+    model = early_fusion_fit(bundles, y, SvrParams(c=2.0, epsilon=0.05))
+    assert model.svr.widths == (3, 4, 2)
+    assert [b.rows.shape[0] for b in model.svr.sv_blocks[:2]] == [6, 6]
+    save_fusion_model(model, tmp_path)
+    loaded = load_fusion_model(tmp_path)
+    assert loaded.svr.widths == (3, 4, 2)
+    queries = bundles[:7] + _repeated_av_bundles(rng, n=5)[0]
+    assert fusion_predict(loaded, queries).tobytes() == fusion_predict(model, queries).tobytes()
+
+
+def test_early_fusion_predict_grid_builds_no_full_support_vector_rows(rng, monkeypatch):
+    bundles, y, _ = _repeated_av_bundles(rng)
+    fitted = []
+    grid_fit = fusion.fit_svr
+
+    def recording(X, y, params, design=None):
+        fitted.append(grid_fit(X, y, params, design=design))
+        return fitted[-1]
+
+    monkeypatch.setattr(fusion, "fit_svr", recording)
+    points = [SvrParams(c=0.5), SvrParams(c=2.0)]
+    train, test = feature_table(bundles[:30]), feature_table(bundles[30:])
+    early_fusion_predict_grid(train, y[:30], points, test)
+    assert len(fitted) == 2
+    assert not any("support_vectors" in vars(svr) for svr in fitted)
+
+
+def test_late_fusion_ranks_the_memory_block_once_per_call(rng, monkeypatch):
+    train, y, points, test = _late_grid_case(rng)
+    ranked = []
+    rank_table = fusion.rank_table
+
+    def counted(X):
+        ranked.append(X.shape)
+        return rank_table(X)
+
+    monkeypatch.setattr(fusion, "rank_table", counted)
+    late_fusion_predict_grid(train, y, points, test, 6)
+    assert ranked == [(30, 4)]  # 2 stacking folds x 1 forest setting + 1 final fit, one ranking
+    ranked.clear()
+    late_fusion_fit([ModalityBundle(mem_lexical=v) for v in rng.normal(size=(20, 4))],
+                    rng.normal(size=20), _late_params(3), 1.0, k_inner=2)
+    assert ranked == [(20, 4)]

@@ -10,6 +10,7 @@ from memfuse.regressors import (
     model_to_json,
     predict_ridge,
 )
+from memfuse.regressors.scaler import column_moments
 
 from .oracles import ridge_normal_equations
 
@@ -168,3 +169,18 @@ def test_model_from_json_rejects_a_scaler_that_cannot_standardize(rng, kind, cas
     model_from_json(doc)  # the untouched document loads
     with pytest.raises(ValueError, match="^scaler "):
         model_from_json({**doc, "scaler": _BAD_SCALERS[case](doc["scaler"])})
+
+
+def test_column_moments_of_counted_rows_are_those_of_the_rows_repeated(rng):
+    X = rng.normal(loc=2.0, scale=3.0, size=(7, 5))
+    X[:, 3] = -1.5  # constant
+    means, stds, centered = column_moments(X)
+    assert means.tobytes() == X.mean(axis=0).tobytes()
+    assert stds.tobytes() == X.std(axis=0).tobytes()
+    assert centered.tobytes() == (X - X.mean(axis=0)).tobytes()
+    counts = np.array([1, 4, 2, 1, 3, 1, 5])
+    repeated = np.repeat(X, counts, axis=0)
+    means, stds, centered = column_moments(X, counts)
+    assert np.allclose(means, repeated.mean(axis=0), rtol=1e-14, atol=0)
+    assert np.allclose(stds, repeated.std(axis=0), rtol=1e-13, atol=1e-15)
+    assert np.array_equal(centered, X - means)

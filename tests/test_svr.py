@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from memfuse.regressors import (
+    Block,
     SvrDesign,
     SvrParams,
     fit_svr,
@@ -15,6 +16,7 @@ from memfuse.regressors import (
     predict_svr,
     rbf_kernel_matrix,
     save_model,
+    support_blocks,
 )
 from memfuse.regressors import svr as svr_module
 from memfuse.regressors.scaler import Scaler
@@ -95,11 +97,13 @@ def test_predict_with_stored_norms_is_bit_equal_to_a_fresh_kernel(rng):
     y = X[:, 0] + 0.1 * rng.normal(size=30)
     fitted = fit_svr(X, y, SvrParams(c=3.0, epsilon=0.05))
     doc = model_to_json(fitted)
-    assert "sv_sq_norms" not in doc
+    assert "sv_blocks" not in doc
     queries = rng.normal(size=(7, 4))
     for model in (fitted, model_from_json(doc)):
         sv = model.support_vectors
-        assert np.array_equal(model.sv_sq_norms, (sv * sv).sum(axis=1))
+        ((rows, sq_norms, index),) = model.sv_blocks
+        assert index is None and rows is sv
+        assert np.array_equal(sq_norms, (sv * sv).sum(axis=1))
         K = rbf_kernel_matrix(sv, model.scaler.transform(queries), model.params.gamma)
         assert np.array_equal(predict_svr(model, queries), model.dual_coefs @ K + model.bias)
 
@@ -383,10 +387,12 @@ def test_gram_passes_the_rows_norms_for_both_sides(rng, monkeypatch):
 
     X = rng.normal(size=(12, 3))
     design = SvrDesign(X)
+    ((rows, sq_norms, index),) = design.blocks
+    assert index is None
     monkeypatch.setattr(svr_module, "rbf_kernel_matrix", recording)
     gamma, gram = design.gram(SvrParams())
-    assert [(a is design.row_sq_norms, b is design.row_sq_norms) for a, b in seen] == [(True, True)]
-    assert gram.tobytes() == kernel(design.rows, design.rows, gamma).tobytes()
+    assert [(a is sq_norms, b is sq_norms) for a, b in seen] == [(True, True)]
+    assert gram.tobytes() == kernel(rows, rows, gamma).tobytes()
 
 
 def _kernel_by_doubled_operand(A, B, gamma):
@@ -409,7 +415,8 @@ def test_gram_is_byte_equal_to_doubling_an_operand(rng):
     for n, d in ((12, 3), (60, 50)):
         design = SvrDesign(rng.normal(size=(n, d)))
         gamma, gram = design.gram(SvrParams())
-        expected = _kernel_by_doubled_operand(design.rows, design.rows, gamma)
+        rows = design.blocks[0].rows
+        expected = _kernel_by_doubled_operand(rows, rows, gamma)
         assert gram.tobytes() == expected.tobytes()
 
 
@@ -424,9 +431,9 @@ def _fit_on_repeated_rows(rng, n_distinct=6, repeats=8, d=5):
 def test_distinct_support_vectors_predict_bit_equal_to_the_full_kernel(rng):
     X = rng.normal(size=(40, 6))
     model = fit_svr(X, np.sin(X[:, 0]) + 0.1 * rng.normal(size=40), SvrParams(c=3.0))
-    distinct = model.sv_distinct
+    (distinct,) = model.sv_blocks
     assert distinct.index is None
-    assert distinct.rows is model.support_vectors and distinct.sq_norms is model.sv_sq_norms
+    assert distinct.rows is model.support_vectors
     queries = rng.normal(size=(9, 6))
     for block in (queries, queries[:1], queries[4]):
         want = svr_predictions_by_full_kernel(model, block)
@@ -435,7 +442,7 @@ def test_distinct_support_vectors_predict_bit_equal_to_the_full_kernel(rng):
 
 def test_repeated_support_vectors_share_one_kernel_row(rng, monkeypatch):
     X, model = _fit_on_repeated_rows(rng)
-    sv, distinct = model.support_vectors, model.sv_distinct
+    sv, (distinct,) = model.support_vectors, model.sv_blocks
     assert sv.shape[0] > 6 and distinct.rows.shape[0] == 6
     assert distinct.index.dtype == np.intp
     assert distinct.rows[distinct.index].tobytes() == sv.tobytes()
@@ -466,14 +473,17 @@ def test_rows_of_equal_norm_but_other_values_are_not_merged():
     A = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [3.0, 4.0, 0.0], [4.0, 0.0, 3.0],
                   [0.0, 3.0, 4.0], [5.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     norms = (A * A).sum(axis=1)
-    distinct = svr_module._distinct_rows(A, norms)
+    distinct = svr_module._distinct(A, None, norms)
     assert distinct.rows.tolist() == [[3, 4, 0], [0, 3, 4], [4, 0, 3], [5, 0, 0], [1, 1, 1]]
     assert distinct.index.tolist() == [0, 1, 0, 2, 1, 3, 4]
     assert distinct.sq_norms.tolist() == [25.0] * 4 + [3.0]
-    assert svr_module._distinct_rows(A[[0, 1, 3, 5]], norms[[0, 1, 3, 5]]).index is None
+    assert svr_module._distinct(A[[0, 1, 3, 5]], None, norms[[0, 1, 3, 5]]).index is None
+    # Without norms, rows are tied by their sums, which [3, 4, 0] and [0, 3, 4] share too.
+    rows, index = svr_module.distinct_rows(A)
+    assert rows.tolist() == distinct.rows.tolist() and index.tolist() == distinct.index.tolist()
 
     model = svr_module.SvrModel(
-        support_vectors=A,
+        sv_blocks=support_blocks(A),
         dual_coefs=np.array([0.5, -0.25, 0.125, 1.0, -2.0, 0.75, -0.125]),
         bias=0.3,
         params=SvrParams(gamma=0.02),
@@ -493,16 +503,15 @@ def test_models_with_no_and_with_one_support_vector(rng):
     y = 0.1 * rng.normal(size=12)
     none = fit_svr(X, y, SvrParams(epsilon=10.0))
     assert none.support_vectors.shape == (0, 4)
-    assert none.sv_distinct.rows.shape == (0, 4) and none.sv_distinct.index is None
+    assert none.sv_blocks[0].rows.shape == (0, 4) and none.sv_blocks[0].index is None
     two = fit_svr(X, y, SvrParams(epsilon=0.0))
     one = dataclasses.replace(
         two,
-        support_vectors=two.support_vectors[:1],
+        sv_blocks=support_blocks(two.support_vectors[:1]),
         dual_coefs=two.dual_coefs[:1],
         support_indices=two.support_indices[:1],
-        sv_sq_norms=None,
     )
-    assert one.sv_distinct.rows.shape == (1, 4) and one.sv_distinct.index is None
+    assert one.sv_blocks[0].rows.shape == (1, 4) and one.sv_blocks[0].index is None
     queries = rng.normal(size=(5, 4))
     loaded = [model_from_json(model_to_json(model)) for model in (none, one)]
     for model in (none, one, *loaded):
@@ -518,10 +527,12 @@ def test_saved_and_loaded_models_predict_bit_equal_and_do_not_write_distinct_row
     for name, fitted in (("repeated", repeated), ("distinct", distinct)):
         path = tmp_path / f"{name}.json"
         save_model(fitted, path)
-        assert "sv_distinct" not in json.loads(path.read_text(encoding="utf-8"))
+        assert "sv_blocks" not in json.loads(path.read_text(encoding="utf-8"))
         loaded = load_model(path)
-        assert loaded.sv_distinct.rows.tobytes() == fitted.sv_distinct.rows.tobytes()
-        assert np.array_equal(loaded.sv_distinct.index, fitted.sv_distinct.index)
+        ((loaded_rows, _, loaded_index),) = loaded.sv_blocks
+        ((fitted_rows, _, fitted_index),) = fitted.sv_blocks
+        assert loaded_rows.tobytes() == fitted_rows.tobytes()
+        assert np.array_equal(loaded_index, fitted_index)
         for block in (queries, queries[2]):
             assert predict_svr(loaded, block).tobytes() == predict_svr(fitted, block).tobytes()
 
@@ -535,9 +546,137 @@ def test_design_predictions_equal_predict_svr_on_repeated_rows(rng):
         for c in (0.5, 4.0)
         for eps in (0.0, 0.1)
     ]
-    assert all(m.sv_distinct.index is not None for m in models)
+    assert all(m.sv_blocks[0].index is not None for m in models)
     queries = np.concatenate([X[:4], rng.normal(size=(9, 5))])
     for block in (queries, queries[:1]):
         preds = design.predictions(models, block)
         for model, pred in zip(models, preds):
             assert pred.tobytes() == predict_svr(model, block).tobytes()
+
+
+def _ulp_noise(K, rng):
+    """K with every entry moved one ulp up or down at random, kept symmetric."""
+    up = np.triu(rng.random(K.shape) < 0.5)
+    up |= up.T
+    return np.where(up, np.nextafter(K, np.inf), np.nextafter(K, -np.inf))
+
+
+def test_one_ulp_of_gram_noise_moves_predictions_by_less_than_1e_minus_6(monkeypatch):
+    # A stand-in for another BLAS reduction order, such as another thread
+    # count: each Gram entry moves by one ulp. Such noise can change the SMO's
+    # pivots and so its path, but at the default KKT tolerance of 1e-7 the
+    # predictions stay within 1e-6.
+    assert SvrParams().tol == 1e-7
+    kernel = svr_module.rbf_kernel_matrix
+    worst = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, 6))
+        y = np.sin(X[:, 0]) + 0.3 * rng.normal(size=60)
+        queries = rng.normal(size=(20, 6))
+        params = SvrParams(c=2.0, epsilon=0.05)
+        plain = predict_svr(fit_svr(X, y, params), queries)
+        noise = np.random.default_rng(100 + seed)
+
+        def noisy(A, B, *args, noise=noise):
+            K = kernel(A, B, *args)
+            return _ulp_noise(K, noise) if A is B else K
+
+        monkeypatch.setattr(svr_module, "rbf_kernel_matrix", noisy)
+        perturbed = predict_svr(fit_svr(X, y, params), queries)
+        monkeypatch.setattr(svr_module, "rbf_kernel_matrix", kernel)
+        worst = max(worst, float(np.max(np.abs(plain - perturbed))))
+    assert worst < 1e-6
+
+
+def _av_like_blocks(rng, n=48, videos=6):
+    """An audio-like block of a few rows shared by many samples, and a row per sample."""
+    audio = rng.normal(size=(videos, 5))
+    memory = rng.normal(size=(n, 3))
+    index = rng.integers(0, videos, size=n)
+    index[:videos] = np.arange(videos)  # every video is watched
+    return audio, index, memory
+
+
+def test_a_design_of_blocks_equals_one_of_their_stacked_rows_up_to_rounding(rng):
+    audio, index, memory = _av_like_blocks(rng)
+    stacked = np.hstack([audio[index], memory])
+    factored = SvrDesign([Block(audio, index), Block(memory)])
+    plain = SvrDesign(stacked)
+    assert factored.widths == (5, 3) and plain.widths == (8,)
+    assert factored.blocks[0].rows.shape == (6, 5)  # one row per video
+    assert np.allclose(factored.scaler.means, plain.scaler.means, rtol=0, atol=1e-14)
+    assert np.allclose(factored.scaler.stds, plain.scaler.stds, rtol=1e-14, atol=0)
+    for params in (SvrParams(), SvrParams(gamma_scale=0.5), SvrParams(gamma=0.3)):
+        (g1, K1), (g2, K2) = factored.gram(params), plain.gram(params)
+        assert g1 == pytest.approx(g2, rel=1e-14)
+        assert np.allclose(K1, K2, rtol=0, atol=1e-14)
+    y = stacked[:, 0] + rng.normal(size=stacked.shape[0])
+    params = SvrParams(c=2.0, epsilon=0.05)
+    model = fit_svr([Block(audio, index), Block(memory)], y, params)
+    assert model.widths == (5, 3)
+    stacked_svs = plain.blocks[0].rows[model.support_indices]
+    assert np.allclose(model.support_vectors, stacked_svs, rtol=0, atol=1e-13)
+    queries = np.vstack([stacked[:5], rng.normal(size=(4, 8))])
+    want = predict_svr(fit_svr(stacked, y, params), queries)
+    assert np.max(np.abs(predict_svr(model, queries) - want)) < 1e-6
+
+
+def test_designs_of_one_sample_set_stored_differently_are_bit_equal(rng):
+    # Equal rows are found by value, never by where they are stored: a block
+    # whose vectors hold unused rows and copies of each other builds the same
+    # design, model and predictions as the same samples stored once.
+    audio, index, memory = _av_like_blocks(rng)
+    y = audio[index, 0] + memory[:, 1] + rng.normal(size=index.size)
+    stored = np.vstack([rng.normal(size=(2, 5)), audio, audio[::-1]])  # rows 2-7 and 13-8 repeat
+    copies = np.where(np.arange(index.size) % 2 == 0, index + 2, 13 - index)
+    blocks = {
+        "once": [Block(audio, index), Block(memory)],
+        "copies": [Block(stored, copies), Block(memory[::-1], np.arange(index.size)[::-1])],
+    }
+    queries = [Block(audio, np.array([3, 0, 3, 5])), Block(rng.normal(size=(4, 3)))]
+    models, preds = {}, {}
+    for name, X in blocks.items():
+        design = SvrDesign(X)
+        models[name] = fit_svr(X, y, SvrParams(c=2.0, epsilon=0.05), design=design)
+        preds[name] = design.predictions([models[name]], queries)[0]
+    assert model_to_json(models["once"]) == model_to_json(models["copies"])
+    assert preds["once"].tobytes() == preds["copies"].tobytes()
+    full = np.hstack([audio[queries[0].index], queries[1].vectors])
+    assert predict_svr(models["copies"], full).tobytes() == preds["once"].tobytes()
+    assert design.predictions([models["copies"]], full)[0].tobytes() == preds["once"].tobytes()
+    with pytest.raises(ValueError, match=r"expected block widths \(5, 3\), got \(3, 5\)"):
+        design.predictions([models["copies"]], queries[::-1])
+
+
+def test_a_model_fitted_on_blocks_builds_its_full_rows_only_when_they_are_read(rng):
+    audio, index, memory = _av_like_blocks(rng)
+    y = audio[index, 0] + rng.normal(size=index.size)
+    model = fit_svr([Block(audio, index), Block(memory)], y, SvrParams(c=2.0, epsilon=0.05))
+    audio_svs = model.sv_blocks[0]
+    assert audio_svs.rows.shape[0] <= 6 < model.dual_coefs.size
+    predict_svr(model, np.hstack([audio[:2], memory[:2]]))
+    assert "support_vectors" not in vars(model)
+    doc = model_to_json(model)
+    assert "support_vectors" in vars(model)
+    assert np.array_equal(doc["support_vectors"], model.support_vectors)
+    assert model.support_vectors.shape == (model.dual_coefs.size, 8)
+    loaded = model_from_json(doc)
+    assert loaded.widths == (8,)
+    split = dataclasses.replace(loaded, sv_blocks=support_blocks(loaded.support_vectors, (5, 3)))
+    queries = np.hstack([audio[index[:9]], rng.normal(size=(9, 3))])
+    assert predict_svr(split, queries).tobytes() == predict_svr(model, queries).tobytes()
+
+
+def test_scale_heuristic_gamma_is_gamma_scale_over_the_non_constant_columns(rng):
+    X = rng.normal(size=(30, 5))
+    X[:, 1] = 4.0  # constant
+    X[:, 3] = 0.0  # constant
+    design = SvrDesign(X)
+    gamma, _ = design.gram(SvrParams(gamma_scale=1.5))
+    assert gamma == 1.5 / 3
+    rows = design.blocks[0].rows
+    assert gamma == pytest.approx(1.5 / (5 * rows.var()), rel=1e-14)
+    constant = SvrDesign(np.ones((6, 4)))
+    assert constant.gram(SvrParams())[0] == 1.0 / 4
+    assert SvrDesign(X).gram(SvrParams(gamma=0.7))[0] == 0.7

@@ -10,11 +10,17 @@ side only. Use it to check a regenerated golden file:
 
     git show HEAD:tests/data/golden_report.json > /tmp/old.json
     python tools/compare_reports.py /tmp/old.json tests/data/golden_report.json
+
+With `--tol X` the numbers (`mean_r2`, `fold_r2` and deltas) may differ by up
+to X each, as the same run under another BLAS thread count does; selections
+must still be identical. It prints the largest difference it saw.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import sys
 
 
@@ -22,23 +28,42 @@ def _reports(doc: dict) -> dict[str, dict]:
     return {"": doc} if "cells" in doc else doc
 
 
-def compare(old: dict, new: dict) -> tuple[list[str], list[str]]:
-    """Return (differences in numbers, notes on keys only one side selects)."""
+def _gap(a, b) -> float:
+    """The largest |a - b| over two numbers or two equally long lists; inf if they do not pair."""
+    if isinstance(a, list) or isinstance(b, list):
+        if not (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)):
+            return math.inf
+        return max((_gap(x, y) for x, y in zip(a, b)), default=0.0)
+    return abs(a - b)
+
+
+def compare(old: dict, new: dict, tol: float = 0.0) -> tuple[list[str], list[str], float]:
+    """Return (differences beyond `tol` or in selections, notes on keys only one side selects,
+    the largest numeric difference)."""
     problems, notes = [], []
+    worst = 0.0
     old, new = _reports(old), _reports(new)
     if sorted(old) != sorted(new):
-        return [f"reports {sorted(old)} vs {sorted(new)}"], notes
+        return [f"reports {sorted(old)} vs {sorted(new)}"], notes, worst
     for name in sorted(old):
         a, b = old[name], new[name]
-        if a.get("deltas") != b.get("deltas"):
+        da, db = a.get("deltas") or {}, b.get("deltas") or {}
+        if sorted(da) != sorted(db):
             problems.append(f"{name}: deltas differ")
+        else:
+            gap = max((_gap(da[k], db[k]) for k in da), default=0.0)
+            worst = max(worst, gap)
+            if gap > tol:
+                problems.append(f"{name}: deltas differ")
         if sorted(a["cells"]) != sorted(b["cells"]):
             problems.append(f"{name}: cells {sorted(a['cells'])} vs {sorted(b['cells'])}")
             continue
         for key in sorted(a["cells"]):
             ca, cb = a["cells"][key], b["cells"][key]
             for field in ("mean_r2", "fold_r2"):
-                if ca[field] != cb[field]:
+                gap = _gap(ca[field], cb[field])
+                worst = max(worst, gap)
+                if gap > tol:
                     problems.append(f"{name} {key}: {field} {ca[field]} vs {cb[field]}")
             if (ca["params"] is None) != (cb["params"] is None):
                 problems.append(f"{name} {key}: params present on one side only")
@@ -52,22 +77,30 @@ def compare(old: dict, new: dict) -> tuple[list[str], list[str]]:
                         problems.append(f"{name} {key}: {k} {pa[k]} vs {pb[k]}")
             if dropped or added:
                 notes.append(f"{name} {key}: dropped {sorted(dropped)}, added {sorted(added)}")
-    return problems, notes
+    return problems, notes, worst
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument(
+        "--tol", type=float, default=0.0, help="largest allowed difference of a number (default 0)"
+    )
+    args = parser.parse_args(argv)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        parser.error(f"--tol must be non-negative and finite, got {args.tol}")
     docs = []
-    for path in argv:
+    for path in (args.old, args.new):
         with open(path, encoding="utf-8") as fh:
             docs.append(json.load(fh))
-    problems, notes = compare(*docs)
+    problems, notes, worst = compare(*docs, tol=args.tol)
     for line in notes:
         print(line)
     for line in problems:
         print(f"DIFFERS: {line}")
+    if args.tol:
+        print(f"largest numeric difference {worst:.3g} (tolerance {args.tol:g})")
     print(f"{len(problems)} numeric or value differences, {len(notes)} cells with changed keys")
     return 1 if problems else 0
 
