@@ -22,10 +22,17 @@ are the same, and no fit ranks anything.
 
 A fitted forest also holds its trees' nodes packed into one table.
 `predict_forest` steps every row down every tree at once, one level per step,
-until each walk sits on a leaf. It adds the leaf values tree by tree, in tree
-order and from zero, and divides by the tree count: the predictions are those
-of walking and summing the trees one at a time, bit for bit. A numpy sum over
-the (rows, trees) block would not be, as it adds a row's values pairwise.
+until each walk sits on a leaf. Each step is flat: one `take` reads every
+walk's split value from C-contiguous X, and one `take` from `children`, which
+holds node k's left child at 2k and its right child at 2k + 1, moves every
+walk to child `2 * node + (x > threshold)`. X is checked finite and no
+threshold is NaN, so `x > threshold` is exactly `not x <= threshold`: each
+walk takes the left branch where a tree walked on its own does. The walk then
+adds the leaf values tree by tree, in tree order and from zero (one
+accumulation along each row), and divides by the tree count: the predictions
+are those of walking and summing the trees one at a time, bit for bit. A
+numpy sum over the (rows, trees) block would not be, as it adds a row's
+values pairwise.
 """
 
 from __future__ import annotations
@@ -75,15 +82,15 @@ class _Nodes:
     """Every tree's nodes in one set of arrays, so that one walk steps all trees.
 
     Tree t's nodes follow those of the trees before it, from `roots[t]` on, and
-    its child indices are offset to match. A leaf is its own left and right
-    child, so a walk that has reached it stays there.
+    its child indices are offset to match. Node k's left child is
+    `children[2 * k]` and its right child `children[2 * k + 1]`. A leaf is its
+    own left and right child, so a walk that has reached it stays there.
     """
 
     roots: np.ndarray
     feature: np.ndarray  # -1 marks a leaf
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    children: np.ndarray
     value: np.ndarray
 
 
@@ -98,12 +105,13 @@ def _pack(trees: list[_Tree]) -> _Nodes:
     def joined(name: str) -> np.ndarray:
         return np.concatenate([getattr(tree, name) for tree in trees])
 
+    left = np.where(leaf, ids, joined("left") + offsets)
+    right = np.where(leaf, ids, joined("right") + offsets)
     return _Nodes(
         roots=roots,
         feature=feature,
         threshold=joined("threshold"),
-        left=np.where(leaf, ids, joined("left") + offsets),
-        right=np.where(leaf, ids, joined("right") + offsets),
+        children=np.stack([left, right], axis=1).ravel(),
         value=joined("value"),
     )
 
@@ -329,16 +337,18 @@ def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values in prediction input")
     nodes = model.nodes
+    values = np.ascontiguousarray(X).ravel()
+    starts = np.arange(0, values.size, X.shape[1])[:, None]  # each row's first value
     node = np.tile(nodes.roots, (X.shape[0], 1))  # (rows, trees): each walk's node
     while True:
-        feature = nodes.feature[node]
+        feature = nodes.feature.take(node)
         if (feature < 0).all():
             break
-        # A leaf's -1 reads the last column; it goes to itself either way.
-        x = np.take_along_axis(X, feature, axis=1)
-        node = np.where(x <= nodes.threshold[node], nodes.left[node], nodes.right[node])
-    # Tree by tree from zero: a numpy sum over each row would add pairwise.
-    out = np.zeros(X.shape[0])
-    for leaf_values in nodes.value[node].T:
-        out += leaf_values
-    return out / len(model.trees)
+        # A leaf's -1 reads another value of X; a leaf goes to itself either way.
+        x = values.take(starts + feature)
+        node = nodes.children.take(2 * node + (x > nodes.threshold.take(node)))
+    # Tree by tree: an accumulation adds in order, where a numpy sum over each
+    # row would add pairwise. Adding 0.0 gives the sum from zero: it turns a
+    # sum of -0.0s into 0.0 and leaves every other sum as it is.
+    totals = np.add.accumulate(nodes.value.take(node), axis=1)[:, -1] + 0.0
+    return totals / len(model.trees)

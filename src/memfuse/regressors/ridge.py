@@ -42,8 +42,7 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in training data")
 
-    scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
+    scaler, Xs = Scaler.fit_transform(X)
     y_mean = float(y.mean())
     yc = y - y_mean
     n, d = Xs.shape

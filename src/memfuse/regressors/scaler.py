@@ -18,8 +18,18 @@ class Scaler:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
-        means, stds, _ = column_moments(np.asarray(X, dtype=float))
-        return cls(means=means, stds=np.where(stds == 0.0, 1.0, stds))
+        return cls.fit_transform(X)[0]
+
+    @classmethod
+    def fit_transform(cls, X: np.ndarray) -> tuple["Scaler", np.ndarray]:
+        """The scaler fit on X, and X standardized by it, from one pass of column moments.
+
+        X standardized is `fit(X).transform(X)` bit for bit: the same
+        `X - means`, divided by the same stds.
+        """
+        means, stds, centered = column_moments(np.asarray(X, dtype=float))
+        scaler = cls(means=means, stds=np.where(stds == 0.0, 1.0, stds))
+        return scaler, centered / scaler.stds
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

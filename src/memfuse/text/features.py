@@ -9,14 +9,29 @@ order. The rule scorer's four document scores are appended after the lexicon
 blocks, so with the bundled suite the lexical vector is 130-dimensional and
 the embedding vector 500-dimensional.
 
-The rule runs through a word index built once from the tables (`_WordIndex`):
-for every word of any table, its row in each table's packed `vectors` under
-the rule (-1 on a miss). A token of that vocabulary then costs one dict
-lookup for all tables; only a token outside it is lemmatized, and it can only
-match through its lemma. A table's block is the mean of its hit rows taken
-from `vectors`, the same reduction over the same array that `np.mean` of the
-list of hit vectors runs. The index holds the tables' vocabulary and nothing
-per text or token, so its size does not grow with the texts it serves.
+The rule runs through a word index built once from the tables (`_WordIndex`).
+An index entry is one outcome of the rule: a row in every table, or a miss.
+A vocabulary word's entry holds its rule rows (its own row, else its lemma's,
+table by table). A token outside the vocabulary is lemmatized and can match
+only through its lemma's own rows, so a lemma whose own rows differ from its
+rule rows has a second entry (3 words do in the bundled suite); one all-miss
+entry comes last. Each feature family (a group of tables) holds one
+read-only matrix with a row per distinct outcome on its tables, every
+table's vector side by side and -0.0 where that table misses, and a mask of
+the tables each row hits. A text then costs one entry id per word token and,
+per family, one gather, one column sum and one division by each table's hit
+count (0.0 where nothing hits).
+
+The sums are those of `np.mean` over each table's hit vectors, bit for bit.
+numpy adds a (hits, width) block row by row, in order, and -0.0 is the
+additive identity, so the misses' padding changes no sum of a table two or
+more values wide. A one-column block is summed pairwise instead, so such a
+table's sum is taken from the 1-d array of its hit values alone.
+
+The index holds the tables' vocabulary and nothing per text or token, so its
+size does not grow with the texts it serves. Its matrices copy the tables'
+vectors, padded to each family's width: 1.4 MiB for the bundled suite, and
+for a full-size suite at least one more copy of its tables.
 
 `TextFeatureExtractor` builds one index over its lexicons and embedding
 tables and tokenizes a text once for both families and the rule scorer;
@@ -52,8 +67,42 @@ def _loaded(tables: Sequence[Lexicon | EmbeddingTable], what: str):
     return tables
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One group of tables' side of a `_WordIndex`: one row per distinct outcome there."""
+
+    rows: np.ndarray  # (index entries,): each entry's row of the arrays below
+    matrix: np.ndarray  # (rows, total width), read-only: each table's vector or -0.0
+    hits: np.ndarray  # (rows, tables): True where the row hits the table
+    widths: np.ndarray  # each table's width
+    single: tuple[tuple[int, int], ...]  # (column, table) of each one-column table
+
+
+def _family(group: Sequence[Lexicon | EmbeddingTable], entries: list[tuple[int, ...]]) -> _Family:
+    """The `_Family` of `group`, whose tables' rows each entry lists (-1 on a miss)."""
+    distinct: dict[tuple[int, ...], int] = {}
+    rows = np.array([distinct.setdefault(e, len(distinct)) for e in entries], dtype=np.intp)
+    table_rows = np.array(list(distinct), dtype=np.intp).reshape(len(distinct), len(group))
+    hits = table_rows >= 0
+    widths = np.array([table.width for table in group])
+    columns = np.cumsum(widths) - widths
+    matrix = np.full((len(distinct), int(widths.sum())), -0.0)
+    for j, table in enumerate(group):
+        matrix[hits[:, j], columns[j] : columns[j] + widths[j]] = table.vectors[
+            table_rows[hits[:, j], j]
+        ]
+    matrix.flags.writeable = False
+    return _Family(
+        rows=rows,
+        matrix=matrix,
+        hits=hits,
+        widths=widths,
+        single=tuple((int(columns[j]), j) for j in range(len(group)) if widths[j] == 1),
+    )
+
+
 class _WordIndex:
-    """Each vocabulary word's row in the packed `vectors` of every table.
+    """Each vocabulary word's entry under the lookup rule, and one `_Family` per group.
 
     `groups` are sequences of word tables; `token_means` gives one vector
     of concatenated table means and one coverage per group.
@@ -61,27 +110,30 @@ class _WordIndex:
 
     def __init__(self, groups: Sequence[Sequence[Lexicon | EmbeddingTable]]):
         tables = [table for group in groups for table in group]
-        self.spans = []
-        start = 0
-        for group in groups:
-            self.spans.append((start, start + len(group)))
-            start += len(group)
-        self.matrices = [table.vectors for table in tables]
         own: dict[str, list[int]] = {}
         for j, table in enumerate(tables):
             for row, word in enumerate(table.entries):
                 own.setdefault(word, [-1] * len(tables))[j] = row
-        self.miss = (-1,) * len(tables)
-        # `own[w]`: the rows of word w itself; `rows[w]`: w's rows under the
-        # lookup rule, its own row or else its lemma's, table by table.
-        self.own = {word: tuple(rows) for word, rows in own.items()}
-        self.rows = {
-            word: tuple(
-                mine if mine >= 0 else lemma
-                for mine, lemma in zip(rows, self.own.get(lemmatize(word), self.miss))
-            )
-            for word, rows in self.own.items()
+        # An entry is a word's row in every table, -1 on a miss. `ids[w]` is
+        # w's entry under the rule, its own row or else its lemma's, table by
+        # table; `own_ids[w]` is w's own rows, which a token outside the
+        # vocabulary whose lemma is w hits.
+        entries: dict[tuple[int, ...], int] = {}
+        miss = (-1,) * len(tables)
+        self.ids: dict[str, int] = {}
+        for word, rows in own.items():
+            lemma = own.get(lemmatize(word), miss)
+            rule = tuple(mine if mine >= 0 else other for mine, other in zip(rows, lemma))
+            self.ids[word] = entries.setdefault(rule, len(entries))
+        self.own_ids = {
+            word: entries.setdefault(tuple(rows), len(entries)) for word, rows in own.items()
         }
+        self.miss = entries.setdefault(miss, len(entries))
+        self.families = []
+        start = 0
+        for group in groups:
+            self.families.append(_family(group, [e[start : start + len(group)] for e in entries]))
+            start += len(group)
 
     def token_means(self, words: list[str]) -> list[tuple[np.ndarray, float]]:
         """Per group, the concatenated table means of `words` and their coverage.
@@ -89,28 +141,24 @@ class _WordIndex:
         Coverage is the fraction of words found in at least one of the
         group's tables, 0.0 for no words.
         """
-        found = []
+        ids = []
         for word in words:
-            rows = self.rows.get(word)
-            found.append(self.own.get(lemmatize(word), self.miss) if rows is None else rows)
-        # One line per table, one column per word: its row in that table, or -1.
-        table_rows = np.array(found, dtype=np.intp).reshape(len(found), len(self.miss)).T
-        hit = table_rows >= 0
+            entry = self.ids.get(word)
+            ids.append(self.own_ids.get(lemmatize(word), self.miss) if entry is None else entry)
+        ids = np.array(ids, dtype=np.intp)
         out = []
-        for start, stop in self.spans:
-            blocks = []
-            for matrix, rows, hits in zip(
-                self.matrices[start:stop], table_rows[start:stop], hit[start:stop]
-            ):
-                rows = rows[hits]
-                # np.mean's own reduction, over the same (hits, width) array.
-                blocks.append(
-                    np.add.reduce(matrix.take(rows, axis=0), axis=0) / rows.size
-                    if rows.size
-                    else np.zeros(matrix.shape[1])
-                )
-            matched = int(np.count_nonzero(hit[start:stop].any(axis=0)))
-            out.append((np.concatenate(blocks), matched / len(words) if words else 0.0))
+        for family in self.families:
+            rows = family.rows.take(ids)
+            block = family.matrix.take(rows, axis=0)
+            sums = np.add.reduce(block, axis=0)
+            hits = family.hits.take(rows, axis=0)
+            counts = np.count_nonzero(hits, axis=0).repeat(family.widths)
+            for column, j in family.single:
+                # np.mean's pairwise sum of a one-column block: over the hits alone.
+                sums[column] = np.add.reduce(block[:, column][hits[:, j]])
+            means = np.divide(sums, counts, out=np.zeros(sums.size), where=counts > 0)
+            matched = int(np.count_nonzero(hits.any(axis=1)))
+            out.append((means, matched / len(words) if words else 0.0))
         return out
 
 

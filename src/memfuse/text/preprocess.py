@@ -3,6 +3,12 @@
 The preprocessing rules run in a fixed order: decade references, year
 references, remaining numbers, contractions. Possessive "'s" is deliberately
 not expanded (ambiguous with "is").
+
+A rule runs only where it can match. Every number rule needs a digit, so the
+three run only when the text holds one, by the same digit class the rules use
+(non-ASCII digits count too). Every contraction rule needs a "'", so the
+seven run only when the text holds one after the number rules. A skipped rule
+would have left the text as it is, so the output is the same.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ __all__ = ["preprocess", "tokenize", "lemmatize", "Token"]
 _DECADE_RE = re.compile(r"(?<![\w'])(?:[Tt]he\s+)?'?(?:19|20)?\d0s\b")
 _YEAR_RE = re.compile(r"\b(?:19|20)\d{2}\b")
 _NUMBER_RE = re.compile(r"\d+")
+_DIGIT_RE = re.compile(r"\d")  # each number rule needs a match of this
 
 # Whole-word contractions, handled before the generic suffix rules.
 _WORD_CONTRACTIONS = {
@@ -51,12 +58,14 @@ def preprocess(text: str) -> str:
 
     Idempotent: applying it to its own output changes nothing.
     """
-    text = _DECADE_RE.sub("that decade", text)
-    text = _YEAR_RE.sub("that year", text)
-    text = _NUMBER_RE.sub("0", text)
-    text = _WORD_CONTRACTION_RE.sub(_replace_word_contraction, text)
-    for pattern, replacement in _SUFFIX_CONTRACTIONS:
-        text = pattern.sub(replacement, text)
+    if _DIGIT_RE.search(text):
+        text = _DECADE_RE.sub("that decade", text)
+        text = _YEAR_RE.sub("that year", text)
+        text = _NUMBER_RE.sub("0", text)
+    if "'" in text:
+        text = _WORD_CONTRACTION_RE.sub(_replace_word_contraction, text)
+        for pattern, replacement in _SUFFIX_CONTRACTIONS:
+            text = pattern.sub(replacement, text)
     return text
 
 
@@ -87,7 +96,7 @@ _TOKEN_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*|\d+|[^\sA-Za-z\d]")
 
 def tokenize(text: str) -> list[Token]:
     """Split into lowercase word tokens plus punctuation tokens."""
-    return [Token(m.group(0).lower(), m.group(0)) for m in _TOKEN_RE.finditer(text)]
+    return [Token(raw.lower(), raw) for raw in _TOKEN_RE.findall(text)]
 
 
 # Irregular forms and words a suffix rule would mangle.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from memfuse.regressors import (
+    ForestModel,
     ForestParams,
     fit_forest,
     load_model,
@@ -371,3 +373,68 @@ def test_split_search_keys_are_c_contiguous_and_sized_by_rank_range_and_position
         keys = _SplitSearch(X, 1, 3, ranks).keys
         assert keys.dtype == dtype and keys.flags.c_contiguous
         assert np.array_equal(keys >> 8, base << shift)
+
+
+def test_the_flat_walk_equals_tree_walks_on_threshold_values_and_any_layout_of_x(tmp_path):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(80, 6))
+    X[:, 2] = np.round(X[:, 2])  # tied values
+    y = X[:, 0] - 2 * X[:, 2] + rng.normal(size=80)
+    model = fit_forest(X, y, ForestParams(n_trees=12, min_leaf=1, seed=4))
+    # For every split, a row whose split value equals its threshold: it goes left.
+    on_threshold = []
+    for tree in model.trees:
+        for node in np.flatnonzero(tree.feature >= 0):
+            row = rng.normal(size=6)
+            row[tree.feature[node]] = tree.threshold[node]
+            on_threshold.append(row)
+    queries = np.vstack([X, on_threshold, rng.normal(size=(20, 6))])
+    expected = forest_by_tree_walks(model, queries)
+
+    wide = np.hstack([queries, rng.normal(size=(queries.shape[0], 3))])
+    reversed_columns = np.ascontiguousarray(queries[:, ::-1])[:, ::-1]  # negative strides
+    layouts = [queries, np.asfortranarray(queries), wide[:, :6], reversed_columns]
+    assert [q.flags.c_contiguous for q in layouts] == [True, False, False, False]
+    for layout in layouts:
+        assert predict_forest(model, layout).tobytes() == expected.tobytes()
+    assert predict_forest(model, queries[::3]).tobytes() == expected[::3].tobytes()
+    assert predict_forest(model, np.empty((0, 6))).shape == (0,)
+
+    save_model(model, tmp_path / "forest.json")
+    loaded = load_model(tmp_path / "forest.json")
+    assert predict_forest(loaded, queries).tobytes() == expected.tobytes()
+    assert predict_forest(loaded, np.asfortranarray(queries)).tobytes() == expected.tobytes()
+
+
+def test_children_hold_each_nodes_left_then_right_child_and_leaves_point_to_themselves(rng):
+    X = rng.normal(size=(40, 3))
+    model = fit_forest(X, X[:, 0] + rng.normal(size=40), ForestParams(n_trees=5, seed=2))
+    nodes = model.nodes
+    for t, tree in enumerate(model.trees):
+        root = nodes.roots[t]
+        for k in range(tree.feature.size):
+            left, right = nodes.children[2 * (root + k) : 2 * (root + k) + 2]
+            if tree.feature[k] < 0:
+                assert left == right == root + k
+            else:
+                assert (left, right) == (root + tree.left[k], root + tree.right[k])
+    assert nodes.children.size == 2 * nodes.feature.size
+
+
+def test_the_tree_order_sum_starts_from_zero_on_negative_zero_leaves(rng):
+    X = rng.normal(size=(30, 3))
+    model = fit_forest(X, X[:, 0], ForestParams(n_trees=4, seed=3))
+    queries = rng.normal(size=(10, 3))
+
+    def zeroed(keep):
+        """`model` with every leaf of the trees not in `keep` reading -0.0."""
+        trees = [
+            tree if t in keep else dataclasses.replace(tree, value=np.full(tree.value.size, -0.0))
+            for t, tree in enumerate(model.trees)
+        ]
+        return ForestModel(params=model.params, trees=trees, n_features=3)
+
+    assert predict_forest(zeroed([]), queries).tobytes() == np.zeros(10).tobytes()  # not -0.0
+    for keep in ([], [2], [0, 3]):
+        expected = forest_by_tree_walks(zeroed(keep), queries)
+        assert predict_forest(zeroed(keep), queries).tobytes() == expected.tobytes()

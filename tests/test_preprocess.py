@@ -113,3 +113,81 @@ def test_lemmatize(token, expected):
 def test_lemmatize_leaves_unknown_tokens(rng):
     for token in ("zorp", "quv", "blen"):
         assert lemmatize(token) == token
+
+
+def _random_texts(seed: int, n: int) -> list[str]:
+    """Seeded strings of letters of both cases, digits, "'" and fragments the rules rewrite.
+
+    "٣" is a non-ASCII digit, which the number rules' digit class matches;
+    "’" is an apostrophe the contraction rules do not.
+    """
+    rng = np.random.default_rng(seed)
+    chars = list("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789") + [
+        "٣", "'", "’", " ", " ", " ", "!",
+    ]
+    fragments = [
+        "the 90s", "The 1990s", "'90s", "1999", "2050s", "٣0s", "12", "can't", "Won't",
+        "it's", "THAT'S", "they're", "I'd", "we've", "you'll", "I'm", "n't", "don’t",
+        "mother's", " ",
+    ]
+    texts = []
+    for _ in range(n):
+        pieces = [
+            fragments[rng.integers(len(fragments))] if rng.random() < 0.3
+            else chars[rng.integers(len(chars))]
+            for _ in range(rng.integers(0, 40))
+        ]
+        texts.append("".join(pieces))
+    return texts
+
+
+def _every_rule(text: str) -> str:
+    """`preprocess` without its guards: every rule, in order, on every text."""
+    from memfuse.text.preprocess import (
+        _DECADE_RE,
+        _NUMBER_RE,
+        _SUFFIX_CONTRACTIONS,
+        _WORD_CONTRACTION_RE,
+        _YEAR_RE,
+        _replace_word_contraction,
+    )
+
+    text = _DECADE_RE.sub("that decade", text)
+    text = _YEAR_RE.sub("that year", text)
+    text = _NUMBER_RE.sub("0", text)
+    text = _WORD_CONTRACTION_RE.sub(_replace_word_contraction, text)
+    for pattern, replacement in _SUFFIX_CONTRACTIONS:
+        text = pattern.sub(replacement, text)
+    return text
+
+
+def test_guarded_preprocess_equals_every_rule_in_order_on_seeded_texts():
+    texts = _random_texts(seed=7, n=2000)
+    # The draws reach each guard both ways: rewritten texts with only a "'" or
+    # only digits (some of them only "٣"), and texts with neither.
+    rewritten = [t for t in texts if _every_rule(t) != t]
+    digits = [any(c.isdigit() for c in t) for t in rewritten]
+    assert sum("'" in t and not d for t, d in zip(rewritten, digits)) > 20
+    assert sum("'" not in t and d for t, d in zip(rewritten, digits)) > 20
+    assert any(set(t) & set("0123456789") == set() and "٣" in t for t in rewritten)
+    assert sum("'" not in t and not any(c.isdigit() for c in t) for t in texts) > 20
+    for text in texts:
+        once = preprocess(text)
+        assert once == _every_rule(text), text
+        assert preprocess(once) == _every_rule(once), text
+        # The rules themselves are not idempotent on a stacked "n't" such as
+        # "Won'tn't": the first pass expands the second "n't" only, which
+        # frees the first for the next pass.
+        if "n'tn't" not in text.lower():
+            assert preprocess(once) == once, text
+
+
+def test_tokenize_equals_its_finditer_form_on_seeded_texts():
+    from memfuse.text.preprocess import _TOKEN_RE
+
+    for text in _random_texts(seed=8, n=2000):
+        for source in (text, preprocess(text)):
+            tokens = tokenize(source)
+            expected = [(m.group(0).lower(), m.group(0)) for m in _TOKEN_RE.finditer(source)]
+            assert [(str(t), t.raw) for t in tokens] == expected, source
+            assert all(type(t).__name__ == "Token" for t in tokens)

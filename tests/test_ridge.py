@@ -184,3 +184,39 @@ def test_column_moments_of_counted_rows_are_those_of_the_rows_repeated(rng):
     assert np.allclose(means, repeated.mean(axis=0), rtol=1e-14, atol=0)
     assert np.allclose(stds, repeated.std(axis=0), rtol=1e-13, atol=1e-15)
     assert np.array_equal(centered, X - means)
+
+
+def _ridge_two_pass(X, y, alpha):
+    """(weights, intercept, scaler) of `fit_ridge` with a scaler fit first and then applied."""
+    scaler = Scaler.fit(X)
+    Xs = scaler.transform(X)
+    y_mean = float(y.mean())
+    d = X.shape[1]
+    augmented = np.vstack([Xs, np.sqrt(alpha) * np.eye(d)])
+    w, *_ = np.linalg.lstsq(augmented, np.concatenate([y - y_mean, np.zeros(d)]), rcond=None)
+    weights = w / scaler.stds
+    return weights, y_mean - float(weights @ scaler.means), scaler
+
+
+@pytest.mark.parametrize("case", ["constant", "tied", "scaled_up"])
+def test_one_pass_standardizing_fits_the_ridge_of_the_two_pass_form(rng, case):
+    X = rng.normal(loc=1.5, scale=2.0, size=(30, 5))
+    if case == "constant":
+        X[:, 1] = 4.25
+        X[:, 3] = 0.0
+    elif case == "tied":
+        X[:, 2] = X[:, 0]
+        X[:, 4] = np.round(X[:, 4])  # tied values within a column
+    else:
+        X[:, [0, 3]] *= 1e120
+    y = X[:, 0] / np.abs(X[:, 0]).max() + rng.normal(size=30)
+    scaler, Xs = Scaler.fit_transform(X)
+    assert Xs.tobytes() == Scaler.fit(X).transform(X).tobytes()
+    weights, intercept, two_pass = _ridge_two_pass(X, y, 0.5)
+    model = fit_ridge(X, y, 0.5)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.intercept == intercept
+    for got in (model.scaler, scaler):
+        assert got.means.tobytes() == two_pass.means.tobytes()
+        assert got.stds.tobytes() == two_pass.stds.tobytes()
+    assert predict_ridge(model, X).tobytes() == (X @ weights + intercept).tobytes()

@@ -353,9 +353,10 @@ def test_extractor_index_does_not_grow_with_the_texts_it_reads(rng):
         return (
             sorted(vars(extractor)),
             sorted(vars(index)),
-            len(index.rows),
-            len(index.own),
-            [m.shape for m in index.matrices],
+            len(index.ids),
+            len(index.own_ids),
+            index.miss,
+            [(f.rows.shape, f.matrix.shape, f.hits.shape) for f in index.families],
         )
 
     before = size()
@@ -365,3 +366,117 @@ def test_extractor_index_does_not_grow_with_the_texts_it_reads(rng):
         feats = extractor.extract(f"{n} " + " ".join(words))
         assert feats.lexical_coverage == feats.embedding_coverage == 0.0
     assert size() == before
+
+
+def _blocks_by_definition(text, tables):
+    """Each table's block as the module docstring defines it, and the coverage.
+
+    A word token hits a table as itself or, only when that misses, as its
+    lemma; the block is `np.mean(np.vstack(hit_vectors), axis=0)`, zeros
+    when nothing hits.
+    """
+    words = [str(t) for t in tokenize(preprocess(text)) if t.is_word()]
+    blocks, matched = [], set()
+    for table in tables:
+        hits = []
+        for i, word in enumerate(words):
+            vec = table.entries.get(word, table.entries.get(lemmatize(word)))
+            if vec is not None:
+                hits.append(vec)
+                matched.add(i)
+        blocks.append(np.mean(np.vstack(hits), axis=0) if hits else np.zeros(table.width))
+    return blocks, (len(matched) / len(words) if words else 0.0)
+
+
+def _numerics_suite(rng):
+    """Hand-built tables for the index's numerics.
+
+    `one` is one value wide and `two` two wide, and the 20 words' values in
+    both are such that summing them in another order rounds differently.
+    `zeros` holds only +0.0 and -0.0. "dances" is in `one` and `two` but
+    not in `lemma`, which holds its lemma "dance": its rule rows mix its own
+    and its lemma's. "danceses" is in no table; its lemma is "dances", whose
+    own rows (not its rule rows) it hits. "kittens" hits only through "kitten".
+    """
+    words = [f"w{i:02d}" for i in range(20)]
+
+    def mixed(width):
+        return rng.normal(size=width) * 10.0 ** rng.integers(-8, 9, size=width)
+
+    inverse = {w: np.array([1.0 / (i + 3)]) for i, w in enumerate(words)}
+    one = Lexicon("one", ("a",), {**inverse, "dances": mixed(1), "kitten": mixed(1)})
+    roots = {w: np.array([np.sqrt(i + 2), 1.0 / (i + 3)]) for i, w in enumerate(words)}
+    two = Lexicon("two", ("b", "c"), {**roots, "dances": mixed(2)})
+    zeros = Lexicon(
+        "zeros",
+        ("d", "e"),
+        {w: np.array([0.0 if i % 2 else -0.0, -0.0]) for i, w in enumerate(words)},
+    )
+    signed_zero = Lexicon("signed_zero", ("f",), {"w00": np.array([-0.0]), "w01": np.array([0.0])})
+    lemma = Lexicon("lemma", ("g", "h", "i"), {"dance": mixed(3), "kitten": mixed(3)})
+    emb = EmbeddingTable("emb", 4, {w: mixed(4) for w in words[:10] + ["dance"]})
+    emb_one = EmbeddingTable("emb_one", 1, {w: mixed(1) for w in words})
+    return TextResources(
+        lexicons=(one, two, zeros, signed_zero, lemma),
+        scorer=RuleScorer(valences={}),
+        embeddings=(emb, emb_one),
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " ".join(f"w{i:02d}" for i in range(20)),  # 20 hits in every table of `words`
+        " ".join(f"w{i % 20:02d}" for i in range(57)) + " zorblax",  # repeats, and a miss
+        "w00",  # a -0.0 hit alone
+        "w00 w00 w02",  # only -0.0 hits
+        "w01 w00",  # +0.0 and -0.0 hits
+        "dances",  # own rows in `one` and `two`, its lemma's in `lemma` and `emb`
+        "danceses danceses",  # outside the vocabulary: "dances"'s own rows only
+        "kittens w03",  # outside the vocabulary: "kitten"'s rows
+        "",
+        "!!! ... ?",
+    ],
+    ids=["sixteen_or_more_hits", "repeats", "negative_zero", "negative_zeros", "signed_zeros",
+         "mixed_rule_rows", "lemma_own_rows", "lemma_only", "empty", "no_words"],
+)
+def test_each_block_is_the_mean_of_its_tables_hit_vectors(rng, text):
+    resources = _numerics_suite(rng)
+    feats = TextFeatureExtractor(resources).extract(text)
+    for tables, vector, coverage in (
+        (resources.lexicons, feats.lexical[:-4], feats.lexical_coverage),
+        (resources.embeddings, feats.embedding, feats.embedding_coverage),
+    ):
+        blocks, want_coverage = _blocks_by_definition(text, tables)
+        assert vector.tobytes() == np.concatenate(blocks).tobytes(), text
+        assert type(coverage) is float and coverage == want_coverage, text
+
+
+def test_the_numerics_suite_tells_apart_summation_orders(rng):
+    # With 20 hits, a one-column block is numpy's pairwise sum and a wider
+    # block a row-by-row sum; each rounds differently from the other order,
+    # so the byte-for-byte comparisons above fail for a routine that mixes them up.
+    resources = _numerics_suite(rng)
+    words = [f"w{i:02d}" for i in range(20)]
+    one, two = resources.lexicons[:2]
+    column = np.array([one.entries[w][0] for w in words])
+    in_order = 0.0
+    for value in column:
+        in_order += value
+    assert np.add.reduce(column) != in_order
+    block = np.vstack([two.entries[w] for w in words])
+    assert np.any(np.add.reduce(block, axis=0) != [np.add.reduce(block[:, j]) for j in (0, 1)])
+
+
+def test_a_token_outside_the_vocabulary_hits_its_lemmas_own_rows_only(rng):
+    # "dances"'s rule rows reach `lemma` and `emb` through "dance"; "danceses" must not.
+    resources = _numerics_suite(rng)
+    extractor = TextFeatureExtractor(resources)
+    lemmas = [lemmatize(w) for w in ("danceses", "dances", "kittens")]
+    assert lemmas == ["dances", "dance", "kitten"]
+    assert extractor._index.own_ids["dances"] != extractor._index.ids["dances"]
+    feats = extractor.extract("danceses")
+    lemma_block = slice(1 + 2 + 2 + 1, 1 + 2 + 2 + 1 + 3)
+    assert list(feats.lexical[lemma_block]) == [0.0, 0.0, 0.0]
+    assert feats.lexical[0] == resources.lexicons[0].entries["dances"][0]
+    assert feats.embedding_coverage == 0.0 and feats.lexical_coverage == 1.0

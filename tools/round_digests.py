@@ -15,6 +15,12 @@ pooled visual vector that `memfuse.av.load_video_features` loads from those
 inputs, in sorted video-id order. Two checkouts whose ``av`` digests match
 read the same feature files into the same arrays, bit for bit.
 
+Next it prints ``text <digest>``, a digest of the bytes of every lexical and
+embedding vector and both coverages that `memfuse.text.TextFeatureExtractor`
+extracts from every memory text of the seed's dataset and then of its new
+viewers, in file order. Two checkouts whose ``text`` digests match extract the
+same text features, bit for bit.
+
 Then, for each workload in `bench/workloads.py`, it sets the workload up on
 those inputs, runs one round of its operations and prints ``<workload>
 <digest>``, a digest of `json.dumps(outputs, sort_keys=True)`. Each digest is
@@ -57,6 +63,24 @@ def _av_digest(data_dir: Path) -> str:
     return digest.hexdigest()[:16]
 
 
+def _text_digest(data_dir: Path) -> str:
+    import numpy as np
+
+    from memfuse import model, text
+
+    extractor = text.TextFeatureExtractor(text.load_resources())
+    digest = hashlib.sha256()
+    for name in ("dataset.json", "new_viewers.json"):
+        for response in model.load_dataset(data_dir / name).responses:
+            for memory in response.memories:
+                feats = extractor.extract(memory.text)
+                digest.update(feats.lexical.tobytes())
+                digest.update(feats.embedding.tobytes())
+                coverages = [feats.lexical_coverage, feats.embedding_coverage]
+                digest.update(np.array(coverages).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -78,6 +102,7 @@ def main(argv=None) -> int:
         )
         print(f"inputs {_files_digest(data_dir)}", flush=True)
         print(f"av {_av_digest(data_dir)}", flush=True)
+        print(f"text {_text_digest(data_dir)}", flush=True)
         for name, workload_cls in workloads.WORKLOADS.items():
             workload = workload_cls(data_dir, args.seed)
             _, outputs, _ = run.run_round(workload.operations(workload.setup()))
