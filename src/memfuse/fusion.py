@@ -21,8 +21,9 @@ Each strategy has a fit (`*_fit`), which returns a model for `fusion_predict`,
 and a CV grid (`*_predict_grid`) that fits a fold's training samples at many
 hyperparameter points and predicts its test samples, which share no group
 with them, keeping no model. Its predictions equal those of the fit and
-`fusion_predict`, bit for bit. It computes each base fit, Gram and base
-prediction once per distinct setting: fits grow as their sum, not product.
+`fusion_predict`, bit for bit. It computes each base fit and base prediction
+once per distinct setting, so fits grow as their sum, not product. A late SVR
+base is an early-fusion grid on its own modalities (`_base_predictions`).
 """
 
 from __future__ import annotations
@@ -267,9 +268,9 @@ def _check_bases(table: FeatureTable, fitted: tuple[str, ...]) -> None:
         raise ValueError(f"base models {fed} do not match fit-time {fitted}")
 
 
-def _base_block(table: FeatureTable, name: str) -> np.ndarray:
-    """The rows that base `name` predicts on: the table's rows of the modalities it reads."""
-    return table.stack([m for m in BASES[name][1] if m in table.modalities])
+def _base_input(table: FeatureTable, name: str) -> FeatureTable:
+    """The modalities of `table` that base `name` reads; no vector is copied."""
+    return table.select([m for m in BASES[name][1] if m in table.modalities])
 
 
 def _base_table(table: FeatureTable, name: str) -> FeatureTable:
@@ -278,9 +279,10 @@ def _base_table(table: FeatureTable, name: str) -> FeatureTable:
     A forest reads whole rows, so its input holds them stacked once, as one
     block named after the base; each fit then gathers its rows in one copy.
     """
+    reads = _base_input(table, name)
     if BASES[name][0] == "forest":
-        return FeatureTable({name: _base_block(table, name)}, {name: None}, table.n)
-    return table.select([m for m in BASES[name][1] if m in table.modalities])
+        return FeatureTable({name: reads.stack(reads.modalities)}, {name: None}, table.n)
+    return reads
 
 
 def _rank_tables(inputs: dict[str, FeatureTable]) -> dict[str, np.ndarray | None]:
@@ -310,42 +312,33 @@ def _fit_base(
     return fit_svr(X.blocks(X.modalities), y, params)
 
 
-def _predict_base(model, X: np.ndarray) -> np.ndarray:
-    if isinstance(model, ForestModel):
-        return predict_forest(model, X)
-    return predict_svr(model, X)
+def _predict_base(model, X: FeatureTable) -> np.ndarray:
+    predict = predict_forest if isinstance(model, ForestModel) else predict_svr
+    return predict(model, X.stack(X.modalities))
 
 
-def _oof_columns(
-    bases: list[str],
-    inputs: dict[str, FeatureTable],
-    ranks: dict[str, np.ndarray | None],
+def _base_predictions(
+    name: str,
+    train: FeatureTable,
     y: np.ndarray,
-    params: dict[str, SvrParams | ForestParams],
-    splits,
+    settings: Sequence[SvrParams | ForestParams],
+    test: FeatureTable,
     seed: int,
-) -> dict[str, np.ndarray]:
-    """Out-of-fold predictions of each of `bases` over the stacking splits."""
-    # Folds run outermost and each model lives until the next replaces it,
-    # the order of a one-point fit. Running one base's folds back to back, or
-    # dropping each model before the next fit, lowered the traced Python peak
-    # but raised the process's peak RSS by 6-10% when fitting AVM late fusion
-    # on 240 paper-dimension rows, through the C allocator's reuse of freed
-    # blocks.
-    columns = {name: np.empty(len(y)) for name in bases}
-    for fold_idx, (train_rows, test_rows) in enumerate(splits):
-        for name in bases:
-            model = _fit_base(
-                name,
-                inputs[name].rows(train_rows),
-                y[train_rows],
-                params[name],
-                child_seed(seed, "oof", fold_idx, name),
-                None if ranks[name] is None else ranks[name].take(train_rows, axis=1),
-            )
-            tested = inputs[name].rows(test_rows)
-            columns[name][test_rows] = _predict_base(model, tested.stack(tested.modalities))
-    return columns
+    ranks: np.ndarray | None,
+) -> list[np.ndarray]:
+    """Per setting, in order: base `name`'s predictions for `test` of a fit on `train`.
+
+    An SVR base is an early-fusion grid on its own modalities: one design, and
+    one Gram per kernel width, serves every setting, and no block is stacked.
+    A forest is fitted per setting (`_fit_base`).
+    """
+    if BASES[name][0] == "svr":
+        return early_fusion_predict_grid(train, y, settings, test)
+    # The test rows are stacked after each fit: before the fits, peak RSS rose ~1%.
+    return [
+        predict_forest(_fit_base(name, train, y, params, seed, ranks), test.stack(test.modalities))
+        for params in settings
+    ]
 
 
 def _stacking_targets(n: int, y: np.ndarray, points) -> np.ndarray:
@@ -370,28 +363,38 @@ def _stacked_points(
     """Per (base_params, meta_alpha, k_inner) point, in order: (splits, own params, ridge).
 
     `inputs` holds each base's training table, in `BASES` order, and `ranks`
-    each forest base's rank table (`_rank_tables`). The stacking
-    splits of `groups`, checked apart, depend only on `k_inner`, and a base's
-    out-of-fold column only on the base, its own params (`base_params.audio`,
-    `.visual` or `.memory`) and `k_inner`; each is computed once per distinct
-    key, compared by value. Only the ridge is fitted per point.
+    each forest base's rank table (`_rank_tables`). The stacking splits of
+    `groups`, each checked before its fits, depend only on `k_inner`, and a
+    base's out-of-fold column only on the base, its own params
+    (`base_params.audio`, `.visual` or `.memory`) and `k_inner`; each is
+    computed once per distinct key, compared by value. Only the ridge is
+    fitted per point.
     """
+    columns: dict[tuple, np.ndarray] = {}  # (base, its params, k_inner) -> out-of-fold column
     stacking: dict[int, list] = {}  # k_inner -> splits
-    oof: dict[tuple, np.ndarray] = {}  # (base, its params, k_inner) -> out-of-fold column
+    for k_inner in dict.fromkeys(k for _, _, k in points):
+        splits = stacking[k_inner] = group_splits(groups, k_inner, child_seed(seed, "stack-folds"))
+        # Folds run outermost, the order of a one-point fit: running one base's
+        # folds back to back raised the process's peak RSS by 6-10% when
+        # fitting AVM late fusion on 240 paper-dimension rows, through the C
+        # allocator's reuse of freed blocks.
+        for fold, (train_rows, test_rows) in enumerate(splits):
+            sides = [groups[r] for r in train_rows], [groups[r] for r in test_rows]
+            check_disjoint(*sides, f"stacking fold {fold}'s two sides")
+            for name, X in inputs.items():
+                own = list(dict.fromkeys(getattr(p, name) for p, _, k in points if k == k_inner))
+                ranked = None if ranks[name] is None else ranks[name].take(train_rows, axis=1)
+                preds = _base_predictions(
+                    name, X.rows(train_rows), y[train_rows], own, X.rows(test_rows),
+                    child_seed(seed, "oof", fold, name), ranked
+                )
+                for params, pred in zip(own, preds):
+                    columns.setdefault((name, params, k_inner), np.empty(len(y)))[test_rows] = pred
     fits = []
     for base_params, meta_alpha, k_inner in points:
-        if k_inner not in stacking:
-            stacking[k_inner] = group_splits(groups, k_inner, child_seed(seed, "stack-folds"))
-            for fold, (train_rows, test_rows) in enumerate(stacking[k_inner]):
-                sides = [groups[r] for r in train_rows], [groups[r] for r in test_rows]
-                check_disjoint(*sides, f"stacking fold {fold}'s two sides")
-        splits = stacking[k_inner]
         own = {name: getattr(base_params, name) for name in inputs}
-        missing = [name for name in inputs if (name, own[name], k_inner) not in oof]
-        for name, column in _oof_columns(missing, inputs, ranks, y, own, splits, seed).items():
-            oof[name, own[name], k_inner] = column
-        columns = np.column_stack([oof[name, own[name], k_inner] for name in inputs])
-        fits.append((splits, own, fit_ridge(columns, y, meta_alpha)))
+        stacked = np.column_stack([columns[name, own[name], k_inner] for name in inputs])
+        fits.append((stacking[k_inner], own, fit_ridge(stacked, y, meta_alpha)))
     return fits
 
 
@@ -409,8 +412,9 @@ def late_fusion_predict_grid(
     `test.groups`. Besides the stacking splits and out-of-fold columns
     (`_stacked_points`), a base's final fit depends only on the base and its
     own params. Each is fitted once per distinct key, compared by value,
-    scores the test block once and is dropped. A forest base's input is
-    ranked once for every forest of the call.
+    scores the test block once and is dropped; an SVR base's final fits
+    share one design. A forest base's input is ranked once for every forest
+    of the call.
     """
     bases = late_fusion_bases(train.modalities)
     _check_bases(test, bases)
@@ -418,27 +422,17 @@ def late_fusion_predict_grid(
     y = _stacking_targets(train.n, y, points)
     inputs = {name: _base_table(train, name) for name in bases}
     ranks = _rank_tables(inputs)
+    fits = _stacked_points(inputs, ranks, y, points, train.groups, seed)
     columns: dict[tuple, np.ndarray] = {}  # (base, its params) -> its final fit's test column
-    preds = []
-    for _, own, meta in _stacked_points(inputs, ranks, y, points, train.groups, seed):
-        for name in inputs:
-            if (name, own[name]) not in columns:
-                # The test block is stacked after its final fit: stacking it
-                # before the fits raised the CV's peak RSS by ~1%.
-                columns[name, own[name]] = _predict_base(
-                    _fit_base(
-                        name,
-                        inputs[name],
-                        y,
-                        own[name],
-                        child_seed(seed, "final", name),
-                        ranks[name],
-                    ),
-                    _base_block(test, name),
-                )
-        stacked = np.column_stack([columns[name, own[name]] for name in inputs])
-        preds.append(predict_ridge(meta, stacked))
-    return preds
+    for name, X in inputs.items():
+        own = list(dict.fromkeys(getattr(p, name) for p, _, _ in points))
+        final_seed = child_seed(seed, "final", name)
+        preds = _base_predictions(name, X, y, own, _base_input(test, name), final_seed, ranks[name])
+        columns.update(((name, params), pred) for params, pred in zip(own, preds))
+    return [
+        predict_ridge(meta, np.column_stack([columns[name, own[name]] for name in inputs]))
+        for _, own, meta in fits
+    ]
 
 
 def late_fusion_fit(
@@ -490,8 +484,8 @@ def fusion_predict(
         _check_fit_time(table, model.dims)
         return predict_svr(model.svr, table.stack(model.modalities))
     _check_bases(table, model.base_order)
-    inputs = {name: _base_block(table, name) for name in model.base_order}
-    columns = [_predict_base(model.base_models[name], inputs[name]) for name in inputs]
+    inputs = {name: _base_input(table, name) for name in model.base_order}
+    columns = [_predict_base(model.base_models[name], X) for name, X in inputs.items()]
     return predict_ridge(model.meta, np.column_stack(columns))
 
 

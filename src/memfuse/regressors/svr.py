@@ -416,6 +416,7 @@ class SvrDesign:
             if model.scaler is not self.scaler:
                 raise ValueError("model was not fitted on this design")
             preds.append(_decision_values(model, queries))
+            del model  # so that no model is held while the next one is fitted
         return preds
 
 

@@ -8,7 +8,9 @@ A rule runs only where it can match. Every number rule needs a digit, so the
 three run only when the text holds one, by the same digit class the rules use
 (non-ASCII digits count too). Every contraction rule needs a "'", so the
 seven run only when the text holds one after the number rules. A skipped rule
-would have left the text as it is, so the output is the same.
+would have left the text as it is, so the output is the same. The contraction
+rules repeat while they change the text (each pass frees one more "n't" of a
+stacked "won'tn't"); a changing pass removes a "'", so the repeats end.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def preprocess(text: str) -> str:
         text = _DECADE_RE.sub("that decade", text)
         text = _YEAR_RE.sub("that year", text)
         text = _NUMBER_RE.sub("0", text)
-    if "'" in text:
+    before = None
+    while "'" in text and text != before:
+        before = text
         text = _WORD_CONTRACTION_RE.sub(_replace_word_contraction, text)
         for pattern, replacement in _SUFFIX_CONTRACTIONS:
             text = pattern.sub(replacement, text)

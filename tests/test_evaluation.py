@@ -403,6 +403,15 @@ def test_late_grid_search_fits_each_base_model_once_per_inner_fold(extractor, mo
 
     for name in calls:
         monkeypatch.setattr(fusion, name, counting(name))
+    training_grams = []  # the shape of every training Gram: a kernel of a matrix with itself
+    kernel = svr_module.rbf_kernel_matrix
+
+    def counted_kernel(A, B, *args, **kwargs):
+        if A is B:
+            training_grams.append(A.shape)
+        return kernel(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(svr_module, "rbf_kernel_matrix", counted_kernel)
     ds, av_features = _dataset()
     grid = {
         "svr.c": [0.5, 2.0],
@@ -418,10 +427,14 @@ def test_late_grid_search_fits_each_base_model_once_per_inner_fold(extractor, mo
     # Per inner fold: 2 SVR settings x (audio, visual) x (2 stacking folds + 1
     # final fit), 2 forest settings x 3, and one ridge per grid point. Each
     # stacking-fold model predicts its held-out rows once, and each final
-    # base model predicts the inner fold's test rows once.
+    # base model predicts the inner fold's test rows once. An SVR base is an
+    # early-fusion grid on its own modality: one design, and so one training
+    # Gram, serves both settings of a (base, stacking fold) and both final
+    # fits, and the test blocks are read through it, not by `predict_svr`.
     assert calls == {
-        "fit_svr": 24, "fit_forest": 12, "fit_ridge": 16, "predict_svr": 24, "predict_forest": 12,
+        "fit_svr": 24, "fit_forest": 12, "fit_ridge": 16, "predict_svr": 0, "predict_forest": 12,
     }
+    assert len(training_grams) == 12
 
 
 EARLY_GRID = {

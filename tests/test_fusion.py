@@ -235,11 +235,6 @@ def test_late_fusion_rejects_targets_or_groups_of_another_length(rng, n_targets,
 def test_late_fusion_predict_grid_equals_late_fusion_fit_at_every_point(rng):
     n = 50
     groups = [f"g{i % 10}" for i in range(n)]
-    audio = rng.normal(size=(n, 3))
-    lexical = rng.normal(size=(n, 4))
-    y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
-    bundles = _bundles(rng, n, audio=audio, lexical=lexical)
-    train, test = bundles[:40], bundles[40:]
     points = [
         (
             LateFusionParams(
@@ -253,17 +248,28 @@ def test_late_fusion_predict_grid_equals_late_fusion_fit_at_every_point(rng):
         for alpha in (0.1, 10.0)
         for k_inner in (2, 3)
     ]
-    preds = late_fusion_predict_grid(
-        feature_table(train, groups[:40]), y[:40], points, feature_table(test), 6
-    )
-    assert len(preds) == len(points)
-    for (base_params, alpha, k_inner), pred in zip(points, preds):
-        alone = late_fusion_fit(
-            train, y[:40], base_params, alpha, k_inner=k_inner, groups=groups[:40], seed=6
+    # An audio row per response, then audio rows repeated per video (10
+    # videos), of which videos 3 and 7 are equal by value: 9 distinct rows.
+    videos = rng.normal(size=(10, 3))
+    videos[7] = videos[3]
+    inputs = [(rng.normal(size=(n, 3)), n), (videos[(np.arange(n) // 3) % 10], 9)]
+    for audio, distinct in inputs:
+        lexical = rng.normal(size=(n, 4))
+        y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
+        bundles = _bundles(rng, n, audio=audio, lexical=lexical)
+        assert len(feature_table(bundles).vectors["audio"]) == distinct
+        train, test = bundles[:40], bundles[40:]
+        preds = late_fusion_predict_grid(
+            feature_table(train, groups[:40]), y[:40], points, feature_table(test), 6
         )
-        assert alone.base_order == ("audio", "memory")
-        assert np.array_equal(pred, fusion_predict(alone, test))
-    assert len({pred.tobytes() for pred in preds}) == len(points)
+        assert len(preds) == len(points)
+        for (base_params, alpha, k_inner), pred in zip(points, preds):
+            alone = late_fusion_fit(
+                train, y[:40], base_params, alpha, k_inner=k_inner, groups=groups[:40], seed=6
+            )
+            assert alone.base_order == ("audio", "memory")
+            assert np.array_equal(pred, fusion_predict(alone, test))
+        assert len({pred.tobytes() for pred in preds}) == len(points)
 
 
 def test_early_fusion_fit_grid_equals_early_fusion_fit_at_every_point(rng, monkeypatch):
@@ -408,26 +414,43 @@ def test_late_fusion_predict_grid_fits_and_predicts_each_distinct_final_base_onc
     rng, monkeypatch
 ):
     train, y, points, test = _late_grid_case(rng)
-    final_fits = []  # (base, rows) of every fit on all training rows
-    test_predictions = []  # (base, rows) of every prediction of the test block
-    fit_base, predict_base = fusion._fit_base, fusion._predict_base
+    final_fits = []  # the learner of every fit on all training rows
+    test_predictions = []  # the learner of every model that scores the test block
+    fit_svr, fit_forest, predict_forest = fusion.fit_svr, fusion.fit_forest, fusion.predict_forest
 
-    def counted_fit(name, X, *args):
-        if len(X) == train.n:
-            final_fits.append(name)
-        return fit_base(name, X, *args)
+    def counted_fit(learner, fit):
+        def counted(X, y, *args, **kwargs):
+            if len(y) == train.n:
+                final_fits.append(learner)
+            return fit(X, y, *args, **kwargs)
+
+        return counted
 
     def counted_predict(model, X):
         if len(X) == test.n:
-            test_predictions.append(type(model).__name__)
-        return predict_base(model, X)
+            test_predictions.append("forest")
+        return predict_forest(model, X)
 
-    monkeypatch.setattr(fusion, "_fit_base", counted_fit)
-    monkeypatch.setattr(fusion, "_predict_base", counted_predict)
+    class CountedDesign(SvrDesign):
+        def predictions(self, models, X):
+            scoring = svr_module._n_samples(*X[0]) == test.n  # X: the test samples' blocks
+
+            def scored(models):
+                for model in models:
+                    if scoring:
+                        test_predictions.append("svr")
+                    yield model
+
+            return super().predictions(scored(models), X)
+
+    monkeypatch.setattr(fusion, "fit_svr", counted_fit("svr", fit_svr))
+    monkeypatch.setattr(fusion, "fit_forest", counted_fit("forest", fit_forest))
+    monkeypatch.setattr(fusion, "predict_forest", counted_predict)
+    monkeypatch.setattr(fusion, "SvrDesign", CountedDesign)
     preds = late_fusion_predict_grid(train, y, points, test, 6)
     # Two SVR settings and one forest setting; the stacking folds hold 15 rows each.
-    assert sorted(final_fits) == ["audio", "audio", "memory"]
-    assert sorted(test_predictions) == ["ForestModel", "SvrModel", "SvrModel"]
+    assert sorted(final_fits) == ["forest", "svr", "svr"]
+    assert sorted(test_predictions) == ["forest", "svr", "svr"]
     assert len(preds) == len(points)
 
     with pytest.raises(ValueError, match="base models"):
@@ -440,25 +463,41 @@ def test_late_fusion_predict_grid_drops_each_final_base_once_it_has_scored_the_t
     train, y, points, test = _late_grid_case(rng)
     finals = []  # weak references to the models fitted on all training rows
     live = []  # per final fit and per ridge prediction: how many earlier finals are alive
-    fit_base, predict_ridge = fusion._fit_base, fusion.predict_ridge
+    designs = []  # weak references to every SVR design built
+    live_designs = []  # per design built: how many earlier designs are alive
+    predict_ridge = fusion.predict_ridge
 
-    def recording_fit(name, X, *args):
-        if len(X) == train.n:
-            live.append(sum(ref() is not None for ref in finals))
-        model = fit_base(name, X, *args)
-        if len(X) == train.n:
-            finals.append(weakref.ref(model))
-        return model
+    def recording_fit(fit):
+        def recording(X, y, *args, **kwargs):
+            final = len(y) == train.n
+            if final:
+                live.append(sum(ref() is not None for ref in finals))
+            model = fit(X, y, *args, **kwargs)
+            if final:
+                finals.append(weakref.ref(model))
+            return model
+
+        return recording
 
     def recording_ridge(*args):
         live.append(sum(ref() is not None for ref in finals))
         return predict_ridge(*args)
 
-    monkeypatch.setattr(fusion, "_fit_base", recording_fit)
+    class RecordingDesign(SvrDesign):
+        def __init__(self, X):
+            live_designs.append(sum(ref() is not None for ref in designs))
+            super().__init__(X)
+            designs.append(weakref.ref(self))
+
+    monkeypatch.setattr(fusion, "fit_svr", recording_fit(fusion.fit_svr))
+    monkeypatch.setattr(fusion, "fit_forest", recording_fit(fusion.fit_forest))
     monkeypatch.setattr(fusion, "predict_ridge", recording_ridge)
+    monkeypatch.setattr(fusion, "SvrDesign", RecordingDesign)
     late_fusion_predict_grid(train, y, points, test, 6)
     assert len(finals) == 3
     assert live == [0] * (len(finals) + len(points))
+    # One design per stacking fold and one for the final fits, each dropped before the next.
+    assert live_designs == [0, 0, 0]
 
 
 def _block_splits(groups, k, seed):

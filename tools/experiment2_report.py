@@ -16,6 +16,8 @@ with `tools/compare_reports.py --tol`:
             python tools/experiment2_report.py --seed 1 --out report_$t.json
     done
     python tools/compare_reports.py --tol 1e-6 report_1.json report_2.json
+
+`tools/round_digests.py` prints a digest of the same report (`report_text`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,31 @@ GRID = {
 }
 
 
+def generate_inputs(seed: int, data_dir: Path) -> None:
+    """Generate the seed's benchmark inputs into `data_dir`, in a child process."""
+    subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "generate.py"), "--seed", str(seed),
+         "--out", str(data_dir)],
+        check=True,
+    )
+
+
+def report_text(data_dir: Path, seed: int) -> str:
+    """The report JSON, as `--out` receives it, of the reduced run on the inputs in `data_dir`."""
+    from memfuse import av, evaluation, model
+
+    report = evaluation.run_experiment2(
+        model.load_dataset(data_dir / "dataset.json"),
+        av.load_video_features(av.load_manifest(data_dir / "av" / "manifest.json")),
+        GRID,
+        seed,
+        k_outer=3,
+        k_inner=2,
+        dims=("p",),
+    )
+    return json.dumps(report.to_json(), indent=1, sort_keys=True) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -46,26 +73,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
-    from memfuse import av, evaluation, model
-
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = Path(tmp) / f"seed-{args.seed}"
-        subprocess.run(
-            [sys.executable, str(ROOT / "bench" / "generate.py"), "--seed", str(args.seed),
-             "--out", str(data_dir)],
-            check=True,
-        )
-        report = evaluation.run_experiment2(
-            model.load_dataset(data_dir / "dataset.json"),
-            av.load_video_features(av.load_manifest(data_dir / "av" / "manifest.json")),
-            GRID,
-            args.seed,
-            k_outer=3,
-            k_inner=2,
-            dims=("p",),
-        )
+        generate_inputs(args.seed, data_dir)
+        text = report_text(data_dir, args.seed)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report.to_json(), indent=1, sort_keys=True) + "\n"
     args.out.write_text(text, encoding="utf-8")
     return 0
 

@@ -23,12 +23,18 @@ same text features, bit for bit.
 
 Then, for each workload in `bench/workloads.py`, it sets the workload up on
 those inputs, runs one round of its operations and prints ``<workload>
-<digest>``, a digest of `json.dumps(outputs, sort_keys=True)`. Each digest is
-the first 16 hex digits of a sha256. Two checkouts whose digests match on a
-seed generated the same inputs and produced the same reports and scores for
-it, number for number. The outputs depend on the BLAS thread count, so compare
-digests taken with the same thread settings (the benchmark pins one thread).
-The script only prints; it checks nothing.
+<digest>``, a digest of `json.dumps(outputs, sort_keys=True)`.
+
+Last it prints ``experiment2 <digest>``, a digest of the report that
+`tools/experiment2_report.py` writes for the seed: a reduced `run_experiment2`
+on those inputs, early and late fusion, whose late AV bases are fitted at
+several SVR settings. It equals the start of that report file's sha256.
+
+Each digest is the first 16 hex digits of a sha256. Two checkouts whose
+digests match on a seed generated the same inputs and produced the same
+reports and scores for it, number for number. The outputs depend on the BLAS
+thread count, so compare digests taken with the same thread settings (the
+benchmark pins one thread). The script only prints; it checks nothing.
 """
 
 from __future__ import annotations
@@ -36,12 +42,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+TOOLS_DIR = Path(__file__).resolve().parent
+BENCH_DIR = TOOLS_DIR.parent / "bench"
 
 
 def _files_digest(directory: Path) -> str:
@@ -86,7 +92,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(BENCH_DIR))
+    sys.path[:0] = [str(BENCH_DIR), str(TOOLS_DIR)]
+    import experiment2_report
     import paths
     import run
 
@@ -95,11 +102,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = Path(tmp) / f"seed-{args.seed}"
-        subprocess.run(
-            [sys.executable, str(BENCH_DIR / "generate.py"), "--seed", str(args.seed),
-             "--out", str(data_dir)],
-            check=True,
-        )
+        experiment2_report.generate_inputs(args.seed, data_dir)
         print(f"inputs {_files_digest(data_dir)}", flush=True)
         print(f"av {_av_digest(data_dir)}", flush=True)
         print(f"text {_text_digest(data_dir)}", flush=True)
@@ -108,6 +111,8 @@ def main(argv=None) -> int:
             _, outputs, _ = run.run_round(workload.operations(workload.setup()))
             digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
             print(f"{name} {digest[:16]}", flush=True)
+        report = experiment2_report.report_text(data_dir, args.seed)
+        print(f"experiment2 {hashlib.sha256(report.encode()).hexdigest()[:16]}", flush=True)
     return 0
 
 
