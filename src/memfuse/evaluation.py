@@ -1,10 +1,11 @@
 """Nested leave-persons-out evaluation of the fusion pipelines.
 
-A run builds one `fusion.FeatureTable`, extracting each memory text once: a
-memory row per response, an audio and a visual row per video, and each
-response's participant as its group. Each condition selects its modalities
-from it; every fold takes samples and their groups by index. One loop runs
-over dimension, condition, strategy and outer fold. Outer folds partition the
+A run builds one `fusion.FeatureTable`, extracting each memory text once. Its
+rows pass through `fusion.vector_rows`, which stores equal vectors once by
+value: an audio and a visual row per video and a memory row per distinct
+text, and each response's participant as its group. Each condition selects
+its modalities; every fold takes samples and their groups by index. One loop
+runs over dimension, condition, strategy and outer fold. Outer folds partition the
 table's participants; inside each, a grid search re-tunes on inner folds of
 the training participants, and late fusion stacks on folds of its own, all
 from `folds.group_splits`; a participant on both sides of a fit raises.
@@ -405,24 +406,22 @@ class ExperimentReport:
 
 
 def _feature_table(rows, read: set[str], extractor, av_features) -> FeatureTable:
-    """The table of `rows` over the modalities in `read`: AV per video, memory and group per row."""
-    vectors, index = {}, {}
+    """The table of `rows` over the modalities in `read`, each row's participant its group."""
+    columns = {}
     if read & {"audio", "visual"}:
-        missing = {r.video_id for r in rows} - set(av_features)
+        videos = [r.video_id for r in rows]
+        missing = set(videos) - set(av_features)
         if missing:
             raise ValueError(f"AV features missing for videos: {sorted(missing)}")
-        videos, at = np.unique([r.video_id for r in rows], return_inverse=True)
         for m in ("audio", "visual"):
-            vectors[m] = vector_rows([av_features[v][m] for v in videos], "video", videos, m)
-            index[m] = at
+            columns[m] = vector_rows([av_features[v][m] for v in videos], "video", videos, m)
     if read & {"mem_lexical", "mem_embedding"}:
         if extractor is None:
             extractor = TextFeatureExtractor(load_resources())
         feats = [extractor.extract(r.memories[0].text) for r in rows]
-        vectors["mem_lexical"] = np.vstack([f.lexical for f in feats], dtype=float)
-        vectors["mem_embedding"] = np.vstack([f.embedding for f in feats], dtype=float)
-        index["mem_lexical"] = index["mem_embedding"] = None
-    return FeatureTable(vectors, index, len(rows), [r.participant_id for r in rows])
+        for m, part in (("mem_lexical", "lexical"), ("mem_embedding", "embedding")):
+            columns[m] = vector_rows([getattr(f, part) for f in feats], "row", range(len(rows)), m)
+    return FeatureTable(columns, len(rows), [r.participant_id for r in rows])
 
 
 def _check_choices(kind: str, given: tuple, allowed: tuple) -> None:

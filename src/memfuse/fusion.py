@@ -1,14 +1,15 @@
 """Early and late multimodal fusion for one regression target.
 
-Samples come in a `FeatureTable`; the nested CV's table holds one audio and
-one visual row per video, and one memory row and group (participant) per
-response. `feature_table` is the one check of a `ModalityBundle` list:
-`early_fusion_fit`, `late_fusion_fit` and `fusion_predict` take such a list
-and convert it once, storing equal vectors once (by value), and the grids
-take tables. Every SVR reads a table's modalities as blocks (`table.blocks`):
-its design is built per modality on the distinct vectors that the samples
-read, so a design over the AV rows of many viewers of few videos costs what
-the videos cost (see `regressors.svr`).
+Samples come in a `FeatureTable`: a group (participant) per sample and a
+`Block` per modality, which one rule builds (`vector_rows`): equal vectors
+are found by value and stored once before anything is stacked, so the nested
+CV's table holds an audio and a visual row per video and a memory row per
+distinct text. `feature_table` is the one check of a `ModalityBundle` list:
+the fits and `fusion_predict` take such a list and convert it once, and the
+grids take tables. Every SVR reads a table's blocks (`table.blocks`): its
+design is built per modality on the distinct vectors that the samples read,
+so a design over the AV rows of many viewers of few videos costs what the
+videos cost (see `regressors.svr`).
 
 Early fusion fits one RBF-kernel SVR on the stacked modalities. Late fusion
 combines an SVR per audiovisual modality and a random forest on the memory
@@ -109,16 +110,14 @@ class ModalityBundle:
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """The features of `n` samples, each distinct vector stored once.
+    """The features of `n` samples: a `Block` per modality, in `MODALITY_ORDER`.
 
-    `vectors[m]` holds modality m's distinct vectors as rows, in `MODALITY_ORDER`,
-    `index[m]` each sample's row (None: sample i reads row i) and `groups` each
-    sample's group (participant), or None. `rows`, `select` and `blocks` copy
-    no vector; `len(table)` is `n`.
+    `columns[m]` holds modality m's distinct vectors as rows, each stored once,
+    and each sample's row in them (`Block`); `groups` holds each sample's
+    group (participant), or None. `rows`, `select` and `blocks` copy no vector.
     """
 
-    vectors: Mapping[str, np.ndarray]
-    index: Mapping[str, np.ndarray | None]
+    columns: Mapping[str, Block]
     n: int
     groups: Sequence | None = None
 
@@ -126,42 +125,35 @@ class FeatureTable:
         if self.groups is not None and len(self.groups) != self.n:
             raise ValueError(f"{self.n} samples and {len(self.groups)} groups differ in length")
 
-    def __len__(self) -> int:
-        return self.n
-
     @property
     def modalities(self) -> tuple[str, ...]:
-        return tuple(self.vectors)
+        return tuple(self.columns)
 
     @property
     def dims(self) -> dict[str, int]:
-        return {name: block.shape[1] for name, block in self.vectors.items()}
+        return {name: block.vectors.shape[1] for name, block in self.columns.items()}
 
     def rows(self, idx) -> FeatureTable:
         idx = np.asarray(idx, dtype=np.intp)
-        index = {name: idx if at is None else at[idx] for name, at in self.index.items()}
+        cols = {m: Block(v, idx if at is None else at[idx]) for m, (v, at) in self.columns.items()}
         groups = None if self.groups is None else [self.groups[i] for i in idx]
-        return FeatureTable(self.vectors, index, len(idx), groups)
+        return FeatureTable(cols, len(idx), groups)
 
     def select(self, modalities: Sequence[str]) -> FeatureTable:
-        vectors = {m: self.vectors[m] for m in modalities}
-        return FeatureTable(vectors, {m: self.index[m] for m in modalities}, self.n, self.groups)
+        return FeatureTable({m: self.columns[m] for m in modalities}, self.n, self.groups)
 
     def stack(self, modalities: Sequence[str]) -> np.ndarray:
         """The samples' rows of `modalities`, side by side; a lone unindexed block is not copied."""
-        blocks = []
-        for m in modalities:
-            at = self.index[m]
-            blocks.append(self.vectors[m] if at is None else self.vectors[m].take(at, axis=0))
+        blocks = [v if at is None else v.take(at, axis=0) for v, at in self.blocks(modalities)]
         return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
     def blocks(self, modalities: Sequence[str]) -> list[Block]:
-        """The samples' columns of `modalities` as SVR blocks: each one's vectors and index."""
-        return [Block(self.vectors[m], self.index[m]) for m in modalities]
+        """The samples' columns of `modalities`, as SVR blocks."""
+        return [self.columns[m] for m in modalities]
 
 
-def vector_rows(vectors: Sequence, kind: str, keys: Sequence, name: str) -> np.ndarray:
-    """Modality `name`'s 1-d `vectors` of one width as float rows; errors name `kind` and key."""
+def vector_rows(vectors: Sequence, kind: str, keys: Sequence, name: str) -> Block:
+    """`distinct_rows` of modality `name`'s 1-d `vectors` of one width; errors name `kind`, key."""
     first = np.shape(vectors[0])
     for key, vector in zip(keys, vectors):
         shape = np.shape(vector)
@@ -170,7 +162,7 @@ def vector_rows(vectors: Sequence, kind: str, keys: Sequence, name: str) -> np.n
         if shape != first:
             head = f"{kind} {keys[0]}"
             raise ValueError(f"{kind} {key} {name} has width {shape[0]}, {head} has {first[0]}")
-    return np.vstack(vectors, dtype=float)
+    return distinct_rows(vectors)
 
 
 def feature_table(bundles: Sequence[ModalityBundle], groups=None) -> FeatureTable:
@@ -181,11 +173,9 @@ def feature_table(bundles: Sequence[ModalityBundle], groups=None) -> FeatureTabl
     for i, bundle in enumerate(bundles):
         if bundle.active() != active:
             raise ValueError(f"bundle {i} has modalities {bundle.active()}, expected {active}")
-    vectors, index = {}, {}
-    for name in active:
-        rows = vector_rows([getattr(b, name) for b in bundles], "bundle", range(len(bundles)), name)
-        vectors[name], index[name] = distinct_rows(rows)
-    return FeatureTable(vectors, index, len(bundles), groups)
+    keys = range(len(bundles))
+    columns = {m: vector_rows([getattr(b, m) for b in bundles], "bundle", keys, m) for m in active}
+    return FeatureTable(columns, len(bundles), groups)
 
 
 def _check_fit_time(table: FeatureTable, fitted: dict[str, int]) -> None:
@@ -281,7 +271,7 @@ def _base_table(table: FeatureTable, name: str) -> FeatureTable:
     """
     reads = _base_input(table, name)
     if BASES[name][0] == "forest":
-        return FeatureTable({name: reads.stack(reads.modalities)}, {name: None}, table.n)
+        return FeatureTable({name: Block(reads.stack(reads.modalities))}, table.n)
     return reads
 
 
@@ -517,17 +507,27 @@ def save_fusion_model(model: EarlyFusionModel | LateFusionModel, directory: str 
         fh.write("\n")
 
 
+def _field(manifest: dict, key: str):
+    """The manifest's entry at dotted `key`, such as "models.svr", which must be there."""
+    value = manifest
+    for part in key.split("."):
+        if not (isinstance(value, dict) and part in value):
+            raise ValueError(f"manifest lacks {key}")
+        value = value[part]
+    return value
+
+
 def _names(manifest: dict, key: str, order) -> list[str]:
     """`manifest[key]`, which must list distinct names of `order`, in that order."""
-    names = manifest[key]
+    names = _field(manifest, key)
     if not (isinstance(names, list) and names and names == [n for n in order if n in names]):
         raise ValueError(f"{key} must list distinct names of {list(order)} in order, got {names!r}")
     return names
 
 
-def _load_learner(path: Path, key: str, learner: str):
-    """The model at `path`, which manifest entry `key` names and which must be a `learner`."""
-    with open(path, encoding="utf-8") as fh:
+def _load_learner(directory: Path, manifest: dict, key: str, learner: str):
+    """The model in the file that manifest entry `key` names, which must be a `learner`."""
+    with open(directory / _field(manifest, key), encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("kind") != learner:
         raise ValueError(f"{key} holds a {doc.get('kind')!r} model, expected {learner!r}")
@@ -538,26 +538,25 @@ def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionMod
     directory = Path(directory)
     with open(directory / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest["kind"] == "early":
+    kind = _field(manifest, "kind")
+    if kind == "early":
         # The manifest is written with sorted keys; "modalities" keeps the concatenation order.
         names = _names(manifest, "modalities", MODALITY_ORDER)
-        dims = {name: manifest["dims"][name] for name in names}
-        svr = _load_learner(directory / manifest["models"]["svr"], "models.svr", "svr")
+        dims = {name: _field(manifest, f"dims.{name}") for name in names}
+        svr = _load_learner(directory, manifest, "models.svr", "svr")
         width = svr.scaler.means.shape[0]
         if not (all(is_count(d, 1) for d in dims.values()) and sum(dims.values()) == width):
             raise ValueError(f"dims {dims} must be positive integers that sum to the SVR's {width}")
         # Blocks per modality, as the fit built them, so it predicts as it did.
         blocks = support_blocks(svr.support_vectors, list(dims.values()))
         return EarlyFusionModel(dims=dims, svr=dataclasses.replace(svr, sv_blocks=blocks))
-    if manifest["kind"] == "late":
+    if kind == "late":
         return LateFusionModel(
             base_models={
-                name: _load_learner(
-                    directory / manifest["models"][name], f"models.{name}", BASES[name][0]
-                )
+                name: _load_learner(directory, manifest, f"models.{name}", BASES[name][0])
                 for name in _names(manifest, "base_order", BASES)
             },
-            meta=_load_learner(directory / manifest["meta"], "meta", "ridge"),
+            meta=_load_learner(directory, manifest, "meta", "ridge"),
             fold_log=manifest.get("fold_log", []),
         )
-    raise ValueError(f"unknown fusion model kind {manifest['kind']!r}")
+    raise ValueError(f"unknown fusion model kind {kind!r}")

@@ -312,6 +312,8 @@ def fit_forest(
         raise ValueError(
             f"need at least {2 * params.min_leaf} rows for min_leaf={params.min_leaf}"
         )
+    if X.shape[1] == 0:
+        raise ValueError("no columns in training data")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in training data")
     if ranks is not None and ranks.shape != X.shape[::-1]:

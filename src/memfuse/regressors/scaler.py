@@ -17,32 +17,19 @@ class Scaler:
     stds: np.ndarray
 
     @classmethod
-    def fit(cls, X: np.ndarray) -> "Scaler":
-        return cls.fit_transform(X)[0]
-
-    @classmethod
     def fit_transform(cls, X: np.ndarray) -> tuple["Scaler", np.ndarray]:
         """The scaler fit on X, and X standardized by it, from one pass of column moments.
 
-        X standardized is `fit(X).transform(X)` bit for bit: the same
-        `X - means`, divided by the same stds.
+        A zero std is stored as 1, and X standardized is `(X - means) / stds`
+        bit for bit.
         """
         means, stds, centered = column_moments(np.asarray(X, dtype=float))
         scaler = cls(means=means, stds=np.where(stds == 0.0, 1.0, stds))
         return scaler, centered / scaler.stds
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[-1] != self.means.shape[0]:
-            raise ValueError(
-                f"feature dimension mismatch: expected {self.means.shape[0]}, "
-                f"got {X.shape[-1]}"
-            )
-        return (X - self.means) / self.stds
-
     @classmethod
     def from_json(cls, doc: dict) -> "Scaler":
-        """The scaler of `doc`, which must be able to standardize (`fit` stores a zero std as 1)."""
+        """The scaler of `doc`, which must be able to standardize (a fit stores a zero std as 1)."""
         means = np.asarray(doc["means"], dtype=float)
         stds = np.asarray(doc["stds"], dtype=float)
         if not (

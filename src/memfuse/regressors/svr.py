@@ -174,34 +174,35 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return (A * A).sum(axis=1)
 
 
-def _first_equal(A: np.ndarray, keys: np.ndarray) -> np.ndarray | None:
+def _first_equal(A, keys: np.ndarray) -> np.ndarray | None:
     """The first row of A equal to each row, or None when all rows are distinct.
 
-    `keys` hold a number per row that equal rows share, such as their squared
-    norms. A row is compared only with rows whose key ties with its own, and
-    by value: rows are never merged on their keys alone. When no two keys tie,
-    as for rows that hold memory features, no row is compared. Otherwise each
-    row of a tie is compared with the distinct rows found before it in its
-    tie, which is one comparison when all rows of the tie are equal. Comparing
-    row views reads each row once; comparing a gathered block of a tie at once
-    also copies it, which measured slower.
+    A is a matrix or a list of rows. `keys` hold a number per row that equal
+    rows share, such as their squared norms. A row is compared only with rows
+    whose key ties with its own, and by value: rows are never merged on their
+    keys alone, and a NaN key, that of a row holding a NaN, ties with none.
+    When no two keys tie, as for memory rows, no row is compared. Otherwise
+    each row of a tie is compared with the distinct rows found before it in its
+    tie: one comparison when all rows of the tie are equal, none when they are
+    one array. Comparing row views reads each row once; comparing a gathered
+    block of a tie at once also copies it, which measured slower.
     """
     order = np.argsort(keys, kind="stable")  # a tie's rows stay in row order
     ties = keys[order[1:]] == keys[order[:-1]]
     if not ties.any():
         return None
-    first = np.arange(A.shape[0])
+    first = np.arange(len(A))
     heads: list[int] = []  # the distinct rows so far of the current tie
     for i, tied in zip(order.tolist(), [False, *ties.tolist()]):
         if not tied:
             heads = []
         for head in heads:
-            if (A[i] == A[head]).all():
+            if A[i] is A[head] or (A[i] == A[head]).all():
                 first[i] = head
                 break
         else:
             heads.append(i)
-    return None if (first == np.arange(A.shape[0])).all() else first
+    return None if (first == np.arange(len(A))).all() else first
 
 
 def _distinct(
@@ -247,13 +248,23 @@ def _distinct(
     )
 
 
-def distinct_rows(A: np.ndarray) -> Block:
-    """A's distinct rows, by value and in order of first occurrence, and each row's index in them.
+def distinct_rows(rows: Sequence) -> Block:
+    """The distinct rows, by value and in order of first occurrence, of a sequence of 1-d rows.
 
-    The index is None when every row is distinct, and the rows are then A itself.
+    A matrix counts as the sequence of its rows. Each row is compared as
+    floats, so integer rows that round to one float are one row. Only the
+    distinct rows are stacked; the index holds each row's place among them,
+    None when every row is distinct.
     """
-    distinct = _distinct(A, None)
-    return Block(distinct.rows, distinct.index)
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    first = None
+    if len(rows) > 1:
+        with np.errstate(over="ignore", invalid="ignore"):  # such a row is compared by value
+            first = _first_equal(rows, np.array([row.sum() for row in rows]))
+    if first is None:
+        return Block(np.vstack(rows))
+    kept = np.flatnonzero(first == np.arange(first.size))
+    return Block(np.vstack([rows[i] for i in kept]), np.searchsorted(kept, first))
 
 
 def support_blocks(
@@ -366,6 +377,8 @@ class SvrDesign:
         means, stds, standardized = [], [], []
         self.n_varying = 0  # columns of non-zero std
         for vectors, index in blocks:
+            if vectors.shape[1] == 0:
+                raise ValueError("no columns in training data")
             raw = _distinct(vectors, index)
             if not np.all(np.isfinite(raw.rows)):
                 raise ValueError("non-finite values in training data")

@@ -239,6 +239,11 @@ def feature_rows_by_lines(path, expected_dim: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+def standardized(scaler, X) -> np.ndarray:
+    """The rows of X standardized by a fitted scaler's means and stds."""
+    return (np.atleast_2d(np.asarray(X, dtype=float)) - scaler.means) / scaler.stds
+
+
 def svr_predictions_by_full_kernel(model, X: np.ndarray) -> np.ndarray:
     """An SVR's predictions on X from a kernel with one row per support vector.
 
@@ -246,7 +251,7 @@ def svr_predictions_by_full_kernel(model, X: np.ndarray) -> np.ndarray:
     exp(-gamma * max(|s|^2 + |x|^2 - (2 s) . x, 0)), with the operand doubled
     before the product, which `rbf_kernel_matrix` matches byte for byte.
     """
-    rows = model.scaler.transform(np.atleast_2d(np.asarray(X, dtype=float)))
+    rows = standardized(model.scaler, X)
     sv = model.support_vectors
     if sv.shape[0] == 0:
         return np.full(rows.shape[0], model.bias)

@@ -9,6 +9,7 @@ When a change of behaviour is intended, regenerate the file from
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -554,7 +555,7 @@ def test_run_holds_one_audio_and_one_visual_row_per_video_and_one_memory_row_per
     n = len(ds.responses)
     assert table.n == n
     assert table.modalities == ("audio", "visual", "mem_lexical", "mem_embedding")
-    assert {name: block.shape[0] for name, block in table.vectors.items()} == {
+    assert {name: block.vectors.shape[0] for name, block in table.columns.items()} == {
         "audio": len(VIDEOS), "visual": len(VIDEOS), "mem_lexical": n, "mem_embedding": n,
     }
     for name in ("audio", "visual"):
@@ -562,6 +563,28 @@ def test_run_holds_one_audio_and_one_visual_row_per_video_and_one_memory_row_per
         assert np.array_equal(table.stack([name]), expected)
     feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
     assert np.array_equal(table.stack(["mem_lexical"]), np.vstack([f.lexical for f in feats]))
+
+
+def test_run_stores_a_memory_text_that_two_responses_share_once(extractor, monkeypatch):
+    tables = []
+    build = evaluation._feature_table
+
+    def recording(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(evaluation, "_feature_table", recording)
+    ds, _ = _dataset()
+    responses = list(ds.responses)
+    responses[9] = dataclasses.replace(responses[9], memories=responses[2].memories)
+    ds = Dataset(responses=tuple(responses))
+    run_experiment1(ds, GRID, SEED, extractor=extractor, k_outer=2, k_inner=2, dims=("p",))
+    (table,) = tables
+    feats = [extractor.extract(r.memories[0].text) for r in ds.responses]
+    for name, part in (("mem_lexical", "lexical"), ("mem_embedding", "embedding")):
+        vectors, index = table.columns[name]
+        assert vectors.shape[0] == len(responses) - 1 and index[9] == index[2]
+        assert np.array_equal(table.stack([name]), np.vstack([getattr(f, part) for f in feats]))
 
 
 @pytest.mark.parametrize(
@@ -645,7 +668,7 @@ def test_an_outer_split_that_shares_a_participant_raises_naming_it(extractor, mo
         run_experiment1(_canary(extractor), GRID, SEED, extractor=extractor, dims=("p",))
 
 
-NO_SAMPLES = FeatureTable({}, {}, 0)
+NO_SAMPLES = FeatureTable({}, 0)
 
 
 def test_grid_search_on_a_table_without_groups_raises(extractor):

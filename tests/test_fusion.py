@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,9 +21,11 @@ from memfuse.fusion import (
     save_fusion_model,
 )
 from memfuse.regressors import (
+    Block,
     ForestParams,
     SvrDesign,
     SvrParams,
+    fit_forest,
     fit_svr,
     model_to_json,
     predict_svr,
@@ -257,7 +261,7 @@ def test_late_fusion_predict_grid_equals_late_fusion_fit_at_every_point(rng):
         lexical = rng.normal(size=(n, 4))
         y = audio[:, 0] + lexical[:, 1] + 0.1 * rng.normal(size=n)
         bundles = _bundles(rng, n, audio=audio, lexical=lexical)
-        assert len(feature_table(bundles).vectors["audio"]) == distinct
+        assert len(feature_table(bundles).columns["audio"].vectors) == distinct
         train, test = bundles[:40], bundles[40:]
         preds = late_fusion_predict_grid(
             feature_table(train, groups[:40]), y[:40], points, feature_table(test), 6
@@ -552,8 +556,8 @@ def test_feature_table_rows_and_select_share_the_vectors_and_compose(rng):
     assert part.groups == audio_only.groups == ["c", "e"]
     assert audio_only.modalities == ("audio",)
     for name in ("audio", "mem_lexical"):
-        assert np.shares_memory(part.vectors[name], table.vectors[name])
-    assert np.shares_memory(audio_only.vectors["audio"], table.vectors["audio"])
+        assert np.shares_memory(part.columns[name].vectors, table.columns[name].vectors)
+    assert np.shares_memory(audio_only.columns["audio"].vectors, table.columns["audio"].vectors)
     assert np.array_equal(part.stack(["audio", "mem_lexical"]), np.hstack([audio, lexical])[[2, 4]])
     assert np.array_equal(audio_only.stack(["audio"]), audio[[2, 4]])
 
@@ -562,9 +566,33 @@ def test_one_modality_of_a_bundle_table_is_stacked_without_a_second_copy(rng):
     audio = rng.normal(size=(5, 3))
     table = feature_table(_bundles(rng, 5, audio=audio, lexical=rng.normal(size=(5, 2))))
     block = table.stack(["audio"])
-    assert block is table.vectors["audio"]
+    assert block is table.columns["audio"].vectors
     assert not np.shares_memory(block, audio) and np.array_equal(block, audio)
     assert not np.shares_memory(table.rows([0, 1]).stack(["audio"]), block)
+
+
+def test_feature_table_stacks_only_the_distinct_vectors_of_bundles_that_share_arrays(rng):
+    # 240 viewers of 24 videos, at the paper's audio and visual widths.
+    audio, visual = list(rng.normal(size=(24, 1582))), list(rng.normal(size=(24, 8709)))
+    bundles = [ModalityBundle(audio=audio[i % 24], visual=visual[i % 24]) for i in range(240)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = feature_table(bundles)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    stored = sum(block.vectors.nbytes for block in table.columns.values())
+    assert stored == 24 * (1582 + 8709) * 8
+    assert peak < stored + 2**18  # stacking all 240 rows first peaked at 10 times as much
+    assert np.array_equal(table.stack(["visual"]), np.vstack([b.visual for b in bundles]))
+
+
+def test_bundles_that_share_an_array_holding_a_nan_keep_a_row_each():
+    shared = np.array([1.0, np.nan, 2.0])
+    table = feature_table([ModalityBundle(audio=shared), ModalityBundle(audio=shared)])
+    assert table.columns["audio"].vectors.shape == (2, 3)
+    assert table.columns["audio"].index is None
 
 
 def test_feature_table_rejects_an_empty_bundle_list():
@@ -581,6 +609,45 @@ def _saved_early_model(tmp_path, rng):
 
 def _write_manifest(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _saved_late_model(tmp_path, rng):
+    audio = rng.normal(size=(20, 3))
+    bundles = _bundles(rng, 20, audio=audio, lexical=rng.normal(size=(20, 4)))
+    save_fusion_model(late_fusion_fit(bundles, audio[:, 0], _late_params(), 1.0), tmp_path)
+    return json.loads((tmp_path / "manifest.json").read_text())
+
+
+def _without(doc, key):
+    """`doc` without its entry at dotted `key`."""
+    head, _, rest = key.partition(".")
+    if not rest:
+        return {k: v for k, v in doc.items() if k != head}
+    return {**doc, head: _without(doc[head], rest)}
+
+
+@pytest.mark.parametrize(
+    "saved, removed, named",
+    [
+        (_saved_early_model, "kind", "kind"),
+        (_saved_early_model, "modalities", "modalities"),
+        (_saved_early_model, "dims", "dims.audio"),
+        (_saved_early_model, "dims.audio", "dims.audio"),
+        (_saved_early_model, "models", "models.svr"),
+        (_saved_early_model, "models.svr", "models.svr"),
+        (_saved_late_model, "kind", "kind"),
+        (_saved_late_model, "base_order", "base_order"),
+        (_saved_late_model, "models", "models.audio"),
+        (_saved_late_model, "models.memory", "models.memory"),
+        (_saved_late_model, "meta", "meta"),
+    ],
+)
+def test_load_fusion_model_names_a_manifest_field_that_is_missing(
+    tmp_path, rng, saved, removed, named
+):
+    _write_manifest(tmp_path, _without(saved(tmp_path, rng), removed))
+    with pytest.raises(ValueError, match=f"^manifest lacks {re.escape(named)}$"):
+        load_fusion_model(tmp_path)
 
 
 def test_load_fusion_model_rejects_a_fractional_dimension(tmp_path, rng):
@@ -708,10 +775,11 @@ def _repeated_av_bundles(rng, n=36, videos=6):
 def test_feature_table_stores_equal_vectors_once_by_value(rng):
     bundles, _, watched = _repeated_av_bundles(rng)
     table = feature_table(bundles)
-    assert {m: v.shape[0] for m, v in table.vectors.items()} == {
+    assert {m: b.vectors.shape[0] for m, b in table.columns.items()} == {
         "audio": 6, "visual": 6, "mem_lexical": 36,
     }
-    assert np.array_equal(table.index["audio"], watched) and table.index["mem_lexical"] is None
+    assert np.array_equal(table.columns["audio"].index, watched)
+    assert table.columns["mem_lexical"].index is None
     for name in table.modalities:
         want = np.vstack([getattr(b, name) for b in bundles])
         assert np.array_equal(table.stack([name]), want)
@@ -764,3 +832,22 @@ def test_late_fusion_ranks_the_memory_block_once_per_call(rng, monkeypatch):
     late_fusion_fit([ModalityBundle(mem_lexical=v) for v in rng.normal(size=(20, 4))],
                     rng.normal(size=20), _late_params(3), 1.0, k_inner=2)
     assert ranked == [(20, 4)]
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda X, y: fit_svr(X, y, SvrParams()),
+        lambda X, y: fit_svr([Block(X), Block(np.ones((len(y), 2)))], y, SvrParams()),
+        lambda X, y: SvrDesign(X),
+        lambda X, y: fit_forest(X, y, ForestParams()),
+        lambda X, y: early_fusion_fit([ModalityBundle(audio=x) for x in X], y, SvrParams()),
+        lambda X, y: late_fusion_fit(
+            [ModalityBundle(mem_lexical=x) for x in X], y, _late_params(), 1.0, k_inner=2
+        ),
+    ],
+    ids=["svr", "svr_block", "design", "forest", "early", "late_memory"],
+)
+def test_learners_reject_training_data_with_no_columns(rng, fit):
+    with pytest.raises(ValueError, match="^no columns in training data$"):
+        fit(np.zeros((10, 0)), rng.normal(size=10))

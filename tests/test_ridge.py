@@ -12,14 +12,13 @@ from memfuse.regressors import (
 )
 from memfuse.regressors.scaler import column_moments
 
-from .oracles import ridge_normal_equations
+from .oracles import ridge_normal_equations, standardized
 
 
 def test_scaler_standardizes_training_data(rng):
     X = rng.normal(loc=3.0, scale=2.5, size=(40, 4))
     X[:, 2] = 7.0  # constant column
-    scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
+    _, Xs = Scaler.fit_transform(X)
     assert np.all(np.abs(Xs.mean(axis=0)) < 1e-9)
     stds = Xs.std(axis=0)
     assert np.allclose(stds[[0, 1, 3]], 1.0)
@@ -30,19 +29,15 @@ def test_scaler_rejects_columns_too_large_to_standardize(rng):
     X = rng.normal(size=(10, 3))
     X[:, 1] = np.where(X[:, 1] > 0, 1e200, -1e200)  # finite, but its squares overflow
     y = rng.normal(size=10)
-    for fit in (Scaler.fit, lambda X: fit_svr(X, y, SvrParams()), lambda X: fit_ridge(X, y, 1.0)):
+    for fit in (
+        Scaler.fit_transform, lambda X: fit_svr(X, y, SvrParams()), lambda X: fit_ridge(X, y, 1.0)
+    ):
         with pytest.raises(ValueError, match="^columns too large to standardize"):
             fit(X)
     X[:, 1] = 1e150  # large but standardizable: the column is constant
-    scaler = Scaler.fit(X)
+    scaler, _ = Scaler.fit_transform(X)
     assert np.array_equal(scaler.means, X.mean(axis=0))
     assert np.array_equal(scaler.stds, np.where(X.std(axis=0) == 0, 1.0, X.std(axis=0)))
-
-
-def test_scaler_dim_mismatch(rng):
-    scaler = Scaler.fit(rng.normal(size=(10, 3)))
-    with pytest.raises(ValueError, match="mismatch"):
-        scaler.transform(rng.normal(size=(5, 2)))
 
 
 def test_exact_line_recovers_slope():
@@ -87,7 +82,7 @@ def test_objective_at_solution_beats_perturbations(rng):
     alpha = 2.0
     model = fit_ridge(X, y, alpha)
     scaler = model.scaler
-    Xs = scaler.transform(X)
+    Xs = standardized(scaler, X)
     yc = y - y.mean()
     w_star = model.weights * scaler.stds
 
@@ -187,15 +182,16 @@ def test_column_moments_of_counted_rows_are_those_of_the_rows_repeated(rng):
 
 
 def _ridge_two_pass(X, y, alpha):
-    """(weights, intercept, scaler) of `fit_ridge` with a scaler fit first and then applied."""
-    scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
+    """(weights, intercept, means, stds) of `fit_ridge` with column moments taken first."""
+    means, stds = X.mean(axis=0), X.std(axis=0)
+    stds[stds == 0.0] = 1.0
+    Xs = (X - means) / stds
     y_mean = float(y.mean())
     d = X.shape[1]
     augmented = np.vstack([Xs, np.sqrt(alpha) * np.eye(d)])
     w, *_ = np.linalg.lstsq(augmented, np.concatenate([y - y_mean, np.zeros(d)]), rcond=None)
-    weights = w / scaler.stds
-    return weights, y_mean - float(weights @ scaler.means), scaler
+    weights = w / stds
+    return weights, y_mean - float(weights @ means), means, stds
 
 
 @pytest.mark.parametrize("case", ["constant", "tied", "scaled_up"])
@@ -211,12 +207,12 @@ def test_one_pass_standardizing_fits_the_ridge_of_the_two_pass_form(rng, case):
         X[:, [0, 3]] *= 1e120
     y = X[:, 0] / np.abs(X[:, 0]).max() + rng.normal(size=30)
     scaler, Xs = Scaler.fit_transform(X)
-    assert Xs.tobytes() == Scaler.fit(X).transform(X).tobytes()
-    weights, intercept, two_pass = _ridge_two_pass(X, y, 0.5)
+    weights, intercept, means, stds = _ridge_two_pass(X, y, 0.5)
+    assert Xs.tobytes() == ((X - means) / stds).tobytes()
     model = fit_ridge(X, y, 0.5)
     assert model.weights.tobytes() == weights.tobytes()
     assert model.intercept == intercept
     for got in (model.scaler, scaler):
-        assert got.means.tobytes() == two_pass.means.tobytes()
-        assert got.stds.tobytes() == two_pass.stds.tobytes()
+        assert got.means.tobytes() == means.tobytes()
+        assert got.stds.tobytes() == stds.tobytes()
     assert predict_ridge(model, X).tobytes() == (X @ weights + intercept).tobytes()

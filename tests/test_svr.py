@@ -23,6 +23,7 @@ from memfuse.regressors.scaler import Scaler
 
 from .oracles import (
     qp_oracle_svr_dual,
+    standardized,
     svr_bias_from_beta,
     svr_dual_objective,
     svr_predictions_by_full_kernel,
@@ -104,7 +105,7 @@ def test_predict_with_stored_norms_is_bit_equal_to_a_fresh_kernel(rng):
         ((rows, sq_norms, index),) = model.sv_blocks
         assert index is None and rows is sv
         assert np.array_equal(sq_norms, (sv * sv).sum(axis=1))
-        K = rbf_kernel_matrix(sv, model.scaler.transform(queries), model.params.gamma)
+        K = rbf_kernel_matrix(sv, standardized(model.scaler, queries), model.params.gamma)
         assert np.array_equal(predict_svr(model, queries), model.dual_coefs @ K + model.bias)
 
 
@@ -290,7 +291,7 @@ def test_kkt_residuals_within_tol(rng):
     model = fit_svr(X, y, params)
     assert model.converged
     beta = _full_beta(model, n)
-    Xs = model.scaler.transform(X)
+    Xs = standardized(model.scaler, X)
     K = rbf_kernel_matrix(Xs, Xs, model.params.gamma)
     grad = y - K @ beta
     eps, c, b = params.epsilon, params.c, model.bias
@@ -349,7 +350,7 @@ def test_smo_matches_qp_oracle(trial, rng):
     model = fit_svr(X, y, params)
     assert model.converged
 
-    Xs = model.scaler.transform(X)
+    Xs = standardized(model.scaler, X)
     K = rbf_kernel_matrix(Xs, Xs, model.params.gamma)
     beta_smo = _full_beta(model, n)
     beta_oracle = qp_oracle_svr_dual(K, y, params.c, params.epsilon)
@@ -360,7 +361,7 @@ def test_smo_matches_qp_oracle(trial, rng):
 
     bias_oracle = svr_bias_from_beta(K, y, beta_oracle, params.c, params.epsilon)
     X_test = rng.normal(size=(15, d))
-    K_test = rbf_kernel_matrix(Xs, model.scaler.transform(X_test), model.params.gamma)
+    K_test = rbf_kernel_matrix(Xs, standardized(model.scaler, X_test), model.params.gamma)
     pred_oracle = beta_oracle @ K_test + bias_oracle
     pred_smo = predict_svr(model, X_test)
     assert np.max(np.abs(pred_smo - pred_oracle)) <= 1e-3
@@ -467,6 +468,38 @@ def test_repeated_support_vectors_share_one_kernel_row(rng, monkeypatch):
         want = svr_predictions_by_full_kernel(model, block)
         assert np.max(np.abs(predict_svr(model, block) - want)) <= 1e-12
     assert kernels == [(6, 5)] * 3  # the module-level kernel, on the distinct rows only
+
+
+def test_distinct_rows_of_a_list_equal_those_of_the_stacked_matrix(rng):
+    videos = rng.normal(size=(4, 5))
+    rows = [videos[v] for v in (2, 0, 2, 3, 0, 0)]
+    for given in (rows, np.vstack(rows)):
+        vectors, index = svr_module.distinct_rows(given)
+        assert vectors.tobytes() == videos[[2, 0, 3]].tobytes()
+        assert index.dtype == np.intp and index.tolist() == [0, 1, 0, 2, 1, 1]
+    vectors, index = svr_module.distinct_rows([videos[1]])
+    assert index is None and vectors.tobytes() == videos[1:2].tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, merged",
+    [
+        ([[0.0, 1.0], [-0.0, 1.0]], True),  # equal as floats
+        (np.array([[2**53, 1], [2**53 + 1, 1]]), True),  # one float once converted
+        ([[1.0, np.nan], [1.0, np.nan]], False),  # NaN equals nothing
+    ],
+    ids=["signed_zero", "int_rounding", "nan"],
+)
+def test_distinct_rows_compare_rows_as_floats(rows, merged):
+    vectors, index = svr_module.distinct_rows(rows)
+    first = np.asarray(rows[0], dtype=float)
+    if merged:
+        assert index.tolist() == [0, 0] and vectors.tobytes() == first.tobytes()
+    else:
+        assert index is None and vectors.shape == (2, 2)
+    # The same array passed twice is one row, unless it holds a NaN.
+    vectors, index = svr_module.distinct_rows([first, first])
+    assert (index is not None) == merged
 
 
 def test_rows_of_equal_norm_but_other_values_are_not_merged():
