@@ -526,8 +526,19 @@ def _names(manifest: dict, key: str, order) -> list[str]:
 
 
 def _load_learner(directory: Path, manifest: dict, key: str, learner: str):
-    """The model in the file that manifest entry `key` names, which must be a `learner`."""
-    with open(directory / _field(manifest, key), encoding="utf-8") as fh:
+    """The model in the file that manifest entry `key` names, which must be a `learner`.
+
+    The entry must be a path relative to the model's folder that stays inside it.
+    """
+    name = _field(manifest, key)
+    root = directory.resolve()
+    if not (
+        isinstance(name, str)
+        and not Path(name).anchor
+        and (root / name).resolve().is_relative_to(root)
+    ):
+        raise ValueError(f"{key} must be a relative path inside the model's folder, got {name!r}")
+    with open(directory / name, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("kind") != learner:
         raise ValueError(f"{key} holds a {doc.get('kind')!r} model, expected {learner!r}")

@@ -11,6 +11,14 @@ subproblem exactly (the one-dimensional objective is piecewise quadratic).
 The bias is recovered from KKT-interior points. Features are standardized
 internally; the scaler is fit on training data only.
 
+At the sizes fitted here (n <= 160) a pair step costs per numpy call, not per
+row, so the loop makes few calls and allocates no array: its vectors are
+buffers written in place, eta(i, k) = K_ii + K_kk - 2 K_ik is a table built
+once per solve, and the pair step runs on Python floats. The partner score
+v |v| / eta picks the row that v^2 / eta over the rows of positive violation
+v picks, as `_solve` says; `tests/oracles.py` keeps the loop of fresh
+temporaries that it must match bit for bit.
+
 Samples come in blocks of columns (`Block`): a matrix of feature vectors and
 each sample's row in it. A plain matrix X is one block whose row i is sample
 i. A video's audio and visual vectors repeat once per viewer who watched it,
@@ -104,7 +112,7 @@ class SvrParams:
     gamma: float | None = None  # None resolves to the scale heuristic at fit time
     gamma_scale: float = 1.0    # multiplier on the scale heuristic when gamma is None
     tol: float = 1e-7
-    max_passes: int = 50_000
+    max_passes: int = 50_000  # a cap on SMO pair steps (n_iter), not on passes over the data
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it: every comparison with NaN is false.
@@ -435,45 +443,50 @@ class SvrDesign:
 
 def _pair_step(
     beta_i: float, beta_j: float, grad_i: float, grad_j: float, eta: float, c: float, eps: float
-) -> tuple[float, float]:
-    """Exact maximizer of the pair subproblem over t in [0, U].
+) -> float:
+    """Exact maximizer t of the pair subproblem over [0, U], or 0.0 when no t gains.
 
-    Returns (t, objective gain). beta_i moves by +t, beta_j by -t.
+    beta_i moves by +t, beta_j by -t; eta is positive. The gain is piecewise
+    quadratic with knots where beta_i + t or beta_j - t changes sign. The
+    knots, in increasing order, are scored first and then each interval's
+    stationary point, and the first strictly best gain wins; t = 0 gains
+    nothing and is not scored.
     """
     upper = min(c - beta_i, beta_j + c)
     if upper <= 0.0:
-        return 0.0, 0.0
-    knots = [0.0, upper]
-    if 0.0 < -beta_i < upper:
-        knots.append(-beta_i)
-    if 0.0 < beta_j < upper:
-        knots.append(beta_j)
-    knots = sorted(set(knots))
+        return 0.0
+    lo, hi = -beta_i, beta_j
+    if hi < lo:
+        lo, hi = hi, lo
+    knots = [0.0]
+    if 0.0 < lo < upper:
+        knots.append(lo)
+    if lo < hi and 0.0 < hi < upper:
+        knots.append(hi)
+    knots.append(upper)
 
-    def gain(t: float) -> float:
-        return (
-            t * (grad_i - grad_j)
-            - 0.5 * eta * t * t
-            - eps * (abs(beta_i + t) - abs(beta_i))
-            - eps * (abs(beta_j - t) - abs(beta_j))
-        )
-
-    candidates = list(knots)
-    if eta > 0.0:
-        for a, b in zip(knots[:-1], knots[1:]):
-            mid = 0.5 * (a + b)
-            sigma_i = 1.0 if beta_i + mid >= 0 else -1.0
-            sigma_j = 1.0 if beta_j - mid > 0 else -1.0
-            t_star = (grad_i - grad_j - eps * (sigma_i - sigma_j)) / eta
-            if a < t_star < b:
-                candidates.append(t_star)
+    diff = grad_i - grad_j
+    abs_i, abs_j = abs(beta_i), abs(beta_j)
+    candidates = knots[1:]
+    for a, b in zip(knots[:-1], knots[1:]):
+        mid = 0.5 * (a + b)
+        sigma_i = 1.0 if beta_i + mid >= 0 else -1.0
+        sigma_j = 1.0 if beta_j - mid > 0 else -1.0
+        t_star = (diff - eps * (sigma_i - sigma_j)) / eta
+        if a < t_star < b:
+            candidates.append(t_star)
 
     best_t, best_gain = 0.0, 0.0
     for t in candidates:
-        g = gain(t)
-        if g > best_gain:
-            best_t, best_gain = t, g
-    return best_t, best_gain
+        gain = (
+            t * diff
+            - 0.5 * eta * t * t
+            - eps * (abs(beta_i + t) - abs_i)
+            - eps * (abs(beta_j - t) - abs_j)
+        )
+        if gain > best_gain:
+            best_t, best_gain = t, gain
+    return best_t
 
 
 def fit_svr(X, y: np.ndarray, params: SvrParams, design: SvrDesign | None = None) -> SvrModel:
@@ -520,14 +533,34 @@ def fit_svr(X, y: np.ndarray, params: SvrParams, design: SvrDesign | None = None
 def _solve(
     K: np.ndarray, y: np.ndarray, params: SvrParams
 ) -> tuple[np.ndarray, float, bool, int, float]:
-    """SMO on the Gram K: (beta, bias, converged, iterations, final KKT gap)."""
+    """SMO on the Gram K: (beta, bias, converged, iterations, KKT gap of beta).
+
+    At n <= 160 a pair step costs per numpy call more than per row, so the
+    loop allocates nothing: each per-step vector is a buffer written in place,
+    and eta(i, k) = K_ii + K_kk - 2 K_ik, floored at 1e-12, is a table built
+    once per solve.
+
+    The partner j maximizes v_k |v_k| / eta(i, k), where v_k = m - (grad_k -
+    dn_off_k) is row k's violation against row i. For v > 0 this is v^2 / eta
+    bit for bit, and for v <= 0 it is at most 0 (-inf on a bound row); row i
+    has v <= 0 and is excluded. While gap > tol, the row of least grad - dn_off
+    has v = gap > 0, so the best score is positive and falls on the first best
+    row of v^2 / eta over the rows of v > 0. Only when all those scores
+    underflow to 0 can a row of v <= 0 tie with them, and then the first row of
+    v > 0 is taken. A score of +inf (overflow) leaves no admissible partner
+    and ends the solve.
+
+    The gap returned is that of the returned beta: when `max_passes` ends the
+    loop, it is computed once more after the last step.
+    """
     c, eps, tol = params.c, params.epsilon, params.tol
     n = K.shape[0]
-    diag = np.diagonal(K).copy()
-    # Column i of K, and twice it, as contiguous rows: the values of K[:, i]
-    # and 2.0 * K[:, i], read without a stride and doubled once per solve.
+    diag = np.diagonal(K)
+    # Column i of K as a contiguous row, read without a stride.
     columns = np.ascontiguousarray(K.T)
-    doubled = 2.0 * columns
+    eta = diag[:, None] + diag
+    eta -= 2.0 * columns
+    np.maximum(eta, 1e-12, out=eta)
 
     beta = np.zeros(n)
     grad = y.astype(float).copy()  # grad_i = y_i - (K beta)_i
@@ -537,47 +570,56 @@ def _solve(
     # already at -inf and +inf.
     up_off = np.full(n, eps)
     dn_off = np.full(n, -eps)
+    d_up, d_dn, v, s, delta = np.empty((5, n))
+    # Local names and a positional `out`: at n <= 160 a call's overhead is most of its cost.
+    subtract, multiply, absolute, divide = np.subtract, np.multiply, np.absolute, np.divide
+    inf = math.inf
 
     n_iter = 0
     converged = False
-    gap = np.inf
     while n_iter < params.max_passes:
-        d_up = grad - up_off
-        i = int(np.argmax(d_up))
+        subtract(grad, up_off, d_up)
+        i = d_up.argmax()
         m = d_up.item(i)
-        d_dn = grad - dn_off
-        big_m = d_dn.min()
-        gap = m - big_m
+        subtract(grad, dn_off, d_dn)
+        gap = m - d_dn.item(d_dn.argmin())
         if gap <= tol:
             converged = True
             break
 
-        # A bound row's d_dn is +inf, so its violation is -inf and never scores.
-        violation = m - d_dn
-        eta_vec = diag[i] + diag - doubled[i]
-        np.maximum(eta_vec, 1e-12, out=eta_vec)
-        score = np.where(violation > 0.0, violation * violation / eta_vec, -np.inf)
-        score[i] = -np.inf
-        j = int(np.argmax(score))
-        if not math.isfinite(score.item(j)):
-            converged = True  # no admissible partner: violation is below tol noise
+        subtract(m, d_dn, v)
+        absolute(v, s)
+        multiply(v, s, s)
+        divide(s, eta[i], s)
+        s[i] = -inf
+        j = s.argmax()
+        best = s.item(j)
+        if best == inf:
+            converged = True  # the score overflowed: no admissible partner
             break
+        if best == 0.0:  # every v > 0 scored 0 by underflow: take the first of them
+            j = (v > 0.0).argmax()
 
         # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction of the cost.
-        t, step_gain = _pair_step(
-            beta.item(i), beta.item(j), grad.item(i), grad.item(j), eta_vec.item(j), c, eps
-        )
-        if t <= 0.0 or step_gain <= 0.0:
+        beta_i, beta_j = beta.item(i), beta.item(j)
+        t = _pair_step(beta_i, beta_j, grad.item(i), grad.item(j), eta.item(i, j), c, eps)
+        if t <= 0.0:
             break  # numerical stall; bias recovery still valid
 
-        beta[i] += t
-        beta[j] -= t
-        grad -= t * (columns[i] - columns[j])
-        for idx in (i, j):
-            b_val = beta.item(idx)
-            up_off[idx] = (eps if b_val >= 0 else -eps) if b_val < c else np.inf
-            dn_off[idx] = (eps if b_val > 0 else -eps) if b_val > -c else -np.inf
+        beta_i += t
+        beta_j -= t
+        beta[i] = beta_i
+        beta[j] = beta_j
+        subtract(columns[i], columns[j], delta)
+        multiply(delta, t, delta)
+        subtract(grad, delta, grad)
+        up_off[i] = (eps if beta_i >= 0 else -eps) if beta_i < c else inf
+        dn_off[i] = (eps if beta_i > 0 else -eps) if beta_i > -c else -inf
+        up_off[j] = (eps if beta_j >= 0 else -eps) if beta_j < c else inf
+        dn_off[j] = (eps if beta_j > 0 else -eps) if beta_j > -c else -inf
         n_iter += 1
+    else:  # stopped by max_passes: the gap of the beta returned
+        gap = (grad - up_off).max() - (grad - dn_off).min()
 
     interior = (beta != 0.0) & (np.abs(beta) < c)
     if interior.any():

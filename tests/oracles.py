@@ -5,15 +5,20 @@ a dense projected-gradient QP solver for the SVR dual, explicit normal
 equations for ridge, a one-feature-at-a-time stable-sort scan for the
 forest's split search, one row down one tree at a time for its prediction,
 a dict probe per word token and table for the text features' lookup rule,
-one `np.array` conversion per line for the AV feature-file reader, and one
-RBF kernel row per support vector, repeated or not, for SVR prediction.
+one `np.array` conversion per line for the AV feature-file reader, one
+RBF kernel row per support vector, repeated or not, for SVR prediction, and
+the SMO loop of fresh temporaries per pair step that the buffered loop of
+`memfuse.regressors.svr._solve` must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from memfuse.av import FeatureFormatError
+from memfuse.regressors import SvrParams
 from memfuse.text import lemmatize
 
 
@@ -258,3 +263,127 @@ def svr_predictions_by_full_kernel(model, X: np.ndarray) -> np.ndarray:
     sq = (sv * sv).sum(axis=1)[:, None] + (rows * rows).sum(axis=1)[None, :] - (2.0 * sv) @ rows.T
     kernel = np.exp(-model.params.gamma * np.maximum(sq, 0.0))
     return model.dual_coefs @ kernel + model.bias
+
+
+def _pair_step_with_closure(
+    beta_i: float, beta_j: float, grad_i: float, grad_j: float, eta: float, c: float, eps: float
+) -> tuple[float, float]:
+    """Exact maximizer of the pair subproblem over t in [0, U].
+
+    Returns (t, objective gain). beta_i moves by +t, beta_j by -t.
+    """
+    upper = min(c - beta_i, beta_j + c)
+    if upper <= 0.0:
+        return 0.0, 0.0
+    knots = [0.0, upper]
+    if 0.0 < -beta_i < upper:
+        knots.append(-beta_i)
+    if 0.0 < beta_j < upper:
+        knots.append(beta_j)
+    knots = sorted(set(knots))
+
+    def gain(t: float) -> float:
+        return (
+            t * (grad_i - grad_j)
+            - 0.5 * eta * t * t
+            - eps * (abs(beta_i + t) - abs(beta_i))
+            - eps * (abs(beta_j - t) - abs(beta_j))
+        )
+
+    candidates = list(knots)
+    if eta > 0.0:
+        for a, b in zip(knots[:-1], knots[1:]):
+            mid = 0.5 * (a + b)
+            sigma_i = 1.0 if beta_i + mid >= 0 else -1.0
+            sigma_j = 1.0 if beta_j - mid > 0 else -1.0
+            t_star = (grad_i - grad_j - eps * (sigma_i - sigma_j)) / eta
+            if a < t_star < b:
+                candidates.append(t_star)
+
+    best_t, best_gain = 0.0, 0.0
+    for t in candidates:
+        g = gain(t)
+        if g > best_gain:
+            best_t, best_gain = t, g
+    return best_t, best_gain
+
+
+def smo_by_temporaries(
+    K: np.ndarray, y: np.ndarray, params: SvrParams
+) -> tuple[np.ndarray, float, bool, int, float]:
+    """SMO on the Gram K: (beta, bias, converged, iterations, final KKT gap).
+
+    The reference loop for `memfuse.regressors.svr._solve`: a frozen copy of
+    the loop that `_solve` replaced, which allocates its vectors anew on every
+    pair step, builds eta(i, .) per step from a doubled copy of K, scores
+    partners by np.where(v > 0, v * v / eta, -inf) and solves the pair
+    subproblem through a gain closure over sorted(set(knots)). `_solve` must
+    return the same beta bytes, bias, converged flag and iteration count, and
+    the same gap wherever the solve stops before `max_passes` (this loop then
+    returns the gap from before its last step).
+    """
+    c, eps, tol = params.c, params.epsilon, params.tol
+    n = K.shape[0]
+    diag = np.diagonal(K).copy()
+    # Column i of K, and twice it, as contiguous rows: the values of K[:, i]
+    # and 2.0 * K[:, i], read without a stride and doubled once per solve.
+    columns = np.ascontiguousarray(K.T)
+    doubled = 2.0 * columns
+
+    beta = np.zeros(n)
+    grad = y.astype(float).copy()  # grad_i = y_i - (K beta)_i
+    # eps times the right- and left-derivative sign of |beta_i|, or an infinity
+    # where beta_i may not move that way (beta_i = C, beta_i = -C), so that
+    # grad - up_off and grad - dn_off are the KKT values with the bound rows
+    # already at -inf and +inf.
+    up_off = np.full(n, eps)
+    dn_off = np.full(n, -eps)
+
+    n_iter = 0
+    converged = False
+    gap = np.inf
+    while n_iter < params.max_passes:
+        d_up = grad - up_off
+        i = int(np.argmax(d_up))
+        m = d_up.item(i)
+        d_dn = grad - dn_off
+        big_m = d_dn.min()
+        gap = m - big_m
+        if gap <= tol:
+            converged = True
+            break
+
+        # A bound row's d_dn is +inf, so its violation is -inf and never scores.
+        violation = m - d_dn
+        eta_vec = diag[i] + diag - doubled[i]
+        np.maximum(eta_vec, 1e-12, out=eta_vec)
+        score = np.where(violation > 0.0, violation * violation / eta_vec, -np.inf)
+        score[i] = -np.inf
+        j = int(np.argmax(score))
+        if not math.isfinite(score.item(j)):
+            converged = True  # no admissible partner: violation is below tol noise
+            break
+
+        # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction of the cost.
+        t, step_gain = _pair_step_with_closure(
+            beta.item(i), beta.item(j), grad.item(i), grad.item(j), eta_vec.item(j), c, eps
+        )
+        if t <= 0.0 or step_gain <= 0.0:
+            break  # numerical stall; bias recovery still valid
+
+        beta[i] += t
+        beta[j] -= t
+        grad -= t * (columns[i] - columns[j])
+        for idx in (i, j):
+            b_val = beta.item(idx)
+            up_off[idx] = (eps if b_val >= 0 else -eps) if b_val < c else np.inf
+            dn_off[idx] = (eps if b_val > 0 else -eps) if b_val > -c else -np.inf
+        n_iter += 1
+
+    interior = (beta != 0.0) & (np.abs(beta) < c)
+    if interior.any():
+        bias = float(np.mean(grad[interior] - eps * np.sign(beta[interior])))
+    else:
+        bias = float(0.5 * ((grad - up_off).max() + (grad - dn_off).min()))
+
+    return beta, bias, converged, n_iter, float(gap)

@@ -650,6 +650,28 @@ def test_load_fusion_model_names_a_manifest_field_that_is_missing(
         load_fusion_model(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "saved, key",
+    [(_saved_early_model, "models.svr"), (_saved_late_model, "models.audio"), (_saved_late_model, "meta")],
+)
+@pytest.mark.parametrize("entry", ["5", "absolute", "../outside.json"])
+def test_load_fusion_model_rejects_a_file_entry_that_is_not_a_path_inside_its_folder(
+    tmp_path, rng, saved, key, entry
+):
+    folder = tmp_path / "model"
+    manifest = saved(folder, rng)
+    head, _, rest = key.partition(".")
+    name = manifest[head][rest] if rest else manifest[head]
+    # A readable model file outside the folder, so that only the check can refuse it.
+    outside = tmp_path / "outside.json"
+    outside.write_bytes((folder / name).read_bytes())
+    entry = {"5": 5, "absolute": str(outside)}.get(entry, entry)
+    _write_manifest(folder, {**manifest, head: {**manifest[head], rest: entry} if rest else entry})
+    message = f"{key} must be a relative path inside the model's folder, got {entry!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_fusion_model(folder)
+
+
 def test_load_fusion_model_rejects_a_fractional_dimension(tmp_path, rng):
     manifest = _saved_early_model(tmp_path, rng)
     _write_manifest(tmp_path, {**manifest, "dims": {"audio": 3.9}})

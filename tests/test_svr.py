@@ -23,6 +23,7 @@ from memfuse.regressors.scaler import Scaler
 
 from .oracles import (
     qp_oracle_svr_dual,
+    smo_by_temporaries,
     standardized,
     svr_bias_from_beta,
     svr_dual_objective,
@@ -250,10 +251,87 @@ def test_model_from_json_rejects_an_inconsistent_document(rng, case):
 
 
 def test_max_passes_flag(rng):
-    X = rng.normal(size=(30, 2))
-    y = rng.normal(size=30)
-    model = fit_svr(X, y, SvrParams(c=10.0, epsilon=0.0, max_passes=2))
-    assert not model.converged
+    n = 30
+    X = rng.normal(size=(n, 2))
+    y = rng.normal(size=n)
+    for base in (SvrParams(c=10.0, epsilon=0.0), SvrParams()):
+        for max_passes in (1, 2, 5):
+            params = dataclasses.replace(base, max_passes=max_passes)
+            model = fit_svr(X, y, params)
+            assert not model.converged and model.n_iter == max_passes
+            # The recorded gap is that of the beta returned, not the one before the last step.
+            beta = _full_beta(model, n)
+            Xs = standardized(model.scaler, X)
+            grad = y - rbf_kernel_matrix(Xs, Xs, model.params.gamma) @ beta
+            c, eps = params.c, params.epsilon
+            d_up = np.where(beta < c, grad - np.where(beta >= 0, eps, -eps), -np.inf)
+            d_dn = np.where(beta > -c, grad - np.where(beta > 0, eps, -eps), np.inf)
+            assert model.kkt_gap == pytest.approx(d_up.max() - d_dn.min(), rel=1e-9, abs=1e-12)
+
+
+def _smo_case(name):
+    """(K, y, params) of one named solve for the comparison with the reference loop."""
+    if name == "score-underflow":
+        # Rows 0 and 2 are one point, so eta(0, 2) is floored at 1e-12. With
+        # targets near 1e-161, row 2's violation (~5e-163) squared underflows
+        # to a score of 0 that ties with row 1's v = 0, and the floored eta
+        # still lets each step gain.
+        X = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 0.0]])
+        y = np.array([5.02e-162, -1.1356e-161, 4.48e-162])
+        return rbf_kernel_matrix(X, X, 0.92), y, SvrParams(c=1.0, epsilon=0.0, tol=1e-320, max_passes=200)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "av-160-over-24":
+        # 24 distinct rows over 160 samples, as a video's AV vector repeats once per viewer.
+        X = rng.normal(size=(24, 3))[rng.integers(0, 24, size=160)]
+    else:
+        X = rng.normal(size=(int(name[5:]) if name.startswith("rbf-n") else 80, 3))
+    n = len(X)
+    y = np.full(n, 0.37) if name == "constant-y" else rng.normal(size=n)
+    params = {
+        "eps-0": SvrParams(c=3.0, epsilon=0.0),
+        "eps-above-range": SvrParams(c=3.0, epsilon=float(np.ptp(y)) + 1.0),
+        "small-c": SvrParams(c=0.02, epsilon=0.1),
+        "max-passes-1": SvrParams(c=3.0, epsilon=0.1, max_passes=1),
+        "max-passes-7": SvrParams(c=3.0, epsilon=0.1, max_passes=7),
+    }.get(name, SvrParams(c=3.0, epsilon=0.1))
+    return rbf_kernel_matrix(X, X, 1.0 / 3), y, params
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "rbf-n2",
+        "rbf-n3",
+        "rbf-n17",
+        "rbf-n80",
+        "rbf-n160",
+        "av-160-over-24",
+        "eps-0",
+        "eps-above-range",
+        "small-c",
+        "constant-y",
+        "max-passes-1",
+        "max-passes-7",
+        "score-underflow",
+    ],
+)
+def test_smo_is_bit_equal_to_the_reference_loop(case):
+    K, y, params = _smo_case(case)
+    beta, bias, converged, n_iter, gap = svr_module._solve(K, y, params)
+    ref_beta, ref_bias, ref_converged, ref_n_iter, ref_gap = smo_by_temporaries(K, y, params)
+    assert beta.tobytes() == ref_beta.tobytes()
+    assert (bias, converged, n_iter) == (ref_bias, ref_converged, ref_n_iter)
+    if n_iter < params.max_passes:
+        assert gap == ref_gap
+    # Each case reaches what its name says.
+    eta = np.diag(K)[:, None] + np.diag(K) - 2.0 * K.T
+    if case in ("av-160-over-24", "score-underflow"):
+        assert (eta[~np.eye(len(y), dtype=bool)] <= 1e-12).any()
+    if case == "eps-above-range":
+        assert not beta.any() and converged
+    if case == "small-c":
+        assert np.mean(np.abs(beta) == params.c) > 0.5
+    assert converged == (not case.startswith("max-passes") and case != "score-underflow")
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
