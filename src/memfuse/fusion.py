@@ -58,7 +58,6 @@ from .regressors import (
     predict_svr,
     rank_table,
     save_model,
-    support_blocks,
 )
 
 MODALITY_ORDER = ("audio", "visual", "mem_lexical", "mem_embedding")
@@ -558,9 +557,9 @@ def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionMod
         width = svr.scaler.means.shape[0]
         if not (all(is_count(d, 1) for d in dims.values()) and sum(dims.values()) == width):
             raise ValueError(f"dims {dims} must be positive integers that sum to the SVR's {width}")
-        # Blocks per modality, as the fit built them, so it predicts as it did.
-        blocks = support_blocks(svr.support_vectors, list(dims.values()))
-        return EarlyFusionModel(dims=dims, svr=dataclasses.replace(svr, sv_blocks=blocks))
+        if tuple(dims.values()) != svr.widths:
+            raise ValueError(f"dims {dims} do not match the SVR's block widths {svr.widths}")
+        return EarlyFusionModel(dims=dims, svr=svr)
     if kind == "late":
         return LateFusionModel(
             base_models={

@@ -8,7 +8,6 @@ from .svr import (
     fit_svr,
     predict_svr,
     rbf_kernel_matrix,
-    support_blocks,
 )
 from .ridge import RidgeModel, fit_ridge, predict_ridge
 from .forest import ForestModel, ForestParams, fit_forest, predict_forest, rank_table
@@ -21,7 +20,6 @@ __all__ = [
     "SvrModel",
     "SvrParams",
     "distinct_rows",
-    "support_blocks",
     "fit_svr",
     "predict_svr",
     "rbf_kernel_matrix",

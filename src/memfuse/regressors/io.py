@@ -2,6 +2,13 @@
 
 Arrays are stored as nested lists of Python floats; json round-trips those
 exactly, so deserialized models predict bit-identically.
+
+Each kind of document has its own format version (`FORMAT_VERSIONS`); one
+of another version is rejected. An SVR document (version 2; version 1 stored
+full support-vector rows) holds `sv_blocks` as the model does: per block of
+columns its `rows`, each once, each support vector's row in them (`index`,
+null when they are one per support vector, in order) and its `width`, which
+empty `rows` cannot show. Row norms are recomputed on load, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +23,11 @@ from .._checks import is_count
 from .forest import ForestModel, ForestParams, _Tree
 from .ridge import RidgeModel, check_alpha
 from .scaler import Scaler
-from .svr import SvrModel, SvrParams, support_blocks
+from .svr import SvrModel, SvrParams, _DistinctRows, _sq_norms
 
-FORMAT_VERSION = 1
+FORMAT_VERSIONS = {"svr": 2, "ridge": 1, "forest": 1}
 
-__all__ = ["model_to_json", "model_from_json", "save_model", "load_model", "FORMAT_VERSION"]
+__all__ = ["model_to_json", "model_from_json", "save_model", "load_model", "FORMAT_VERSIONS"]
 
 
 _KINDS = {SvrModel: "svr", RidgeModel: "ridge", ForestModel: "forest"}
@@ -44,17 +51,20 @@ def _to_json(value):
 def model_to_json(model) -> dict:
     if type(model) not in _KINDS:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    doc = {"format_version": FORMAT_VERSION, "kind": _KINDS[type(model)], **_to_json(model)}
-    if isinstance(model, SvrModel):  # stored as full rows, not as the model's blocks
-        doc["support_vectors"] = model.support_vectors.tolist()
+    kind = _KINDS[type(model)]
+    doc = {"format_version": FORMAT_VERSIONS[kind], "kind": kind, **_to_json(model)}
+    if isinstance(model, SvrModel):
+        doc["sv_blocks"] = [
+            {"rows": b.rows.tolist(), "index": _to_json(b.index), "width": b.rows.shape[1]}
+            for b in model.sv_blocks
+        ]
     return doc
 
 
 def model_from_json(doc: dict):
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    kind = doc.get("kind")
+    kind, version = doc.get("kind"), doc.get("format_version")
+    if isinstance(kind, str) and kind in FORMAT_VERSIONS and version != FORMAT_VERSIONS[kind]:
+        raise ValueError(f"unsupported model format version {version!r} for kind {kind!r}")
     if kind == "svr":
         return _svr_from_json(doc)
     if kind == "ridge":
@@ -121,27 +131,42 @@ def _check_tree(tree: _Tree, n_features: int, index: int) -> None:
             )
 
 
+def _sv_block(block: dict, k: int, n_support: int) -> _DistinctRows:
+    """Block `k` of a document's `sv_blocks`, for `n_support` support vectors."""
+    width, rows, index = block["width"], block["rows"], block["index"]
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == width for r in rows)):
+        raise ValueError(f"sv_blocks[{k}].rows must be a list of rows of its width {width}")
+    rows = _finite(f"sv_blocks[{k}].rows", np.array(rows, dtype=float).reshape(len(rows), width))
+    read = range(len(rows)) if index is None else index
+    if not (
+        isinstance(read, (list, range))
+        and len(read) == n_support
+        and all(is_count(i) and i < len(rows) for i in read)
+    ):
+        raise ValueError(f"sv_blocks[{k}] must give {n_support} support vectors a row of {len(rows)}")
+    index = None if index is None else np.array(index, dtype=np.intp)
+    return _DistinctRows(rows, _sq_norms(rows), index)
+
+
 def _svr_from_json(doc: dict) -> SvrModel:
     """An `SvrModel` from its document, which must be consistent with itself."""
     scaler = Scaler.from_json(doc["scaler"])
     width = scaler.means.shape[0]
-    support_vectors = _finite("support_vectors", np.asarray(doc["support_vectors"], dtype=float))
-    if support_vectors.shape == (0,):
-        support_vectors = support_vectors.reshape(0, width)
     dual_coefs = _finite("dual_coefs", np.asarray(doc["dual_coefs"], dtype=float))
     support_indices = np.asarray(doc["support_indices"])
-    if support_vectors.ndim != 2 or support_vectors.shape[1] != width:
+    if not (dual_coefs.ndim == 1 and support_indices.shape == dual_coefs.shape):
         raise ValueError(
-            f"support vectors of shape {support_vectors.shape} do not match "
-            f"the scaler's {width} features"
+            f"{dual_coefs.size} dual coefficients of shape {dual_coefs.shape} and "
+            f"{support_indices.size} support indices of shape {support_indices.shape}: "
+            "each needs one entry per support vector"
         )
-    n_support = support_vectors.shape[0]
-    if not dual_coefs.shape == support_indices.shape == (n_support,):
+    n_support = dual_coefs.size
+    widths = [block["width"] for block in doc["sv_blocks"]]
+    if not (widths and all(is_count(w, 1) for w in widths) and sum(widths) == width):
         raise ValueError(
-            f"{n_support} support vectors, {dual_coefs.size} dual coefficients of shape "
-            f"{dual_coefs.shape} and {support_indices.size} support indices of shape "
-            f"{support_indices.shape}: each needs one entry per support vector"
+            f"block widths {widths} must be positive integers that sum to the scaler's {width}"
         )
+    sv_blocks = tuple(_sv_block(block, k, n_support) for k, block in enumerate(doc["sv_blocks"]))
     indices = list(doc["support_indices"])
     if not all(is_count(i) for i in indices) or len(set(indices)) != n_support:
         raise ValueError("support indices must be distinct non-negative integers")
@@ -157,7 +182,7 @@ def _svr_from_json(doc: dict) -> SvrModel:
     if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
         raise ValueError(f"gamma must be a number, got {gamma!r}")
     return SvrModel(
-        sv_blocks=support_blocks(support_vectors),
+        sv_blocks=sv_blocks,
         dual_coefs=dual_coefs,
         bias=_finite("bias", float(doc["bias"])),
         params=SvrParams(**doc["params"]),

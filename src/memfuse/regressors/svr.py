@@ -19,12 +19,14 @@ v |v| / eta picks the row that v^2 / eta over the rows of positive violation
 v picks, as `_solve` says; `tests/oracles.py` keeps the loop of fresh
 temporaries that it must match bit for bit.
 
-Samples come in blocks of columns (`Block`): a matrix of feature vectors and
-each sample's row in it. A plain matrix X is one block whose row i is sample
-i. A video's audio and visual vectors repeat once per viewer who watched it,
-so an audiovisual block of 160 samples holds at most 24 distinct rows on the
-benchmark's 24 videos. Everything is computed per block on its distinct rows,
-which are found by value among the rows the samples read, in order of first
+Samples come in blocks of columns (`Block`): a matrix of distinct feature
+vectors and each sample's row in it. `distinct_rows` is the one place that
+finds equal rows by value: feature tables build their blocks through it, and a
+plain matrix X passes through it where it enters, as one block. A video's
+audio and visual vectors repeat once per viewer who watched it, so an
+audiovisual block of 160 samples holds at most 24 rows on the benchmark's 24
+videos. Past that edge rows are told apart by index alone: everything is
+computed per block on the rows that its samples read, in order of first
 occurrence, and gathered back to the samples only where a result needs them:
 
 - The scaler's means and stds are count-weighted sums over the distinct rows.
@@ -51,26 +53,24 @@ design itself unless one is passed, so fits on the same samples at many C and
 epsilon values share one design and build each Gram once, as LIBSVM's kernel
 cache shares kernel rows across solves.
 
-A fitted model keeps its support vectors per block: the block's distinct
-support-vector rows, by value and in order of first occurrence, their squared
-norms, and each support vector's row. Full support-vector rows are built
-only when `support_vectors` is read, as a saved model does; a model that only
-predicts never builds them. A loaded model derives the same blocks from its
-rows (`support_blocks`), so it predicts bit-equal to the model that was
-saved, given its block widths.
+A fitted model keeps its support vectors per block (`sv_blocks`): the design's
+standardized rows that they read, gathered by index, their squared norms, and
+each support vector's row. A saved model stores these blocks as they are
+(`regressors.io`), so a loaded model predicts bit-equal to the one saved. Full
+support-vector rows are built only when `support_vectors` is read, which no
+fit, prediction or save does.
 
-Predictions take query rows the same way: per block, the distinct query rows
-are standardized once, each prediction kernel pairs a block's distinct
-support-vector rows with its distinct query rows, and the products are
-gathered to the support vectors and queries before `dual_coefs @ K`.
-`SvrDesign.predictions` standardizes a block of queries once for all models
-fitted on the design; `predict_svr` takes a plain matrix, whose columns it
-splits at the model's block widths and whose equal rows it finds by value, so
-both predict bit-equal. A
-kernel row built from a smaller BLAS product may round differently from the
-same row of a larger one (OpenBLAS takes other code paths for small products,
-and numpy for a single row), so factored predictions may differ from those of
-one kernel on all rows in their last bits.
+Predictions take query rows the same way: per block, the query rows that the
+samples read are standardized once, each prediction kernel pairs a block's
+support-vector rows with its query rows, and the products are gathered to the
+support vectors and queries before `dual_coefs @ K`. `SvrDesign.predictions`
+standardizes a block of queries once for all models fitted on the design;
+`predict_svr` cuts a plain matrix at the model's block widths, so both predict
+bit-equal on blocks of distinct rows. A kernel row built from a smaller BLAS
+product may round differently from the same row of a larger one (OpenBLAS
+takes other code paths for small products, and numpy for a single row), so
+factored predictions may differ from those of one kernel on all rows in their
+last bits.
 
 `rbf_kernel_matrix` doubles the product `A @ B.T` in place rather than an
 operand. Doubling is exact in binary floating point, so the kernel is bit-equal
@@ -98,7 +98,6 @@ __all__ = [
     "SvrDesign",
     "Block",
     "distinct_rows",
-    "support_blocks",
     "rbf_kernel_matrix",
     "fit_svr",
     "predict_svr",
@@ -131,7 +130,11 @@ class SvrParams:
 
 
 class Block(NamedTuple):
-    """Columns of every sample: sample i reads row `index[i]` of `vectors` (row i when None)."""
+    """Columns of every sample: sample i reads row `index[i]` of `vectors` (row i when None).
+
+    `vectors` hold distinct rows, as `distinct_rows` builds them. Copies of a
+    row are fitted and predicted correctly, but each costs its own kernel row.
+    """
 
     vectors: np.ndarray
     index: np.ndarray | None = None
@@ -149,9 +152,8 @@ def _n_samples(rows: np.ndarray, index: np.ndarray | None) -> int:
 
 @dataclass
 class SvrModel:
-    # Per block of columns, the distinct support-vector rows (standardized
-    # feature space) and each support vector's row; never serialized, as a
-    # saved model stores `support_vectors` instead.
+    # Per block of columns, the support-vector rows (standardized feature
+    # space) and each support vector's row; `regressors.io` writes them itself.
     sv_blocks: tuple[_DistinctRows, ...] = field(
         repr=False, compare=False, metadata={"saved": False}
     )
@@ -182,113 +184,81 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return (A * A).sum(axis=1)
 
 
-def _first_equal(A, keys: np.ndarray) -> np.ndarray | None:
-    """The first row of A equal to each row, or None when all rows are distinct.
+def _first_equal(rows: list[np.ndarray], keys: np.ndarray) -> np.ndarray | None:
+    """The first of `rows` equal to each row, or None when all rows are distinct.
 
-    A is a matrix or a list of rows. `keys` hold a number per row that equal
-    rows share, such as their squared norms. A row is compared only with rows
-    whose key ties with its own, and by value: rows are never merged on their
-    keys alone, and a NaN key, that of a row holding a NaN, ties with none.
-    When no two keys tie, as for memory rows, no row is compared. Otherwise
-    each row of a tie is compared with the distinct rows found before it in its
-    tie: one comparison when all rows of the tie are equal, none when they are
-    one array. Comparing row views reads each row once; comparing a gathered
-    block of a tie at once also copies it, which measured slower.
+    `keys` hold a number per row that equal rows share, such as their sums. A
+    row is compared only with rows whose key ties with its own, and by value:
+    rows are never merged on their keys alone, and a NaN key, that of a row
+    holding a NaN, ties with none. When no two keys tie, as for memory rows, no
+    row is compared. Otherwise each row of a tie is compared with the distinct
+    rows found before it in its tie: one comparison when all rows of the tie
+    are equal, none when they are one array. Comparing row views reads each row
+    once; comparing a gathered block of a tie at once also copies it, which
+    measured slower.
     """
     order = np.argsort(keys, kind="stable")  # a tie's rows stay in row order
     ties = keys[order[1:]] == keys[order[:-1]]
     if not ties.any():
         return None
-    first = np.arange(len(A))
+    first = np.arange(len(rows))
     heads: list[int] = []  # the distinct rows so far of the current tie
     for i, tied in zip(order.tolist(), [False, *ties.tolist()]):
         if not tied:
             heads = []
         for head in heads:
-            if A[i] is A[head] or (A[i] == A[head]).all():
+            if rows[i] is rows[head] or (rows[i] == rows[head]).all():
                 first[i] = head
                 break
         else:
             heads.append(i)
-    return None if (first == np.arange(len(A))).all() else first
+    return None if (first == np.arange(len(rows))).all() else first
 
 
 def _distinct(
-    vectors: np.ndarray, index: np.ndarray | None, sq_norms: np.ndarray | None = None
+    rows: np.ndarray, index: np.ndarray | None, sq_norms: np.ndarray | None = None
 ) -> _DistinctRows:
-    """The distinct rows, by value, among the rows of `vectors` that `index` reads.
+    """The rows of `rows` that `index` reads, in order of first occurrence, and each sample's row.
 
-    They come in order of first occurrence among the samples, with each
-    sample's row. `sq_norms`, when given, must be `_sq_norms(vectors)`, and
-    the result carries the distinct rows' norms; else its norms are None.
-    Rows that no sample reads are not looked at.
+    Rows are told apart by index alone, as a `Block`'s rows are distinct, and
+    rows that no sample reads are dropped. `sq_norms`, when given, must be
+    `_sq_norms(rows)` and are gathered with the rows; else the result's are None.
     """
-    if index is not None:
-        used, first, inverse = np.unique(index, return_index=True, return_inverse=True)
-        if used.size == index.size:  # no two samples share a row: take them in sample order
-            vectors = vectors.take(index, axis=0)
-            sq_norms = None if sq_norms is None else sq_norms[index]
-            index = None
-        else:
-            order = np.argsort(first, kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            index = rank[inverse]
-            if used.size < vectors.shape[0] or (order != np.arange(order.size)).any():
-                vectors = vectors.take(used[order], axis=0)
-                sq_norms = None if sq_norms is None else sq_norms[used[order]]
-    if vectors.shape[0] < 2:
-        return _DistinctRows(vectors, sq_norms, index)
-    if sq_norms is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # such a row is compared by value
-            keys = vectors.sum(axis=1)  # equal rows have equal sums; cheaper than norms
-    else:
-        keys = sq_norms
-    first = _first_equal(vectors, keys)
-    if first is None:
-        return _DistinctRows(vectors, sq_norms, index)
-    kept = np.flatnonzero(first == np.arange(first.size))
-    within = np.searchsorted(kept, first)
-    return _DistinctRows(
-        vectors[kept],
-        None if sq_norms is None else sq_norms[kept],
-        within if index is None else within[index],
-    )
+    if index is None:
+        return _DistinctRows(rows, sq_norms, None)
+    used, first, inverse = np.unique(index, return_index=True, return_inverse=True)
+    if used.size == index.size:  # no two samples share a row: take them in sample order
+        return _DistinctRows(
+            rows.take(index, axis=0), None if sq_norms is None else sq_norms[index], None
+        )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    if used.size < rows.shape[0] or (order != np.arange(order.size)).any():
+        rows = rows.take(used[order], axis=0)
+        sq_norms = None if sq_norms is None else sq_norms[used[order]]
+    return _DistinctRows(rows, sq_norms, rank[inverse])
 
 
 def distinct_rows(rows: Sequence) -> Block:
     """The distinct rows, by value and in order of first occurrence, of a sequence of 1-d rows.
 
-    A matrix counts as the sequence of its rows. Each row is compared as
-    floats, so integer rows that round to one float are one row. Only the
-    distinct rows are stacked; the index holds each row's place among them,
-    None when every row is distinct.
+    This is the one place where rows are compared by value. A matrix counts as
+    the sequence of its rows, and is returned as it is when they are distinct.
+    Each row is compared as floats, so integer rows that round to one float are
+    one row. Only the distinct rows are stacked; the index holds each row's
+    place among them, None when every row is distinct.
     """
-    rows = [np.asarray(row, dtype=float) for row in rows]
+    matrix = np.asarray(rows, dtype=float) if isinstance(rows, np.ndarray) else None
+    rows = [np.asarray(row, dtype=float) for row in rows] if matrix is None else list(matrix)
     first = None
     if len(rows) > 1:
         with np.errstate(over="ignore", invalid="ignore"):  # such a row is compared by value
             first = _first_equal(rows, np.array([row.sum() for row in rows]))
     if first is None:
-        return Block(np.vstack(rows))
+        return Block(np.vstack(rows) if matrix is None else matrix)
     kept = np.flatnonzero(first == np.arange(first.size))
     return Block(np.vstack([rows[i] for i in kept]), np.searchsorted(kept, first))
-
-
-def support_blocks(
-    support_vectors: np.ndarray, widths: Sequence[int] | None = None
-) -> tuple[_DistinctRows, ...]:
-    """A model's `sv_blocks` from its full support-vector rows, cut at `widths` (one when None).
-
-    They equal, bit for bit, the blocks that `fit_svr` builds for the same
-    support vectors on a design of blocks of these widths.
-    """
-    if widths is None or len(widths) == 1:
-        parts = [support_vectors]
-    else:
-        cuts = np.cumsum(widths)[:-1]
-        parts = [np.ascontiguousarray(p) for p in np.split(support_vectors, cuts, axis=1)]
-    return tuple(_distinct(part, None, _sq_norms(part)) for part in parts)
 
 
 def rbf_kernel_matrix(
@@ -350,7 +320,7 @@ def _is_blocks(X) -> bool:
 
 
 def _blocks(X) -> list[Block]:
-    """X as float blocks of one sample count: a list of `Block`s, or a matrix as one block."""
+    """X as float blocks of one sample count: a list of `Block`s, or a matrix's `distinct_rows`."""
     if _is_blocks(X):
         blocks = [
             Block(
@@ -360,7 +330,7 @@ def _blocks(X) -> list[Block]:
             for vectors, index in X
         ]
     else:
-        blocks = [Block(np.atleast_2d(np.asarray(X, dtype=float)))]
+        blocks = [distinct_rows(np.atleast_2d(np.asarray(X, dtype=float)))]
     counts = {_n_samples(*block) for block in blocks}
     if len(counts) != 1:
         raise ValueError(f"blocks of {sorted(counts)} samples: each needs one row per sample")
@@ -371,12 +341,12 @@ class SvrDesign:
     """The part of an SVR fit on X that reads neither y, C nor epsilon.
 
     X is a matrix of training rows or a list of `Block`s. The design holds the
-    scaler fitted on the samples, and per block the standardized distinct
-    rows, their squared norms and each sample's row; no raw row outlives the
-    constructor. `gram(params)` resolves gamma and builds the RBF Gram of the
-    samples once per distinct (gamma, gamma_scale), compared by value, and
-    returns the same pair on every later call, so fits at many C and epsilon
-    values on one design share one Gram per gamma setting.
+    scaler fitted on the samples, and per block the standardized rows that the
+    samples read, their squared norms and each sample's row; no raw row
+    outlives the constructor. `gram(params)` resolves gamma and builds the RBF
+    Gram of the samples once per distinct (gamma, gamma_scale), compared by
+    value, and returns the same pair on every later call, so fits at many C
+    and epsilon values on one design share one Gram per gamma setting.
     """
 
     def __init__(self, X) -> None:
@@ -414,7 +384,7 @@ class SvrDesign:
         return self._grams[key]
 
     def sv_blocks(self, support: np.ndarray) -> tuple[_DistinctRows, ...]:
-        """A model's `sv_blocks` for the samples at positions `support`, in order."""
+        """A model's `sv_blocks` for the samples at positions `support`, in order, by index."""
         return tuple(
             _distinct(b.rows, support if b.index is None else b.index[support], b.sq_norms)
             for b in self.blocks
@@ -425,10 +395,11 @@ class SvrDesign:
 
         X is a matrix of query rows or a list of `Block`s of the design's
         widths. Every model must have been fitted on this design. Each block's
-        distinct query rows are checked, standardized and normed once for all
-        models. Models are read one at a time, so a generator of fits holds
-        one model at a time. The predictions equal `predict_svr`'s on the
-        samples' full rows, bit for bit: both find the same distinct rows.
+        query rows are checked, standardized and normed once for all models.
+        Models are read one at a time, so a generator of fits holds one model
+        at a time. On blocks of distinct rows the predictions equal
+        `predict_svr`'s on the samples' full rows, bit for bit: both read the
+        same rows in the same order.
         """
         queries = _queries(self.scaler, _query_blocks(X, self.widths))
         del X  # not read again; freed now unless the caller holds it
@@ -551,15 +522,20 @@ def _solve(
     and ends the solve.
 
     The gap returned is that of the returned beta: when `max_passes` ends the
-    loop, it is computed once more after the last step.
+    loop, it is computed once more after the last step, and the solve has
+    converged if that gap is within tol.
     """
     c, eps, tol = params.c, params.epsilon, params.tol
     n = K.shape[0]
     diag = np.diagonal(K)
-    # Column i of K as a contiguous row, read without a stride.
-    columns = np.ascontiguousarray(K.T)
+    # Column i of K as a contiguous row, read without a stride: a private copy,
+    # since K may be a design's cached Gram.
+    columns = K.T.copy()
     eta = diag[:, None] + diag
-    eta -= 2.0 * columns
+    # eta -= 2 K without an n x n temporary: doubling and halving are exact.
+    columns *= 2.0
+    eta -= columns
+    columns *= 0.5
     np.maximum(eta, 1e-12, out=eta)
 
     beta = np.zeros(n)
@@ -620,6 +596,7 @@ def _solve(
         n_iter += 1
     else:  # stopped by max_passes: the gap of the beta returned
         gap = (grad - up_off).max() - (grad - dn_off).min()
+        converged = bool(gap <= tol)
 
     interior = (beta != 0.0) & (np.abs(beta) < c)
     if interior.any():
@@ -642,13 +619,12 @@ def _query_blocks(X, widths: tuple[int, ...]) -> list[Block]:
     if X.shape[1] != sum(widths):
         width = X.shape[1]
         raise ValueError(f"feature dimension mismatch: expected {sum(widths)}, got {width}")
-    if len(widths) == 1:
-        return [Block(X)]
-    return [Block(part) for part in np.split(X, np.cumsum(widths)[:-1], axis=1)]
+    parts = [X] if len(widths) == 1 else np.split(X, np.cumsum(widths)[:-1], axis=1)
+    return [distinct_rows(part) for part in parts]
 
 
 def _queries(scaler: Scaler, blocks: list[Block]) -> list[_DistinctRows]:
-    """Per block of query rows: its distinct rows, checked and standardized by `scaler`."""
+    """Per block of query rows: the rows its samples read, checked and standardized by `scaler`."""
     queries, start = [], 0
     for vectors, index in blocks:
         stop = start + vectors.shape[1]

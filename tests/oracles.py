@@ -318,9 +318,10 @@ def smo_by_temporaries(
     pair step, builds eta(i, .) per step from a doubled copy of K, scores
     partners by np.where(v > 0, v * v / eta, -inf) and solves the pair
     subproblem through a gain closure over sorted(set(knots)). `_solve` must
-    return the same beta bytes, bias, converged flag and iteration count, and
-    the same gap wherever the solve stops before `max_passes` (this loop then
-    returns the gap from before its last step).
+    return the same beta bytes, bias and iteration count, and the same
+    converged flag and gap wherever the solve stops before `max_passes` (at
+    the cap this loop returns the gap from before its last step and reports
+    the solve as not converged).
     """
     c, eps, tol = params.c, params.epsilon, params.tol
     n = K.shape[0]

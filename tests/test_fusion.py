@@ -364,9 +364,9 @@ def test_early_fusion_predict_grid_drops_the_raw_training_block_before_predictin
 
     distinct = svr_module._distinct
 
-    def recording_distinct(vectors, index, sq_norms=None):
-        found = distinct(vectors, index, sq_norms)
-        if building and not np.shares_memory(found.rows, vectors):
+    def recording_distinct(rows, index, sq_norms=None):
+        found = distinct(rows, index, sq_norms)
+        if building and not np.shares_memory(found.rows, rows):
             raw_rows.append(weakref.ref(found.rows))
         return found
 
@@ -683,6 +683,18 @@ def test_load_fusion_model_rejects_dimensions_the_svr_does_not_read(tmp_path, rn
     manifest = _saved_early_model(tmp_path, rng)
     _write_manifest(tmp_path, {**manifest, "dims": {"audio": 2}})
     with pytest.raises(ValueError, match="^dims .* that sum to the SVR's 3$"):
+        load_fusion_model(tmp_path)
+
+
+def test_load_fusion_model_rejects_dimensions_that_cut_the_svr_elsewhere(tmp_path, rng):
+    audio = rng.normal(size=(20, 3))
+    bundles = _bundles(rng, 20, audio=audio, lexical=rng.normal(size=(20, 5)))
+    save_fusion_model(early_fusion_fit(bundles, audio[:, 0], SvrParams()), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["dims"] == {"audio": 3, "mem_lexical": 5}
+    _write_manifest(tmp_path, {**manifest, "dims": {"audio": 5, "mem_lexical": 3}})
+    message = "dims {'audio': 5, 'mem_lexical': 3} do not match the SVR's block widths (3, 5)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_fusion_model(tmp_path)
 
 

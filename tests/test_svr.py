@@ -16,7 +16,6 @@ from memfuse.regressors import (
     predict_svr,
     rbf_kernel_matrix,
     save_model,
-    support_blocks,
 )
 from memfuse.regressors import svr as svr_module
 from memfuse.regressors.scaler import Scaler
@@ -99,7 +98,7 @@ def test_predict_with_stored_norms_is_bit_equal_to_a_fresh_kernel(rng):
     y = X[:, 0] + 0.1 * rng.normal(size=30)
     fitted = fit_svr(X, y, SvrParams(c=3.0, epsilon=0.05))
     doc = model_to_json(fitted)
-    assert "sv_blocks" not in doc
+    assert [sorted(block) for block in doc["sv_blocks"]] == [["index", "rows", "width"]]
     queries = rng.normal(size=(7, 4))
     for model in (fitted, model_from_json(doc)):
         sv = model.support_vectors
@@ -194,20 +193,38 @@ def test_design_predictions_reject_a_model_of_another_design(rng):
         "support_indices_fraction",
         "support_indices_negative",
         "support_indices_repeated",
+        "block_index_out_of_range",
+        "block_index_fraction",
+        "block_index_short",
+        "block_rows_short_without_index",
+        "block_widths_sum",
+        "block_row_wrong_width",
+        "block_row_nan",
+        "format_version_1",
     ],
 )
 def test_model_from_json_rejects_an_inconsistent_document(rng, case):
     X = rng.normal(size=(20, 4))
     doc = model_to_json(fit_svr(X, X[:, 0] + 0.1 * rng.normal(size=20), SvrParams(epsilon=0.0)))
-    assert len(doc["dual_coefs"]) > 2
-    model_from_json(doc)  # the untouched document loads
+    n = len(doc["dual_coefs"])
+    assert n > 2
+    (block,) = doc["sv_blocks"]
+    rows = block["rows"]
+    assert len(rows) == n and block["index"] is None and block["width"] == 4
+    indexed = {**block, "index": list(range(n))}
+    for untouched in (doc, {**doc, "sv_blocks": [indexed]}):
+        model_from_json(untouched)  # the untouched document loads, also with an index
+
+    def blocks(**fields):
+        return {"sv_blocks": [{**block, **fields}]}
+
     change, message = {
         "short_support_indices": (
             {"support_indices": doc["support_indices"][:2]}, "2 support indices"
         ),
         "narrow_support_vectors": (
-            {"support_vectors": [row[:-1] for row in doc["support_vectors"]]},
-            "scaler's 4 features",
+            blocks(rows=[row[:-1] for row in rows]),
+            r"^sv_blocks\[0\]\.rows must be a list of rows of its width 4$",
         ),
         "gamma_null": ({"params": {**doc["params"], "gamma": None}}, "gamma must be"),
         "gamma_nan": ({"params": {**doc["params"], "gamma": float("nan")}}, "gamma must be"),
@@ -217,8 +234,7 @@ def test_model_from_json_rejects_an_inconsistent_document(rng, case):
             {"dual_coefs": [float("nan"), *doc["dual_coefs"][1:]]}, "^dual_coefs must be finite"
         ),
         "support_vectors_inf": (
-            {"support_vectors": [[float("inf")] * 4, *doc["support_vectors"][1:]]},
-            "^support_vectors must be finite",
+            blocks(rows=[[float("inf")] * 4, *rows[1:]]), r"^sv_blocks\[0\]\.rows must be finite"
         ),
         "dual_coefs_column": (
             {"dual_coefs": [[b] for b in doc["dual_coefs"]]},
@@ -244,6 +260,36 @@ def test_model_from_json_rejects_an_inconsistent_document(rng, case):
         "support_indices_repeated": (
             {"support_indices": [doc["support_indices"][0]] * len(doc["support_indices"])},
             "^support indices must be distinct non-negative integers",
+        ),
+        "block_index_out_of_range": (
+            blocks(index=[*range(n - 1), n]),
+            rf"^sv_blocks\[0\] must give {n} support vectors a row of {n}$",
+        ),
+        "block_index_fraction": (
+            blocks(index=[i + 0.5 for i in range(n)]), r"^sv_blocks\[0\] must give"
+        ),
+        "block_index_short": (
+            blocks(index=list(range(n - 1))), r"^sv_blocks\[0\] must give"
+        ),
+        "block_rows_short_without_index": (
+            blocks(rows=rows[1:]),
+            rf"^sv_blocks\[0\] must give {n} support vectors a row of {n - 1}$",
+        ),
+        "block_widths_sum": (
+            blocks(width=3),
+            r"^block widths \[3\] must be positive integers that sum to the scaler's 4$",
+        ),
+        "block_row_wrong_width": (
+            blocks(rows=[*rows[:-1], rows[-1][:-1]]),
+            r"^sv_blocks\[0\]\.rows must be a list of rows of its width 4$",
+        ),
+        "block_row_nan": (
+            blocks(rows=[*rows[:-1], [0.0, float("nan"), 0.0, 0.0]]),
+            r"^sv_blocks\[0\]\.rows must be finite",
+        ),
+        # Version 1 stored full support-vector rows; such a file is not read.
+        "format_version_1": (
+            {"format_version": 1}, "^unsupported model format version 1 for kind 'svr'$"
         ),
     }[case]
     with pytest.raises(ValueError, match=message):
@@ -320,9 +366,11 @@ def test_smo_is_bit_equal_to_the_reference_loop(case):
     beta, bias, converged, n_iter, gap = svr_module._solve(K, y, params)
     ref_beta, ref_bias, ref_converged, ref_n_iter, ref_gap = smo_by_temporaries(K, y, params)
     assert beta.tobytes() == ref_beta.tobytes()
-    assert (bias, converged, n_iter) == (ref_bias, ref_converged, ref_n_iter)
+    assert (bias, n_iter) == (ref_bias, ref_n_iter)
     if n_iter < params.max_passes:
-        assert gap == ref_gap
+        assert (converged, gap) == (ref_converged, ref_gap)
+    else:  # the reference loop reports every capped solve as not converged
+        assert converged == (gap <= params.tol)
     # Each case reaches what its name says.
     eta = np.diag(K)[:, None] + np.diag(K) - 2.0 * K.T
     if case in ("av-160-over-24", "score-underflow"):
@@ -332,6 +380,15 @@ def test_smo_is_bit_equal_to_the_reference_loop(case):
     if case == "small-c":
         assert np.mean(np.abs(beta) == params.c) > 0.5
     assert converged == (not case.startswith("max-passes") and case != "score-underflow")
+
+
+def test_a_fit_that_max_passes_stops_at_a_solution_is_converged():
+    X, y = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+    capped = fit_svr(X, y, SvrParams(c=10.0, epsilon=0.1, max_passes=1))
+    free = fit_svr(X, y, SvrParams(c=10.0, epsilon=0.1))
+    assert (capped.n_iter, capped.kkt_gap, capped.converged) == (1, 0.0, True)
+    assert (free.n_iter, free.converged) == (1, True)
+    assert capped.dual_coefs.tobytes() == free.dual_coefs.tobytes()
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
@@ -583,18 +640,16 @@ def test_distinct_rows_compare_rows_as_floats(rows, merged):
 def test_rows_of_equal_norm_but_other_values_are_not_merged():
     A = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [3.0, 4.0, 0.0], [4.0, 0.0, 3.0],
                   [0.0, 3.0, 4.0], [5.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    norms = (A * A).sum(axis=1)
-    distinct = svr_module._distinct(A, None, norms)
-    assert distinct.rows.tolist() == [[3, 4, 0], [0, 3, 4], [4, 0, 3], [5, 0, 0], [1, 1, 1]]
-    assert distinct.index.tolist() == [0, 1, 0, 2, 1, 3, 4]
-    assert distinct.sq_norms.tolist() == [25.0] * 4 + [3.0]
-    assert svr_module._distinct(A[[0, 1, 3, 5]], None, norms[[0, 1, 3, 5]]).index is None
-    # Without norms, rows are tied by their sums, which [3, 4, 0] and [0, 3, 4] share too.
+    # Rows are tied by their sums, which [3, 4, 0], [0, 3, 4] and [4, 0, 3] share.
     rows, index = svr_module.distinct_rows(A)
-    assert rows.tolist() == distinct.rows.tolist() and index.tolist() == distinct.index.tolist()
+    assert rows.tolist() == [[3, 4, 0], [0, 3, 4], [4, 0, 3], [5, 0, 0], [1, 1, 1]]
+    assert index.tolist() == [0, 1, 0, 2, 1, 3, 4]
+    assert svr_module.distinct_rows(A[[0, 1, 3, 5]]).index is None
+    norms = (rows * rows).sum(axis=1)
+    assert norms.tolist() == [25.0] * 4 + [3.0]
 
     model = svr_module.SvrModel(
-        sv_blocks=support_blocks(A),
+        sv_blocks=(svr_module._DistinctRows(rows, norms, index),),
         dual_coefs=np.array([0.5, -0.25, 0.125, 1.0, -2.0, 0.75, -0.125]),
         bias=0.3,
         params=SvrParams(gamma=0.02),
@@ -609,6 +664,22 @@ def test_rows_of_equal_norm_but_other_values_are_not_merged():
     assert np.max(np.abs(predict_svr(model, queries) - want)) <= 1e-12
 
 
+def test_distinct_tells_rows_apart_by_index_alone():
+    A = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [5.0, 6.0]])  # rows 0 and 2 are equal
+    norms = (A * A).sum(axis=1)
+    # Unread rows are dropped, read rows come in order of first occurrence, norms follow.
+    rows, sq_norms, index = svr_module._distinct(A, np.array([3, 0, 3, 0]), norms)
+    assert rows.tolist() == [[5, 6], [1, 2]] and sq_norms.tolist() == [61.0, 5.0]
+    assert index.dtype == np.intp and index.tolist() == [0, 1, 0, 1]
+    # Equal rows at two places stay two rows: a Block's rows are distinct.
+    rows, sq_norms, index = svr_module._distinct(A, np.array([2, 0, 2, 1]), norms)
+    assert rows.tolist() == [[1, 2], [1, 2], [3, 4]] and index.tolist() == [0, 1, 0, 2]
+    rows, sq_norms, index = svr_module._distinct(A, np.array([2, 0]))
+    assert rows.tolist() == [[1, 2], [1, 2]] and sq_norms is None and index is None
+    rows, sq_norms, index = svr_module._distinct(A, None, norms)
+    assert rows is A and sq_norms is norms and index is None
+
+
 def test_models_with_no_and_with_one_support_vector(rng):
     X = rng.normal(size=(12, 4))
     y = 0.1 * rng.normal(size=12)
@@ -618,7 +689,7 @@ def test_models_with_no_and_with_one_support_vector(rng):
     two = fit_svr(X, y, SvrParams(epsilon=0.0))
     one = dataclasses.replace(
         two,
-        sv_blocks=support_blocks(two.support_vectors[:1]),
+        sv_blocks=SvrDesign(X).sv_blocks(two.support_indices[:1]),
         dual_coefs=two.dual_coefs[:1],
         support_indices=two.support_indices[:1],
     )
@@ -631,17 +702,25 @@ def test_models_with_no_and_with_one_support_vector(rng):
             assert predict_svr(model, block).tobytes() == want.tobytes()
 
 
-def test_saved_and_loaded_models_predict_bit_equal_and_do_not_write_distinct_rows(rng, tmp_path):
+def test_saved_and_loaded_models_predict_bit_equal_and_write_each_distinct_row_once(
+    rng, tmp_path
+):
     X, repeated = _fit_on_repeated_rows(rng)
     distinct = fit_svr(X + rng.normal(size=X.shape), X[:, 0], SvrParams(c=2.0))
     queries = rng.normal(size=(11, 5))
     for name, fitted in (("repeated", repeated), ("distinct", distinct)):
         path = tmp_path / f"{name}.json"
         save_model(fitted, path)
-        assert "sv_blocks" not in json.loads(path.read_text(encoding="utf-8"))
+        ((fitted_rows, _, fitted_index),) = fitted.sv_blocks
+        (saved,) = json.loads(path.read_text(encoding="utf-8"))["sv_blocks"]
+        assert len({tuple(row) for row in saved["rows"]}) == len(saved["rows"]) == len(fitted_rows)
+        if name == "repeated":
+            assert len(saved["rows"]) == 6 < fitted.dual_coefs.size
+            assert saved["index"] == fitted_index.tolist()
+        else:
+            assert saved["index"] is None and fitted_index is None
         loaded = load_model(path)
         ((loaded_rows, _, loaded_index),) = loaded.sv_blocks
-        ((fitted_rows, _, fitted_index),) = fitted.sv_blocks
         assert loaded_rows.tobytes() == fitted_rows.tobytes()
         assert np.array_equal(loaded_index, fitted_index)
         for block in (queries, queries[2]):
@@ -734,16 +813,15 @@ def test_a_design_of_blocks_equals_one_of_their_stacked_rows_up_to_rounding(rng)
 
 
 def test_designs_of_one_sample_set_stored_differently_are_bit_equal(rng):
-    # Equal rows are found by value, never by where they are stored: a block
-    # whose vectors hold unused rows and copies of each other builds the same
-    # design, model and predictions as the same samples stored once.
+    # A design reads rows by index, never by where they are stored: a block
+    # whose vectors hold unused rows and the used ones in another order builds
+    # the same design, model and predictions as the samples stored in order.
     audio, index, memory = _av_like_blocks(rng)
     y = audio[index, 0] + memory[:, 1] + rng.normal(size=index.size)
-    stored = np.vstack([rng.normal(size=(2, 5)), audio, audio[::-1]])  # rows 2-7 and 13-8 repeat
-    copies = np.where(np.arange(index.size) % 2 == 0, index + 2, 13 - index)
+    stored = np.vstack([rng.normal(size=(2, 5)), audio[::-1]])  # row 7 - v holds video v
     blocks = {
         "once": [Block(audio, index), Block(memory)],
-        "copies": [Block(stored, copies), Block(memory[::-1], np.arange(index.size)[::-1])],
+        "stored": [Block(stored, 7 - index), Block(memory[::-1], np.arange(index.size)[::-1])],
     }
     queries = [Block(audio, np.array([3, 0, 3, 5])), Block(rng.normal(size=(4, 3)))]
     models, preds = {}, {}
@@ -751,13 +829,13 @@ def test_designs_of_one_sample_set_stored_differently_are_bit_equal(rng):
         design = SvrDesign(X)
         models[name] = fit_svr(X, y, SvrParams(c=2.0, epsilon=0.05), design=design)
         preds[name] = design.predictions([models[name]], queries)[0]
-    assert model_to_json(models["once"]) == model_to_json(models["copies"])
-    assert preds["once"].tobytes() == preds["copies"].tobytes()
+    assert model_to_json(models["once"]) == model_to_json(models["stored"])
+    assert preds["once"].tobytes() == preds["stored"].tobytes()
     full = np.hstack([audio[queries[0].index], queries[1].vectors])
-    assert predict_svr(models["copies"], full).tobytes() == preds["once"].tobytes()
-    assert design.predictions([models["copies"]], full)[0].tobytes() == preds["once"].tobytes()
+    assert predict_svr(models["stored"], full).tobytes() == preds["once"].tobytes()
+    assert design.predictions([models["stored"]], full)[0].tobytes() == preds["once"].tobytes()
     with pytest.raises(ValueError, match=r"expected block widths \(5, 3\), got \(3, 5\)"):
-        design.predictions([models["copies"]], queries[::-1])
+        design.predictions([models["stored"]], queries[::-1])
 
 
 def test_a_model_fitted_on_blocks_builds_its_full_rows_only_when_they_are_read(rng):
@@ -766,17 +844,20 @@ def test_a_model_fitted_on_blocks_builds_its_full_rows_only_when_they_are_read(r
     model = fit_svr([Block(audio, index), Block(memory)], y, SvrParams(c=2.0, epsilon=0.05))
     audio_svs = model.sv_blocks[0]
     assert audio_svs.rows.shape[0] <= 6 < model.dual_coefs.size
-    predict_svr(model, np.hstack([audio[:2], memory[:2]]))
-    assert "support_vectors" not in vars(model)
-    doc = model_to_json(model)
-    assert "support_vectors" in vars(model)
-    assert np.array_equal(doc["support_vectors"], model.support_vectors)
-    assert model.support_vectors.shape == (model.dual_coefs.size, 8)
-    loaded = model_from_json(doc)
-    assert loaded.widths == (8,)
-    split = dataclasses.replace(loaded, sv_blocks=support_blocks(loaded.support_vectors, (5, 3)))
     queries = np.hstack([audio[index[:9]], rng.normal(size=(9, 3))])
-    assert predict_svr(split, queries).tobytes() == predict_svr(model, queries).tobytes()
+    predicted = predict_svr(model, queries)
+    # A save writes the blocks as they are, and a load reads them back with their widths.
+    loaded = model_from_json(json.loads(json.dumps(model_to_json(model))))
+    assert "support_vectors" not in vars(model)
+    assert loaded.widths == model.widths == (5, 3)
+    for got, fitted in zip(loaded.sv_blocks, model.sv_blocks, strict=True):
+        assert got.rows.tobytes() == fitted.rows.tobytes()
+        assert got.sq_norms.tobytes() == fitted.sq_norms.tobytes()
+        assert np.array_equal(got.index, fitted.index)
+    assert predict_svr(loaded, queries).tobytes() == predicted.tobytes()
+    assert model.support_vectors.shape == (model.dual_coefs.size, 8)
+    assert "support_vectors" in vars(model)
+    assert loaded.support_vectors.tobytes() == model.support_vectors.tobytes()
 
 
 def test_scale_heuristic_gamma_is_gamma_scale_over_the_non_constant_columns(rng):

@@ -2,9 +2,11 @@
 
 `tests/data/writers/` holds what `save_dataset` writes for the `toy_dataset`
 fixture (one response has two memories) and what `save_model` writes for an
-SVR with support vectors, an SVR with none and a ridge. A change to how a
-writer builds its document that moves a key, a value or a number's text fails
-here. Forests are pinned by `tests/data/forest_ties_golden.json`.
+SVR with support vectors, an SVR with none (format version 2: support
+vectors per block, each row once, with an index and a width) and a ridge
+(version 1). A change to how a writer builds its document that moves a key, a
+value or a number's text fails here. Forests are pinned by
+`tests/data/forest_ties_golden.json`.
 """
 
 from pathlib import Path

@@ -25,6 +25,13 @@ Then, for each workload in `bench/workloads.py`, it sets the workload up on
 those inputs, runs one round of its operations and prints ``<workload>
 <digest>``, a digest of `json.dumps(outputs, sort_keys=True)`.
 
+After ``score_new_viewers`` it saves that workload's set-up model, a late
+fusion AVM model, with `memfuse.fusion.save_fusion_model` into the temporary
+directory, loads it back with `load_fusion_model` and runs the round again on
+the loaded model. It prints ``score_new_viewers_reloaded <digest>``, which
+equals the ``score_new_viewers`` digest when a saved model predicts as the
+fitted one, and ``model_mib <size>``, the saved folder's size in MiB.
+
 Last it prints ``experiment2 <digest>``, a digest of the report that
 `tools/experiment2_report.py` writes for the seed: a reduced `run_experiment2`
 on those inputs, early and late fusion, whose late AV bases are fitted at
@@ -87,6 +94,12 @@ def _text_digest(data_dir: Path) -> str:
     return digest.hexdigest()[:16]
 
 
+def _round_digest(run, workload, state) -> str:
+    """The digest of one round of `workload`'s operations on its set-up `state`."""
+    _, outputs, _ = run.run_round(workload.operations(state))
+    return hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -99,6 +112,7 @@ def main(argv=None) -> int:
 
     paths.use_checkout_src()
     import workloads
+    from memfuse import fusion
 
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = Path(tmp) / f"seed-{args.seed}"
@@ -108,9 +122,15 @@ def main(argv=None) -> int:
         print(f"text {_text_digest(data_dir)}", flush=True)
         for name, workload_cls in workloads.WORKLOADS.items():
             workload = workload_cls(data_dir, args.seed)
-            _, outputs, _ = run.run_round(workload.operations(workload.setup()))
-            digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
-            print(f"{name} {digest[:16]}", flush=True)
+            state = workload.setup()
+            print(f"{name} {_round_digest(run, workload, state)}", flush=True)
+            if name == "score_new_viewers":
+                model_dir = Path(tmp) / "score_new_viewers_model"
+                fusion.save_fusion_model(state["model"], model_dir)
+                state = {**state, "model": fusion.load_fusion_model(model_dir)}
+                print(f"{name}_reloaded {_round_digest(run, workload, state)}", flush=True)
+                size = sum(p.stat().st_size for p in model_dir.iterdir())
+                print(f"model_mib {size / 2**20:.2f}", flush=True)
         report = experiment2_report.report_text(data_dir, args.seed)
         print(f"experiment2 {hashlib.sha256(report.encode()).hexdigest()[:16]}", flush=True)
     return 0
