@@ -133,7 +133,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0.0:
+    # Tested on the values, as in `r2_score`; the product can also underflow to 0.
+    if np.ptp(x) == 0 or np.ptp(y) == 0 or denom == 0.0:
         raise ValueError("constant input")
     return float(np.clip((xc @ yc) / denom, -1.0, 1.0))
 
@@ -180,12 +181,15 @@ def av_dagger_baseline(
 
 
 # Grid keys per learner. A base learner's keys are its params' fields under a
-# "<learner>." prefix, but for the solver's pass limit and the forest's seed;
-# the stacking keys go to the late-fusion fit.
+# "<learner>." prefix, but for the solver's tolerance (`run_experiment1`'s
+# thread-count guarantee rests on it) and pass limit and the forest's seed; the
+# stacking keys go to the late-fusion fit.
 _LEARNER_PARAMS = {"svr": SvrParams, "forest": ForestParams}
 _LEARNER_KEYS = {
     learner: tuple(
-        f"{learner}.{f.name}" for f in dataclasses.fields(cls) if f.name not in ("max_passes", "seed")
+        f"{learner}.{f.name}"
+        for f in dataclasses.fields(cls)
+        if f.name not in ("tol", "max_passes", "seed")
     )
     for learner, cls in _LEARNER_PARAMS.items()
 } | {"stack": ("ridge.alpha", "stack.k_inner")}

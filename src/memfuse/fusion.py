@@ -25,6 +25,14 @@ with them, keeping no model. Its predictions equal those of the fit and
 `fusion_predict`, bit for bit. It computes each base fit and base prediction
 once per distinct setting, so fits grow as their sum, not product. A late SVR
 base is an early-fusion grid on its own modalities (`_base_predictions`).
+
+A fitted model is one JSON file, written as a learner's is (sorted keys, no
+indent, a final newline): `{"kind": "early", "modalities": [...], "svr": {...}}`
+with the modalities in concatenation order, their widths the SVR's block
+widths, or `{"kind": "late", "base_order": [...], "models": {base: {...}},
+"meta": {...}, "fold_log": [...]}`. Each learner's `model_to_json` document
+nests unchanged, with its own format version. Folders, as earlier versions
+wrote (a manifest and a file per learner), are not read.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._checks import is_count
 from ._seeds import child_seed
 from .folds import check_disjoint, group_splits
 from .regressors import (
@@ -53,11 +60,11 @@ from .regressors import (
     fit_ridge,
     fit_svr,
     model_from_json,
+    model_to_json,
     predict_forest,
     predict_ridge,
     predict_svr,
     rank_table,
-    save_model,
 )
 
 MODALITY_ORDER = ("audio", "visual", "mem_lexical", "mem_embedding")
@@ -188,12 +195,13 @@ def _check_fit_time(table: FeatureTable, fitted: dict[str, int]) -> None:
 
 @dataclass
 class EarlyFusionModel:
-    dims: dict[str, int]  # modality -> width, in concatenation order
+    modalities: tuple[str, ...]  # in concatenation order, one per block of the SVR's columns
     svr: SvrModel
 
     @property
-    def modalities(self) -> tuple[str, ...]:
-        return tuple(self.dims)
+    def dims(self) -> dict[str, int]:
+        """Modality -> width, in concatenation order: the SVR's block widths."""
+        return dict(zip(self.modalities, self.svr.widths, strict=True))
 
 
 @dataclass(frozen=True)
@@ -241,7 +249,8 @@ def early_fusion_fit(
 ) -> EarlyFusionModel:
     """One SVR on the stacked features of the active modalities."""
     table = feature_table(bundles)
-    return EarlyFusionModel(table.dims, fit_svr(table.blocks(table.modalities), y, svr_params))
+    modalities = table.modalities
+    return EarlyFusionModel(modalities, fit_svr(table.blocks(modalities), y, svr_params))
 
 
 def late_fusion_bases(modalities: tuple[str, ...]) -> tuple[str, ...]:
@@ -478,95 +487,74 @@ def fusion_predict(
     return predict_ridge(model.meta, np.column_stack(columns))
 
 
-def save_fusion_model(model: EarlyFusionModel | LateFusionModel, directory: str | Path) -> None:
-    """Serialize a fusion model to a directory: manifest plus per-model files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def save_fusion_model(model: EarlyFusionModel | LateFusionModel, path: str | Path) -> None:
+    """Write `model` to the file `path`, one document laid out as the module docstring says."""
     if isinstance(model, EarlyFusionModel):
-        manifest = {
-            "kind": "early",
-            "modalities": list(model.modalities),
-            "dims": model.dims,
-            "models": {"svr": "svr.json"},
-        }
-        save_model(model.svr, directory / "svr.json")
+        modalities = list(model.modalities)
+        doc = {"kind": "early", "modalities": modalities, "svr": model_to_json(model.svr)}
     else:
-        manifest = {
+        doc = {
             "kind": "late",
             "base_order": list(model.base_order),
-            "models": {name: f"base_{name}.json" for name in model.base_order},
-            "meta": "meta.json",
+            "models": {name: model_to_json(base) for name, base in model.base_models.items()},
+            "meta": model_to_json(model.meta),
             "fold_log": model.fold_log,
         }
-        for name in model.base_order:
-            save_model(model.base_models[name], directory / f"base_{name}.json")
-        save_model(model.meta, directory / "meta.json")
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
 
-def _field(manifest: dict, key: str):
-    """The manifest's entry at dotted `key`, such as "models.svr", which must be there."""
-    value = manifest
+def _field(doc: dict, key: str):
+    """The model file's entry at dotted `key`, such as "models.audio", which must be there."""
+    value = doc
     for part in key.split("."):
         if not (isinstance(value, dict) and part in value):
-            raise ValueError(f"manifest lacks {key}")
+            raise ValueError(f"model file lacks {key}")
         value = value[part]
     return value
 
 
-def _names(manifest: dict, key: str, order) -> list[str]:
-    """`manifest[key]`, which must list distinct names of `order`, in that order."""
-    names = _field(manifest, key)
+def _names(doc: dict, key: str, order) -> list[str]:
+    """`doc[key]`, which must list distinct names of `order`, in that order."""
+    names = _field(doc, key)
     if not (isinstance(names, list) and names and names == [n for n in order if n in names]):
         raise ValueError(f"{key} must list distinct names of {list(order)} in order, got {names!r}")
     return names
 
 
-def _load_learner(directory: Path, manifest: dict, key: str, learner: str):
-    """The model in the file that manifest entry `key` names, which must be a `learner`.
+def _load_learner(doc: dict, key: str, learner: str):
+    """The model of the document nested at `key`, which must be a `learner` document."""
+    nested = _field(doc, key)
+    kind = nested.get("kind") if isinstance(nested, dict) else None
+    if kind != learner:
+        raise ValueError(f"{key} holds a {kind!r} model, expected {learner!r}")
+    return model_from_json(nested)
 
-    The entry must be a path relative to the model's folder that stays inside it.
+
+def load_fusion_model(path: str | Path) -> EarlyFusionModel | LateFusionModel:
+    """The model in the file `path` that `save_fusion_model` wrote; a folder is not read.
+
+    Its names must be known modalities or bases, in order, and each learner
+    document must pass `model_from_json`'s checks.
     """
-    name = _field(manifest, key)
-    root = directory.resolve()
-    if not (
-        isinstance(name, str)
-        and not Path(name).anchor
-        and (root / name).resolve().is_relative_to(root)
-    ):
-        raise ValueError(f"{key} must be a relative path inside the model's folder, got {name!r}")
-    with open(directory / name, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("kind") != learner:
-        raise ValueError(f"{key} holds a {doc.get('kind')!r} model, expected {learner!r}")
-    return model_from_json(doc)
-
-
-def load_fusion_model(directory: str | Path) -> EarlyFusionModel | LateFusionModel:
-    directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    kind = _field(manifest, "kind")
+    kind = _field(doc, "kind")
     if kind == "early":
-        # The manifest is written with sorted keys; "modalities" keeps the concatenation order.
-        names = _names(manifest, "modalities", MODALITY_ORDER)
-        dims = {name: _field(manifest, f"dims.{name}") for name in names}
-        svr = _load_learner(directory, manifest, "models.svr", "svr")
-        width = svr.scaler.means.shape[0]
-        if not (all(is_count(d, 1) for d in dims.values()) and sum(dims.values()) == width):
-            raise ValueError(f"dims {dims} must be positive integers that sum to the SVR's {width}")
-        if tuple(dims.values()) != svr.widths:
-            raise ValueError(f"dims {dims} do not match the SVR's block widths {svr.widths}")
-        return EarlyFusionModel(dims=dims, svr=svr)
+        # The file is written with sorted keys; "modalities" keeps the concatenation order.
+        names = _names(doc, "modalities", MODALITY_ORDER)
+        svr = _load_learner(doc, "svr", "svr")
+        if len(names) != len(svr.widths):
+            raise ValueError(f"modalities {names} do not match the SVR's {len(svr.widths)} blocks")
+        return EarlyFusionModel(tuple(names), svr)
     if kind == "late":
         return LateFusionModel(
             base_models={
-                name: _load_learner(directory, manifest, f"models.{name}", BASES[name][0])
-                for name in _names(manifest, "base_order", BASES)
+                name: _load_learner(doc, f"models.{name}", BASES[name][0])
+                for name in _names(doc, "base_order", BASES)
             },
-            meta=_load_learner(directory, manifest, "meta", "ridge"),
-            fold_log=manifest.get("fold_log", []),
+            meta=_load_learner(doc, "meta", "ridge"),
+            fold_log=doc.get("fold_log", []),
         )
     raise ValueError(f"unknown fusion model kind {kind!r}")

@@ -52,13 +52,19 @@ def column_moments(
 
     With every count one, the means and stds are `X.mean(axis=0)` and
     `X.std(axis=0)` bit for bit: the same sums in the same order. Counts
-    give the moments of the rows repeated, from the distinct rows alone.
+    give the moments of the rows repeated, from the distinct rows alone. A
+    column whose rows all equal its first is found by value: its mean is that
+    value and its std 0, where a summed mean can be inexact (that of [0.1] * 3
+    is) and leave a std of ~1e-17.
     """
     n = X.shape[0] if counts is None else int(counts.sum())
     weights = None if counts is None else counts[:, None]
     # Squares of values beyond ~1e154 overflow; the check below reports it, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         means = (X if weights is None else X * weights).sum(axis=0) / n
+        if X.shape[0]:
+            constant = (X == X[0]).all(axis=0)
+            means[constant] = X[0, constant]
         centered = X - means
         squares = centered * centered
         stds = np.sqrt((squares if weights is None else squares * weights).sum(axis=0) / n)

@@ -465,10 +465,10 @@ def fit_svr(X, y: np.ndarray, params: SvrParams, design: SvrDesign | None = None
 
     `design`, when given, must be `SvrDesign(X)`; the fit then reuses its
     standardization and its Gram for the gamma setting of `params`, and reads
-    X only for its shape.
+    X only for its shape: a matrix's rows are not compared.
     """
     y = np.asarray(y, dtype=float)
-    blocks = _blocks(X)
+    blocks = _blocks(X) if _is_blocks(X) else [Block(np.atleast_2d(X))]  # read for their shape
     n = _n_samples(*blocks[0])
     if n != y.shape[0]:
         raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
@@ -478,7 +478,7 @@ def fit_svr(X, y: np.ndarray, params: SvrParams, design: SvrDesign | None = None
         raise ValueError("non-finite values in training data")
     widths = tuple(block.vectors.shape[1] for block in blocks)
     if design is None:
-        design = SvrDesign(blocks)
+        design = SvrDesign(X)
     elif (design.n, design.widths) != (n, widths):
         raise ValueError(
             f"design has rows of widths {design.widths} for {design.n} samples, "

@@ -697,6 +697,20 @@ def test_r2_of_constant_targets_raises(value):
         r2_score(np.array([value] * 3), np.array([0.0, 0.1, 0.2]))
 
 
+def test_pearson_of_a_constant_input_raises():
+    # The mean of [0.1] * 3 is inexact, so its deviations are not 0.
+    constant, varying = np.full(3, 0.1), np.array([1.0, 2.0, 3.0])
+    for args in ((constant, varying), (varying, constant)):
+        with pytest.raises(ValueError, match="^constant input$"):
+            pearson(*args)
+
+
+def test_validate_grid_rejects_the_solver_tolerance():
+    # tol is a solver setting: run_experiment1's thread-count guarantee rests on its 1e-7.
+    with pytest.raises(ValueError, match=r"^unknown grid keys \['svr\.tol'\]"):
+        validate_grid({"svr.tol": [1e-3]})
+
+
 def test_single_point_grid_fits_nothing():
     best, results = grid_search(NO_SAMPLES, np.array([]), {"svr.c": [3.0]}, "early")
     assert best == {"svr.c": 3.0}

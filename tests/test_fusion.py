@@ -196,28 +196,32 @@ def test_fusion_roundtrip_serialization(tmp_path, rng):
     bundles = _bundles(rng, n, audio=audio, lexical=lexical)
 
     early = early_fusion_fit(bundles, y, SvrParams(c=2.0))
-    save_fusion_model(early, tmp_path / "early")
-    loaded = load_fusion_model(tmp_path / "early")
+    save_fusion_model(early, tmp_path / "early.json")
+    loaded = load_fusion_model(tmp_path / "early.json")
     assert np.array_equal(fusion_predict(early, bundles), fusion_predict(loaded, bundles))
 
     late = late_fusion_fit(bundles, y, _late_params(), meta_alpha=0.1, seed=4)
-    save_fusion_model(late, tmp_path / "late")
-    loaded_late = load_fusion_model(tmp_path / "late")
+    save_fusion_model(late, tmp_path / "late.json")
+    loaded_late = load_fusion_model(tmp_path / "late.json")
     assert np.array_equal(
         fusion_predict(late, bundles), fusion_predict(loaded_late, bundles)
     )
+    # A model is one file; a folder, as earlier versions wrote, is not read.
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "early.json", tmp_path / "late.json"]
+    with pytest.raises(IsADirectoryError):
+        load_fusion_model(tmp_path)
 
 
 def test_early_model_keeps_a_non_alphabetical_modality_order_through_save_and_load(
     tmp_path, rng
 ):
-    # The manifest is written with sorted keys, so it stores "dims" alphabetically.
+    # The file is written with sorted keys, so only the "modalities" list keeps the order.
     visual = rng.normal(size=(30, 3))
     lexical = rng.normal(size=(30, 5))
     bundles = _bundles(rng, 30, visual=visual, lexical=lexical)
     model = early_fusion_fit(bundles, visual[:, 0] + lexical[:, 1], SvrParams(c=2.0))
-    save_fusion_model(model, tmp_path)
-    loaded = load_fusion_model(tmp_path)
+    save_fusion_model(model, tmp_path / "model.json")
+    loaded = load_fusion_model(tmp_path / "model.json")
     assert model.modalities == loaded.modalities == ("visual", "mem_lexical")
     assert list(loaded.dims.items()) == [("visual", 3), ("mem_lexical", 5)]
     assert np.array_equal(fusion_predict(loaded, bundles), fusion_predict(model, bundles))
@@ -600,22 +604,25 @@ def test_feature_table_rejects_an_empty_bundle_list():
         feature_table([])
 
 
-def _saved_early_model(tmp_path, rng):
+def _saved_early_model(tmp_path, rng, lexical_width=None):
     audio = rng.normal(size=(20, 3))
-    model = early_fusion_fit(_bundles(rng, 20, audio=audio), audio[:, 0], SvrParams())
-    save_fusion_model(model, tmp_path)
-    return json.loads((tmp_path / "manifest.json").read_text())
+    lexical = None if lexical_width is None else rng.normal(size=(20, lexical_width))
+    bundles = _bundles(rng, 20, audio=audio, lexical=lexical)
+    save_fusion_model(early_fusion_fit(bundles, audio[:, 0], SvrParams()), tmp_path / "model.json")
+    return json.loads((tmp_path / "model.json").read_text())
 
 
-def _write_manifest(tmp_path, manifest):
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+def _write_model(tmp_path, doc):
+    (tmp_path / "model.json").write_text(json.dumps(doc))
 
 
-def _saved_late_model(tmp_path, rng):
+def _saved_late_model(tmp_path, rng, lexical=True):
     audio = rng.normal(size=(20, 3))
-    bundles = _bundles(rng, 20, audio=audio, lexical=rng.normal(size=(20, 4)))
-    save_fusion_model(late_fusion_fit(bundles, audio[:, 0], _late_params(), 1.0), tmp_path)
-    return json.loads((tmp_path / "manifest.json").read_text())
+    lexical = rng.normal(size=(20, 4)) if lexical else None
+    bundles = _bundles(rng, 20, audio=audio, lexical=lexical)
+    model = late_fusion_fit(bundles, audio[:, 0], _late_params(), 1.0)
+    save_fusion_model(model, tmp_path / "model.json")
+    return json.loads((tmp_path / "model.json").read_text())
 
 
 def _without(doc, key):
@@ -631,10 +638,7 @@ def _without(doc, key):
     [
         (_saved_early_model, "kind", "kind"),
         (_saved_early_model, "modalities", "modalities"),
-        (_saved_early_model, "dims", "dims.audio"),
-        (_saved_early_model, "dims.audio", "dims.audio"),
-        (_saved_early_model, "models", "models.svr"),
-        (_saved_early_model, "models.svr", "models.svr"),
+        (_saved_early_model, "svr", "svr"),
         (_saved_late_model, "kind", "kind"),
         (_saved_late_model, "base_order", "base_order"),
         (_saved_late_model, "models", "models.audio"),
@@ -642,118 +646,71 @@ def _without(doc, key):
         (_saved_late_model, "meta", "meta"),
     ],
 )
-def test_load_fusion_model_names_a_manifest_field_that_is_missing(
-    tmp_path, rng, saved, removed, named
+def test_load_fusion_model_names_a_field_that_is_missing(tmp_path, rng, saved, removed, named):
+    _write_model(tmp_path, _without(saved(tmp_path, rng), removed))
+    with pytest.raises(ValueError, match=f"^model file lacks {re.escape(named)}$"):
+        load_fusion_model(tmp_path / "model.json")
+
+
+@pytest.mark.parametrize("modalities", [["audio"], ["audio", "visual", "mem_lexical"]])
+def test_load_fusion_model_rejects_modalities_that_do_not_name_the_svr_blocks(
+    tmp_path, rng, modalities
 ):
-    _write_manifest(tmp_path, _without(saved(tmp_path, rng), removed))
-    with pytest.raises(ValueError, match=f"^manifest lacks {re.escape(named)}$"):
-        load_fusion_model(tmp_path)
-
-
-@pytest.mark.parametrize(
-    "saved, key",
-    [(_saved_early_model, "models.svr"), (_saved_late_model, "models.audio"), (_saved_late_model, "meta")],
-)
-@pytest.mark.parametrize("entry", ["5", "absolute", "../outside.json"])
-def test_load_fusion_model_rejects_a_file_entry_that_is_not_a_path_inside_its_folder(
-    tmp_path, rng, saved, key, entry
-):
-    folder = tmp_path / "model"
-    manifest = saved(folder, rng)
-    head, _, rest = key.partition(".")
-    name = manifest[head][rest] if rest else manifest[head]
-    # A readable model file outside the folder, so that only the check can refuse it.
-    outside = tmp_path / "outside.json"
-    outside.write_bytes((folder / name).read_bytes())
-    entry = {"5": 5, "absolute": str(outside)}.get(entry, entry)
-    _write_manifest(folder, {**manifest, head: {**manifest[head], rest: entry} if rest else entry})
-    message = f"{key} must be a relative path inside the model's folder, got {entry!r}"
+    doc = _saved_early_model(tmp_path, rng, lexical_width=5)
+    assert doc["modalities"] == ["audio", "mem_lexical"]
+    _write_model(tmp_path, {**doc, "modalities": modalities})
+    message = f"modalities {modalities} do not match the SVR's 2 blocks"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_fusion_model(folder)
-
-
-def test_load_fusion_model_rejects_a_fractional_dimension(tmp_path, rng):
-    manifest = _saved_early_model(tmp_path, rng)
-    _write_manifest(tmp_path, {**manifest, "dims": {"audio": 3.9}})
-    with pytest.raises(ValueError, match=r"^dims \{'audio': 3.9\} must be positive integers"):
-        load_fusion_model(tmp_path)
-
-
-def test_load_fusion_model_rejects_dimensions_the_svr_does_not_read(tmp_path, rng):
-    manifest = _saved_early_model(tmp_path, rng)
-    _write_manifest(tmp_path, {**manifest, "dims": {"audio": 2}})
-    with pytest.raises(ValueError, match="^dims .* that sum to the SVR's 3$"):
-        load_fusion_model(tmp_path)
-
-
-def test_load_fusion_model_rejects_dimensions_that_cut_the_svr_elsewhere(tmp_path, rng):
-    audio = rng.normal(size=(20, 3))
-    bundles = _bundles(rng, 20, audio=audio, lexical=rng.normal(size=(20, 5)))
-    save_fusion_model(early_fusion_fit(bundles, audio[:, 0], SvrParams()), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["dims"] == {"audio": 3, "mem_lexical": 5}
-    _write_manifest(tmp_path, {**manifest, "dims": {"audio": 5, "mem_lexical": 3}})
-    message = "dims {'audio': 5, 'mem_lexical': 3} do not match the SVR's block widths (3, 5)"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_fusion_model(tmp_path)
+        load_fusion_model(tmp_path / "model.json")
 
 
 def test_load_fusion_model_rejects_an_unknown_modality(tmp_path, rng):
-    manifest = _saved_early_model(tmp_path, rng)
-    _write_manifest(tmp_path, {**manifest, "modalities": ["sound"], "dims": {"sound": 3}})
+    doc = _saved_early_model(tmp_path, rng)
+    _write_model(tmp_path, {**doc, "modalities": ["sound"]})
     with pytest.raises(ValueError, match="^modalities must list distinct names of"):
-        load_fusion_model(tmp_path)
+        load_fusion_model(tmp_path / "model.json")
 
 
 def test_load_fusion_model_rejects_an_unknown_late_base(tmp_path, rng):
-    audio = rng.normal(size=(20, 3))
-    model = late_fusion_fit(_bundles(rng, 20, audio=audio), audio[:, 0], _late_params(), 1.0)
-    save_fusion_model(model, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    _write_manifest(
-        tmp_path,
-        {
-            **manifest,
-            "base_order": ["audio", "sound"],
-            "models": {**manifest["models"], "sound": manifest["models"]["audio"]},
-        },
-    )
+    doc = _saved_late_model(tmp_path, rng, lexical=False)
+    models = {**doc["models"], "sound": doc["models"]["audio"]}
+    _write_model(tmp_path, {**doc, "base_order": ["audio", "sound"], "models": models})
     with pytest.raises(ValueError, match="^base_order must list distinct names of"):
-        load_fusion_model(tmp_path)
+        load_fusion_model(tmp_path / "model.json")
+
+
+def _with(doc, key, value):
+    """`doc` with `value` at dotted `key`."""
+    head, _, rest = key.partition(".")
+    return {**doc, head: _with(doc[head], rest, value) if rest else value}
 
 
 @pytest.mark.parametrize(
-    "source, target, message",
+    "nested, target, message",
     [
         (
-            "base_memory.json",
-            "base_audio.json",
+            lambda doc: doc["models"]["memory"],
+            "models.audio",
             "models.audio holds a 'forest' model, expected 'svr'",
         ),
-        ("base_audio.json", "meta.json", "meta holds a 'svr' model, expected 'ridge'"),
+        (lambda doc: doc["models"]["audio"], "meta", "meta holds a 'svr' model, expected 'ridge'"),
+        (lambda doc: 5, "models.audio", "models.audio holds a None model, expected 'svr'"),
     ],
 )
-def test_load_fusion_model_rejects_a_late_model_file_of_another_learner(
-    tmp_path, rng, source, target, message
+def test_load_fusion_model_rejects_a_late_learner_document_of_another_kind(
+    tmp_path, rng, nested, target, message
 ):
-    audio = rng.normal(size=(20, 3))
-    lexical = rng.normal(size=(20, 4))
-    bundles = _bundles(rng, 20, audio=audio, lexical=lexical)
-    save_fusion_model(late_fusion_fit(bundles, audio[:, 0], _late_params(), 1.0), tmp_path)
-    (tmp_path / target).write_bytes((tmp_path / source).read_bytes())
+    doc = _saved_late_model(tmp_path, rng)
+    _write_model(tmp_path, _with(doc, target, nested(doc)))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        load_fusion_model(tmp_path)
+        load_fusion_model(tmp_path / "model.json")
 
 
-def test_load_fusion_model_rejects_an_early_svr_file_that_holds_a_ridge(tmp_path, rng):
-    _saved_early_model(tmp_path, rng)
-    late = late_fusion_fit(
-        _bundles(rng, 20, audio=rng.normal(size=(20, 3))), rng.normal(size=20), _late_params(), 1.0
-    )
-    save_fusion_model(late, tmp_path / "late")
-    (tmp_path / "svr.json").write_bytes((tmp_path / "late" / "meta.json").read_bytes())
-    with pytest.raises(ValueError, match="^models.svr holds a 'ridge' model, expected 'svr'$"):
-        load_fusion_model(tmp_path)
+def test_load_fusion_model_rejects_an_early_svr_document_that_holds_a_ridge(tmp_path, rng):
+    meta = _saved_late_model(tmp_path, rng)["meta"]
+    _write_model(tmp_path, {**_saved_early_model(tmp_path, rng), "svr": meta})
+    with pytest.raises(ValueError, match="^svr holds a 'ridge' model, expected 'svr'$"):
+        load_fusion_model(tmp_path / "model.json")
 
 
 def test_feature_table_rejects_a_modality_entry_that_is_not_one_vector(rng):
@@ -826,8 +783,8 @@ def test_an_early_model_on_repeated_av_rows_predicts_bit_equal_after_save_and_lo
     model = early_fusion_fit(bundles, y, SvrParams(c=2.0, epsilon=0.05))
     assert model.svr.widths == (3, 4, 2)
     assert [b.rows.shape[0] for b in model.svr.sv_blocks[:2]] == [6, 6]
-    save_fusion_model(model, tmp_path)
-    loaded = load_fusion_model(tmp_path)
+    save_fusion_model(model, tmp_path / "model.json")
+    loaded = load_fusion_model(tmp_path / "model.json")
     assert loaded.svr.widths == (3, 4, 2)
     queries = bundles[:7] + _repeated_av_bundles(rng, n=5)[0]
     assert fusion_predict(loaded, queries).tobytes() == fusion_predict(model, queries).tobytes()

@@ -181,6 +181,21 @@ def test_column_moments_of_counted_rows_are_those_of_the_rows_repeated(rng):
     assert np.array_equal(centered, X - means)
 
 
+def test_column_moments_find_a_constant_column_by_its_values():
+    # The summed mean of [0.1] * 3 is inexact and once left the column a std of 1.39e-17.
+    X = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]])
+    for counts in (None, np.array([2, 1, 3])):
+        means, stds, centered = column_moments(X, counts)
+        assert means[0] == 0.1 and stds[0] == 0.0
+        assert not centered[:, 0].any()
+
+
+def test_a_constant_column_whose_summed_mean_is_inexact_is_singular_at_zero_alpha():
+    X = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]])
+    with pytest.raises(ValueError, match="rank-deficient"):
+        fit_ridge(X, np.array([0.0, 1.0, 2.0]), alpha=0.0)
+
+
 def _ridge_two_pass(X, y, alpha):
     """(weights, intercept, means, stds) of `fit_ridge` with column moments taken first."""
     means, stds = X.mean(axis=0), X.std(axis=0)

@@ -133,6 +133,19 @@ def test_fits_on_a_shared_design_equal_fresh_fits_and_share_its_grams(rng, monke
     assert len(grams) == 2  # one Gram per gamma_scale
 
 
+def test_a_fit_on_a_built_design_compares_no_rows(rng, monkeypatch):
+    X = np.repeat(rng.normal(size=(4, 3)), 3, axis=0)  # rows repeat, as AV rows do
+    y = rng.normal(size=12)
+    design = SvrDesign(X)
+    calls = []
+    distinct_rows = svr_module.distinct_rows
+    monkeypatch.setattr(
+        svr_module, "distinct_rows", lambda rows: calls.append(len(rows)) or distinct_rows(rows)
+    )
+    fit_svr(X, y, SvrParams(), design=design)
+    assert calls == []
+
+
 def test_design_of_other_rows_rejected(rng):
     X = rng.normal(size=(10, 3))
     with pytest.raises(ValueError, match="design has rows"):
@@ -858,6 +871,18 @@ def test_a_model_fitted_on_blocks_builds_its_full_rows_only_when_they_are_read(r
     assert model.support_vectors.shape == (model.dual_coefs.size, 8)
     assert "support_vectors" in vars(model)
     assert loaded.support_vectors.tobytes() == model.support_vectors.tobytes()
+
+
+def test_a_constant_column_whose_summed_mean_is_inexact_is_constant():
+    # The summed mean of [0.1] * 3 is inexact: such a column once read as varying, with a
+    # std of ~1e-17, and a change of 1e-7 in it moved a prediction from 0.01 to the bias.
+    X = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]])
+    design = SvrDesign(X)
+    assert design.n_varying == 1
+    assert design.gram(SvrParams())[0] == 1.0
+    model = fit_svr(X, np.array([0.0, 1.0, 2.0]), SvrParams(c=10.0, epsilon=0.01))
+    at, near = predict_svr(model, np.array([[0.1, 1.0], [0.1 + 1e-7, 1.0]]))
+    assert near == pytest.approx(at, abs=1e-9)
 
 
 def test_scale_heuristic_gamma_is_gamma_scale_over_the_non_constant_columns(rng):

@@ -26,11 +26,11 @@ those inputs, runs one round of its operations and prints ``<workload>
 <digest>``, a digest of `json.dumps(outputs, sort_keys=True)`.
 
 After ``score_new_viewers`` it saves that workload's set-up model, a late
-fusion AVM model, with `memfuse.fusion.save_fusion_model` into the temporary
-directory, loads it back with `load_fusion_model` and runs the round again on
-the loaded model. It prints ``score_new_viewers_reloaded <digest>``, which
-equals the ``score_new_viewers`` digest when a saved model predicts as the
-fitted one, and ``model_mib <size>``, the saved folder's size in MiB.
+fusion AVM model, with `memfuse.fusion.save_fusion_model` to one file in the
+temporary directory, loads it back with `load_fusion_model` and runs the round
+again on the loaded model. It prints ``score_new_viewers_reloaded <digest>``,
+which equals the ``score_new_viewers`` digest when a saved model predicts as
+the fitted one, and ``model_mib <size>``, the saved file's size in MiB.
 
 Last it prints ``experiment2 <digest>``, a digest of the report that
 `tools/experiment2_report.py` writes for the seed: a reduced `run_experiment2`
@@ -125,12 +125,11 @@ def main(argv=None) -> int:
             state = workload.setup()
             print(f"{name} {_round_digest(run, workload, state)}", flush=True)
             if name == "score_new_viewers":
-                model_dir = Path(tmp) / "score_new_viewers_model"
-                fusion.save_fusion_model(state["model"], model_dir)
-                state = {**state, "model": fusion.load_fusion_model(model_dir)}
+                model_file = Path(tmp) / "score_new_viewers_model.json"
+                fusion.save_fusion_model(state["model"], model_file)
+                state = {**state, "model": fusion.load_fusion_model(model_file)}
                 print(f"{name}_reloaded {_round_digest(run, workload, state)}", flush=True)
-                size = sum(p.stat().st_size for p in model_dir.iterdir())
-                print(f"model_mib {size / 2**20:.2f}", flush=True)
+                print(f"model_mib {model_file.stat().st_size / 2**20:.2f}", flush=True)
         report = experiment2_report.report_text(data_dir, args.seed)
         print(f"experiment2 {hashlib.sha256(report.encode()).hexdigest()[:16]}", flush=True)
     return 0
