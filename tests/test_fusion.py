@@ -713,6 +713,70 @@ def test_load_fusion_model_rejects_an_early_svr_document_that_holds_a_ridge(tmp_
         load_fusion_model(tmp_path / "model.json")
 
 
+def test_load_fusion_model_rejects_an_unknown_kind(tmp_path, rng):
+    _write_model(tmp_path, {**_saved_early_model(tmp_path, rng), "kind": "middle"})
+    with pytest.raises(ValueError, match="^unknown fusion model kind 'middle'$"):
+        load_fusion_model(tmp_path / "model.json")
+
+
+@pytest.mark.parametrize("kind", ["early", "late"])
+def test_save_fusion_model_nests_each_learner_document_unchanged(tmp_path, rng, kind):
+    audio = rng.normal(size=(20, 3))
+    bundles = _bundles(rng, 20, audio=audio, lexical=rng.normal(size=(20, 4)))
+    if kind == "early":
+        model = early_fusion_fit(bundles, audio[:, 0], SvrParams())
+        learners = {"svr": model.svr}
+        fields = {"kind": "early", "modalities": ["audio", "mem_lexical"]}
+    else:
+        model = late_fusion_fit(bundles, audio[:, 0], _late_params(), 1.0)
+        learners = {"meta": model.meta, **{f"models.{n}": b for n, b in model.base_models.items()}}
+        fields = {"kind": "late", "base_order": ["audio", "memory"], "fold_log": model.fold_log}
+    save_fusion_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    # No "dims": each block's width is stated once, in the SVR's own document.
+    assert set(doc) == set(fields) | {key.partition(".")[0] for key in learners}
+    assert {key: doc[key] for key in fields} == fields
+    for key, learner in learners.items():
+        nested = doc
+        for part in key.split("."):
+            nested = nested[part]
+        assert nested == model_to_json(learner)
+        assert "format_version" in nested
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        (
+            {
+                "kind": "early",
+                "modalities": ["audio"],
+                "dims": {"audio": 3},
+                "models": {"svr": "svr.json"},
+            },
+            "model file lacks svr",
+        ),
+        (
+            {
+                "kind": "late",
+                "base_order": ["audio"],
+                "models": {"audio": "base_audio.json"},
+                "meta": "meta.json",
+                "fold_log": [],
+            },
+            "models.audio holds a None model, expected 'svr'",
+        ),
+    ],
+)
+def test_load_fusion_model_rejects_a_manifest_that_names_learner_files(
+    tmp_path, manifest, message
+):
+    # The manifest.json of a folder written by earlier versions names a file per learner.
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_fusion_model(tmp_path / "manifest.json")
+
+
 def test_feature_table_rejects_a_modality_entry_that_is_not_one_vector(rng):
     bundle = ModalityBundle(audio=rng.normal(size=(2, 3)))
     with pytest.raises(ValueError, match=r"^bundle 0 audio has shape \(2, 3\), not a 1-d vector$"):
